@@ -26,7 +26,9 @@
 #include "mpc/cost.h"
 #include "mpc/dist_relation.h"
 #include "mpc/stats.h"
+#include "multiway/binary_plan.h"
 #include "multiway/hypercube.h"
+#include "multiway/triangle_hl.h"
 #include "query/ghd.h"
 #include "query/query.h"
 #include "sort/multi_round_sort.h"
@@ -251,6 +253,67 @@ TEST(CostGoldenTest, GymStarOptimized) {
   GymJoin(cluster, q, StarGhd(q), atoms, rng, options);
   ExpectMatchesGolden("GymStarOptimized", cluster.cost_report(),
                       kGymStarOptimized);
+}
+
+// ---------- Iterative binary join: skew-aware, multi-key and product steps ----------
+
+const GoldenRound kIterativeBinaryJoin[] = {
+    {"skew-aware join: shuffle", 197, 951, 0x5b086189f17d9455ULL},
+    {"parallel hash join: shuffle", 1833, 12380, 0xd296e255ee1c6ca5ULL},
+    {"cartesian product scatter", 560, 4202, 0x18f02756f60eccfdULL},
+};
+
+TEST(CostGoldenTest, IterativeBinaryJoin) {
+  // A ⋈ B joins on the single key y (skew-aware step), then C on (z, x)
+  // (multi-key hash step), then D shares no variable (Cartesian product).
+  const auto q = ConjunctiveQuery::Parse("A(x,y), B(y,z), C(z,x), D(w)");
+  ASSERT_TRUE(q.ok());
+  Rng data_rng(61);
+  const std::vector<DistRelation> atoms = {
+      DistRelation::Scatter(GenerateZipf(data_rng, 300, 2, 30, 1, 1.2),
+                            kServers),
+      DistRelation::Scatter(GenerateZipf(data_rng, 300, 2, 30, 0, 1.2),
+                            kServers),
+      DistRelation::Scatter(GenerateUniform(data_rng, 300, 2, 30), kServers),
+      DistRelation::Scatter(GenerateUniform(data_rng, 6, 1, 100), kServers),
+  };
+  Cluster cluster(kServers, kSeed);
+  Rng rng(62);
+  BinaryPlanOptions options;
+  options.skew_aware = true;
+  const BinaryPlanResult result =
+      IterativeBinaryJoin(cluster, *q, atoms, rng, options);
+  EXPECT_EQ(result.intermediate_sizes,
+            (std::vector<int64_t>{12080, 4154, 24924}));
+  ExpectMatchesGolden("IterativeBinaryJoin", cluster.cost_report(),
+                      kIterativeBinaryJoin);
+}
+
+// ---------- Heavy-light triangle (HyperCube + binary heavy part) ----------
+
+const GoldenRound kTriangleHeavyLight[] = {
+    {"hypercube: multicast", 344, 1714, 0x3541108db90449d1ULL},
+    {"parallel hash join: shuffle", 116, 576, 0x0032c324c4d41c55ULL},
+    {"parallel hash join: shuffle", 587, 2537, 0x2ca8d3e6fcc49f67ULL},
+};
+
+TEST(CostGoldenTest, TriangleHeavyLight) {
+  Rng data_rng(71);
+  const Relation r = GenerateUniform(data_rng, 400, 2, 30);
+  const Relation s = GenerateZipf(data_rng, 400, 2, 30, 1, 1.5);
+  const Relation t = GenerateZipf(data_rng, 400, 2, 30, 0, 1.5);
+  Cluster cluster(kServers, kSeed);
+  Rng rng(72);
+  TriangleHlOptions options;
+  options.threshold_factor = 0.25;
+  const TriangleHlResult result = TriangleHeavyLightJoin(
+      cluster, DistRelation::Scatter(r, kServers),
+      DistRelation::Scatter(s, kServers), DistRelation::Scatter(t, kServers),
+      rng, options);
+  EXPECT_EQ(result.heavy_values, 1);
+  EXPECT_EQ(result.output.TotalSize(), 16232);
+  ExpectMatchesGolden("TriangleHeavyLight", cluster.cost_report(),
+                      kTriangleHeavyLight);
 }
 
 // ---------- Square-block matrix multiplication ----------
