@@ -66,16 +66,16 @@ int main() {
   for (int j = 0; j < 3; ++j) {
     path_atoms.push_back(DistRelation::Scatter(edges, p));
   }
-  const PlanChoice choice = ChoosePlan(*path, path_atoms, p);
+  const PlannedQuery planned = PlanQuery(*path, path_atoms, p);
   Cluster cluster(p, 1);
   Rng plan_rng(7);
   const DistRelation paths =
-      ExecutePlan(cluster, *path, path_atoms, choice, plan_rng);
+      ExecutePlannedQuery(cluster, *path, path_atoms, planned, plan_rng);
   std::printf(
       "\nlength-3 paths via planner (%s, skew detected: %s): %lld  "
       "(r=%d, L=%lld)\n",
-      PlanAlgorithmName(choice.chosen.algorithm),
-      choice.input_is_skewed ? "yes" : "no",
+      PlanAlgorithmName(planned.plan.family),
+      planned.input_is_skewed ? "yes" : "no",
       static_cast<long long>(paths.TotalSize()),
       cluster.cost_report().num_rounds(),
       static_cast<long long>(cluster.cost_report().MaxLoadTuples()));

@@ -2,7 +2,6 @@
 #define MPCQP_MULTIWAY_BINARY_PLAN_H_
 
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 #include "common/random.h"
@@ -34,20 +33,14 @@ struct BinaryPlanResult {
   std::vector<int64_t> intermediate_sizes;
 };
 
-// atoms[j] instantiates q.atom(j).
+// atoms[j] instantiates q.atom(j). Builds the left-deep PlanTree for the
+// order (BuildJoinOrderTree) and runs it with ExecuteJoinOrderTree, the
+// executor planned binary plans use too.
 BinaryPlanResult IterativeBinaryJoin(Cluster& cluster,
                                      const ConjunctiveQuery& q,
                                      const std::vector<DistRelation>& atoms,
                                      Rng& rng,
                                      const BinaryPlanOptions& options = {});
-
-// Locally normalizes one atom instance: drops rows violating intra-atom
-// repeated variables and projects to one column per distinct variable.
-// Returns the normalized distributed relation and its variable list.
-// Shared with the planner's plan-tree executor, which must reproduce
-// IterativeBinaryJoin's data path bit for bit.
-std::pair<DistRelation, std::vector<int>> NormalizeAtomDist(
-    const Atom& atom, const DistRelation& rel);
 
 }  // namespace mpcqp
 

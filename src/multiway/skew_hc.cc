@@ -17,20 +17,6 @@ namespace mpcqp {
 
 namespace {
 
-// First-occurrence column of each distinct variable of an atom.
-std::vector<std::pair<int, int>> DistinctVarCols(const Atom& atom) {
-  std::vector<std::pair<int, int>> var_cols;
-  for (int c = 0; c < atom.arity(); ++c) {
-    const int v = atom.vars[c];
-    bool first = true;
-    for (int d = 0; d < c; ++d) {
-      if (atom.vars[d] == v) first = false;
-    }
-    if (first) var_cols.push_back({v, c});
-  }
-  return var_cols;
-}
-
 // Heaviness signature of a row restricted to the atom's variables: bit v
 // set iff the row's value for v is heavy.
 uint32_t RowSignature(const Value* row,

@@ -6,7 +6,7 @@
 #include <string>
 
 #include "common/check.h"
-#include "planner/plan_tree.h"
+#include "multiway/plan_tree.h"
 
 namespace mpcqp {
 
@@ -14,16 +14,9 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-// Distinct variables of an atom by first occurrence.
-std::vector<int> DistinctVarsOf(const Atom& atom) {
-  std::vector<int> vars;
-  for (int v : atom.vars) {
-    if (std::find(vars.begin(), vars.end(), v) == vars.end()) {
-      vars.push_back(v);
-    }
-  }
-  return vars;
-}
+// DP state-space guard: queries with more atoms than this skip the subset
+// DP and fall back to the greedy order.
+constexpr int kMaxDpAtoms = 12;
 
 }  // namespace
 
@@ -59,13 +52,13 @@ double EstimateMaskRows(const ConjunctiveQuery& q, const PlannerStats& stats,
     if (first) {
       rows = static_cast<double>(stats.sizes[j]);
       first = false;
-      for (int v : DistinctVarsOf(q.atom(j))) {
+      for (const auto& [v, c] : DistinctVarCols(q.atom(j))) {
         seen[v] = std::max<int64_t>(1, stats.distinct[j][v]);
       }
       continue;
     }
     double factor = static_cast<double>(stats.sizes[j]);
-    for (int v : DistinctVarsOf(q.atom(j))) {
+    for (const auto& [v, c] : DistinctVarCols(q.atom(j))) {
       const int64_t mine = std::max<int64_t>(1, stats.distinct[j][v]);
       if (seen[v] > 0) {
         factor /= static_cast<double>(std::max(seen[v], mine));
@@ -112,7 +105,9 @@ OrderSearch DpOrder(const ConjunctiveQuery& q, const PlannerStats& stats,
 
   std::vector<uint64_t> atom_vars(n, 0);
   for (int j = 0; j < n; ++j) {
-    for (int v : DistinctVarsOf(q.atom(j))) atom_vars[j] |= 1ull << v;
+    for (const auto& [v, c] : DistinctVarCols(q.atom(j))) {
+      atom_vars[j] |= 1ull << v;
+    }
   }
 
   std::vector<double> mask_rows(full + 1, 0.0);
@@ -186,7 +181,7 @@ OrderSearch GreedyOrder(const ConjunctiveQuery& q, const PlannerStats& stats,
   }
   used[first] = true;
   out.order.push_back(first);
-  for (int v : DistinctVarsOf(q.atom(first))) {
+  for (const auto& [v, c] : DistinctVarCols(q.atom(first))) {
     seen[v] = std::max<int64_t>(1, stats.distinct[first][v]);
   }
   double rows = static_cast<double>(stats.sizes[first]);
@@ -201,7 +196,7 @@ OrderSearch GreedyOrder(const ConjunctiveQuery& q, const PlannerStats& stats,
       ++out.states;
       double factor = static_cast<double>(stats.sizes[j]);
       bool shared = false;
-      for (int v : DistinctVarsOf(q.atom(j))) {
+      for (const auto& [v, c] : DistinctVarCols(q.atom(j))) {
         if (seen[v] > 0) {
           shared = true;
           factor /= static_cast<double>(std::max(
@@ -224,7 +219,7 @@ OrderSearch GreedyOrder(const ConjunctiveQuery& q, const PlannerStats& stats,
         StepBottleneck(rows, best_rows, stats.sizes[best], best_shared, p));
     rows = best_rows;
     out.step_rows.push_back(rows);
-    for (int v : DistinctVarsOf(q.atom(best))) {
+    for (const auto& [v, c] : DistinctVarCols(q.atom(best))) {
       seen[v] = std::max(seen[v],
                          std::max<int64_t>(1, stats.distinct[best][v]));
     }
@@ -276,10 +271,8 @@ EnumerationResult EnumeratePlans(const ConjunctiveQuery& q,
   std::vector<int> order(q.num_atoms());
   for (int j = 0; j < q.num_atoms(); ++j) order[j] = j;
   std::vector<double> step_rows;
-  if (binary != nullptr && q.num_atoms() >= 2 &&
-      options.enumerate_join_orders) {
-    const bool exact =
-        q.num_atoms() <= options.max_dp_atoms && q.num_vars() <= 63;
+  if (binary != nullptr && q.num_atoms() >= 2) {
+    const bool exact = q.num_atoms() <= kMaxDpAtoms && q.num_vars() <= 63;
     const OrderSearch search =
         exact ? DpOrder(q, stats, p) : GreedyOrder(q, stats, p);
     order = search.order;
@@ -293,14 +286,6 @@ EnumerationResult EnumeratePlans(const ConjunctiveQuery& q,
                         "; max estimated intermediate " +
                         std::to_string(
                             static_cast<int64_t>(search.bottleneck));
-  } else if (binary != nullptr) {
-    // No enumeration: the identity cascade's step estimates still
-    // annotate the tree.
-    uint32_t prefix = 1u;
-    for (int j = 1; j < q.num_atoms(); ++j) {
-      prefix |= 1u << j;
-      step_rows.push_back(EstimateMaskRows(q, stats, prefix));
-    }
   }
 
   const CandidatePlan* best = nullptr;

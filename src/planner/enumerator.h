@@ -37,7 +37,7 @@ struct EnumerationResult {
 
 // The enumeration layer: scores every allowed whole-query strategy, runs
 // a System-R-style subset DP over left-deep binary join orders (greedy
-// fallback past options.max_dp_atoms), prices everything under the same
+// fallback past 12 atoms), prices everything under the same
 // cost model, and returns the winner as an executable plan tree.
 EnumerationResult EnumeratePlans(const ConjunctiveQuery& q,
                                  const PlannerStats& stats, int p,

@@ -4,7 +4,7 @@
 #include <functional>
 
 #include "common/check.h"
-#include "planner/plan_tree.h"
+#include "multiway/plan_tree.h"
 
 namespace mpcqp {
 
@@ -16,9 +16,8 @@ std::string CacheKey(const CanonicalQueryShape& shape, int p,
                      const PlannerOptions& options) {
   std::string key = shape.shape;
   char buf[192];
-  std::snprintf(buf, sizeof(buf), "|p=%d|l=%.9g|t=%.9g|e=%d|d=%d", p,
-                options.round_cost_tuples, options.threshold_factor,
-                options.enumerate_join_orders ? 1 : 0, options.max_dp_atoms);
+  std::snprintf(buf, sizeof(buf), "|p=%d|l=%.9g", p,
+                options.round_cost_tuples);
   key += buf;
   key += "|a=";
   for (const PlanAlgorithm a : options.allowed) {

@@ -3,15 +3,15 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <numeric>
 #include <set>
+#include <utility>
 
 #include "acyclic/gym.h"
 #include "common/check.h"
 #include "join/heavy_hitters.h"
 #include "multiway/bigjoin.h"
-#include "multiway/binary_plan.h"
 #include "multiway/hypercube.h"
-#include "multiway/join_order.h"
 #include "multiway/shares.h"
 #include "multiway/skew_hc.h"
 #include "planner/enumerator.h"
@@ -38,23 +38,24 @@ const char* PlanAlgorithmName(PlanAlgorithm algorithm) {
   return "unknown";
 }
 
-namespace {
-
-// First-occurrence column of each distinct variable of an atom.
-std::vector<std::pair<int, int>> DistinctVarCols(const Atom& atom) {
-  std::vector<std::pair<int, int>> var_cols;
-  for (int c = 0; c < atom.arity(); ++c) {
-    const int v = atom.vars[c];
-    bool first = true;
-    for (int d = 0; d < c; ++d) {
-      if (atom.vars[d] == v) first = false;
-    }
-    if (first) var_cols.push_back({v, c});
+StatusOr<std::optional<PlanAlgorithm>> ParseAlgorithmName(
+    const std::string& name) {
+  static const std::pair<const char*, std::optional<PlanAlgorithm>>
+      kSpellings[] = {
+          {"auto", std::nullopt},
+          {"planner", std::nullopt},
+          {"hypercube", PlanAlgorithm::kHyperCube},
+          {"skewhc", PlanAlgorithm::kSkewHc},
+          {"binary", PlanAlgorithm::kBinaryPlan},
+          {"gym", PlanAlgorithm::kGym},
+      };
+  for (const auto& [spelling, family] : kSpellings) {
+    if (name == spelling) return family;
   }
-  return var_cols;
+  return InvalidArgumentError(
+      "unknown algorithm '" + name +
+      "' (expected auto|planner|hypercube|skewhc|binary|gym)");
 }
-
-}  // namespace
 
 PlannerStats GatherPlannerStats(const ConjunctiveQuery& q,
                                 const std::vector<DistRelation>& atoms,
@@ -277,13 +278,13 @@ CandidatePlan EstimateBigJoin(const ConjunctiveQuery& q,
   return plan;
 }
 
-int64_t HeavyThreshold(const std::vector<DistRelation>& atoms, int p,
-                       double threshold_factor) {
+// A value is heavy when its degree exceeds IN/p, the skew probe's
+// threshold.
+int64_t HeavyThreshold(const std::vector<DistRelation>& atoms, int p) {
   int64_t total_in = 0;
   for (const DistRelation& a : atoms) total_in += a.TotalSize();
   return std::max<int64_t>(
-      1, static_cast<int64_t>(threshold_factor *
-                              static_cast<double>(total_in) / p));
+      1, static_cast<int64_t>(static_cast<double>(total_in) / p));
 }
 
 }  // namespace
@@ -305,77 +306,6 @@ CandidatePlan EstimateCandidate(PlanAlgorithm algorithm,
   }
   MPCQP_CHECK(false) << "unknown algorithm";
   return CandidatePlan();
-}
-
-PlanChoice ChoosePlan(const ConjunctiveQuery& q,
-                      const std::vector<DistRelation>& atoms,
-                      int cluster_size, const PlannerOptions& options) {
-  MPCQP_CHECK_EQ(static_cast<int>(atoms.size()), q.num_atoms());
-  MPCQP_CHECK_GE(cluster_size, 1);
-  const int p = cluster_size;
-
-  const int64_t threshold =
-      HeavyThreshold(atoms, p, options.threshold_factor);
-  const PlannerStats stats = GatherPlannerStats(q, atoms, threshold);
-
-  PlanChoice choice;
-  for (bool heavy : stats.var_is_heavy) {
-    if (heavy) choice.input_is_skewed = true;
-  }
-
-  std::vector<PlanAlgorithm> allowed = options.allowed;
-  if (allowed.empty()) {
-    allowed = {PlanAlgorithm::kHyperCube, PlanAlgorithm::kSkewHc,
-               PlanAlgorithm::kBinaryPlan, PlanAlgorithm::kGym,
-               PlanAlgorithm::kBigJoin};
-  }
-  for (const PlanAlgorithm algorithm : allowed) {
-    CandidatePlan plan = EstimateCandidate(algorithm, q, stats, p);
-    plan.total_cost = PriceCandidate(plan.estimated_load,
-                                     plan.estimated_rounds, q, options);
-    choice.candidates.push_back(std::move(plan));
-  }
-
-  const CandidatePlan* best = nullptr;
-  for (const CandidatePlan& plan : choice.candidates) {
-    if (!plan.feasible) continue;
-    if (best == nullptr || plan.total_cost < best->total_cost ||
-        (plan.total_cost == best->total_cost &&
-         plan.estimated_rounds < best->estimated_rounds)) {
-      best = &plan;
-    }
-  }
-  MPCQP_CHECK(best != nullptr);
-  choice.chosen = *best;
-  return choice;
-}
-
-DistRelation ExecutePlan(Cluster& cluster, const ConjunctiveQuery& q,
-                         const std::vector<DistRelation>& atoms,
-                         const PlanChoice& choice, Rng& rng) {
-  switch (choice.chosen.algorithm) {
-    case PlanAlgorithm::kHyperCube:
-      return HyperCubeJoin(cluster, q, atoms).output;
-    case PlanAlgorithm::kSkewHc:
-      return SkewHcJoin(cluster, q, atoms).output;
-    case PlanAlgorithm::kBinaryPlan: {
-      BinaryPlanOptions options;
-      options.skew_aware = choice.input_is_skewed;
-      options.order = GreedyJoinOrder(q, atoms);
-      return IterativeBinaryJoin(cluster, q, atoms, rng, options).output;
-    }
-    case PlanAlgorithm::kGym: {
-      const auto tree = BuildJoinTree(q);
-      MPCQP_CHECK(tree.ok());
-      GymOptions options;
-      options.optimized = true;
-      return GymJoin(cluster, q, *tree, atoms, rng, options).output;
-    }
-    case PlanAlgorithm::kBigJoin:
-      return BigJoin(cluster, q, atoms).output;
-  }
-  MPCQP_CHECK(false) << "unknown algorithm";
-  return DistRelation(q.num_vars(), cluster.num_servers());
 }
 
 PlannedQuery PlanQuery(const ConjunctiveQuery& q,
@@ -405,8 +335,7 @@ PlannedQuery PlanQuery(const ConjunctiveQuery& q,
     }
   }
 
-  const int64_t threshold =
-      HeavyThreshold(atoms, p, options.threshold_factor);
+  const int64_t threshold = HeavyThreshold(atoms, p);
   const PlannerStats stats = GatherPlannerStats(q, atoms, threshold);
   EnumerationResult enumerated = EnumeratePlans(q, stats, p, options);
   out.plan = std::move(enumerated.best);
@@ -423,18 +352,40 @@ PlannedQuery PlanQuery(const ConjunctiveQuery& q,
   return out;
 }
 
+StatusOr<PlannedQuery> ForcedPlan(const ConjunctiveQuery& q,
+                                  PlanAlgorithm family) {
+  if (family == PlanAlgorithm::kGym && !IsAcyclic(q)) {
+    return InvalidArgumentError("algorithm gym needs an acyclic query, but " +
+                                q.ToString() + " is cyclic");
+  }
+  PlannedQuery out;
+  out.forced = true;
+  out.plan.family = family;
+  out.plan.rationale = "forced";
+  if (family == PlanAlgorithm::kBinaryPlan) {
+    out.plan.join_order.resize(q.num_atoms());
+    std::iota(out.plan.join_order.begin(), out.plan.join_order.end(), 0);
+    out.plan.skew_aware = true;
+    out.plan.tree = BuildJoinOrderTree(q, out.plan.join_order,
+                                       /*skew_aware=*/true, /*est_rows=*/{});
+  } else {
+    out.plan.tree = BuildAlgorithmTree(q, PlanAlgorithmName(family));
+  }
+  return out;
+}
+
 DistRelation ExecutePlannedQuery(Cluster& cluster, const ConjunctiveQuery& q,
                                  const std::vector<DistRelation>& atoms,
                                  const PlannedQuery& planned, Rng& rng) {
-  cluster.metrics().RecordPlanning(planned.planning_ms, planned.cache_hit);
+  if (!planned.forced) {
+    cluster.metrics().RecordPlanning(planned.planning_ms, planned.cache_hit);
+  }
   switch (planned.plan.family) {
     case PlanAlgorithm::kHyperCube:
       return HyperCubeJoin(cluster, q, atoms).output;
     case PlanAlgorithm::kSkewHc:
       return SkewHcJoin(cluster, q, atoms).output;
     case PlanAlgorithm::kBinaryPlan:
-      // Walk the explicit tree; bit-identical to IterativeBinaryJoin with
-      // the same order and skew flag (shared data path).
       return ExecuteJoinOrderTree(cluster, q, atoms, planned.plan.tree, rng);
     case PlanAlgorithm::kGym: {
       const auto tree = BuildJoinTree(q);

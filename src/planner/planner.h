@@ -2,14 +2,16 @@
 #define MPCQP_PLANNER_PLANNER_H_
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "common/random.h"
+#include "common/statusor.h"
 #include "mpc/cluster.h"
 #include "mpc/dist_relation.h"
+#include "multiway/plan_tree.h"
 #include "planner/calibration.h"
-#include "planner/plan_tree.h"
 #include "query/query.h"
 
 namespace mpcqp {
@@ -28,15 +30,15 @@ class PlanCache;
 //  - skew with large outputs on cyclic queries: the BiGJoin-style
 //    variable-at-a-time plan bounds traffic by the true prefix counts.
 //
-// Two layers:
-//  - ChoosePlan ranks the five whole-query strategies from cheap catalog
-//    statistics (the original advisory ranker, kept as the macro layer);
-//  - PlanQuery additionally runs a System-R-style DP over binary join
-//    orders, prices every candidate with a cost model calibrated from
-//    measured phase timings (see planner/calibration.h), emits an
-//    executable PlanTree with exchange operators at the shuffle points,
-//    and consults/fills a PlanCache keyed by canonical query shape +
-//    relation statistics so repeated queries skip planning entirely.
+// PlanQuery scores the five whole-query strategies from cheap catalog
+// statistics, runs a System-R-style DP over binary join orders, prices
+// every candidate with a cost model calibrated from measured phase
+// timings (see planner/calibration.h), emits an executable PlanTree with
+// exchange operators at the shuffle points, and consults/fills a
+// PlanCache keyed by canonical query shape + relation statistics so
+// repeated queries skip planning entirely. ForcedPlan builds the plan for
+// a family chosen by name instead. ExecutePlannedQuery is the one place
+// a plan reaches a whole-query driver.
 
 enum class PlanAlgorithm {
   kHyperCube,
@@ -48,6 +50,13 @@ enum class PlanAlgorithm {
 
 const char* PlanAlgorithmName(PlanAlgorithm algorithm);
 
+// Parses an algorithm name as spelled on the command line and in
+// ServeOptions::algorithm: "auto" and "planner" select the cost-based
+// planner (nullopt); "hypercube", "skewhc", "binary" and "gym" force that
+// family. Any other name is INVALID_ARGUMENT.
+StatusOr<std::optional<PlanAlgorithm>> ParseAlgorithmName(
+    const std::string& name);
+
 struct PlannerOptions {
   // λ: tuples-equivalent charge per round (0 = rounds are free, pure
   // load minimization; large = rounds dominate, one-round plans win).
@@ -55,18 +64,11 @@ struct PlannerOptions {
   // replaces it with measured microseconds (round_overhead_us as the
   // round price).
   double round_cost_tuples = 0.0;
-  // Heavy-hitter threshold factor over IN/p for the skew probe.
-  double threshold_factor = 1.0;
   // Candidates the planner is allowed to pick from; empty = all.
   std::vector<PlanAlgorithm> allowed;
   // Measured per-tuple phase costs (CalibrateCostModel); when
   // `cost.calibrated` the planner prices candidates in microseconds.
   CostCoefficients cost;
-  // PlanQuery only: run the join-order DP (ChoosePlan never does).
-  bool enumerate_join_orders = true;
-  // DP state space guard: queries with more atoms than this skip the
-  // subset DP and fall back to the greedy order.
-  int max_dp_atoms = 12;
 };
 
 struct CandidatePlan {
@@ -76,12 +78,6 @@ struct CandidatePlan {
   double total_cost = 0.0;      // load + λ·rounds, or calibrated µs.
   bool feasible = true;         // E.g. GYM needs acyclicity.
   std::string rationale;
-};
-
-struct PlanChoice {
-  CandidatePlan chosen;
-  std::vector<CandidatePlan> candidates;  // All evaluated, feasible or not.
-  bool input_is_skewed = false;
 };
 
 // Cheap catalog statistics (exact, as the theory assumes them free):
@@ -100,30 +96,15 @@ PlannerStats GatherPlannerStats(const ConjunctiveQuery& q,
                                 int64_t heavy_threshold);
 
 // Load/rounds estimate of one whole-query strategy from the statistics
-// (the macro layer's scoring; exposed for the enumerator and tests).
+// (exposed for the enumerator and tests).
 CandidatePlan EstimateCandidate(PlanAlgorithm algorithm,
                                 const ConjunctiveQuery& q,
                                 const PlannerStats& stats, int p);
 
-// Inspects the data (free statistics, as the theory assumes) and ranks
-// the strategies for running `q` on `atoms` over `cluster_size` servers.
-PlanChoice ChoosePlan(const ConjunctiveQuery& q,
-                      const std::vector<DistRelation>& atoms,
-                      int cluster_size, const PlannerOptions& options = {});
-
-// Executes the chosen algorithm. Output columns = query variables in id
-// order; bag semantics except kBigJoin (set semantics — the planner only
-// proposes it when inputs are duplicate-free).
-DistRelation ExecutePlan(Cluster& cluster, const ConjunctiveQuery& q,
-                         const std::vector<DistRelation>& atoms,
-                         const PlanChoice& choice, Rng& rng);
-
-// --- Full planner: DP enumeration + plan tree + cache ---
-
 // One executable plan: the strategy family plus everything needed to run
 // it. For kBinaryPlan the join order (original atom indices) and skew flag
-// reproduce IterativeBinaryJoin exactly; other families dispatch to their
-// whole-query driver. `tree` is the explicit operator tree (EXPLAIN,
+// define the left-deep tree the executor walks; other families dispatch
+// to their whole-query driver. `tree` is the explicit operator tree (EXPLAIN,
 // goldens); it is rebuilt deterministically from the fields on cache hits.
 struct EnumeratedPlan {
   PlanAlgorithm family = PlanAlgorithm::kHyperCube;
@@ -149,6 +130,9 @@ struct PlannedQuery {
   // assertion that enumeration was skipped.
   int64_t dp_states = 0;
   double planning_ms = 0.0;
+  // Built by ForcedPlan: no statistics, no candidates, and not a planner
+  // call, so executing it records no planning in the cluster's metrics.
+  bool forced = false;
 };
 
 // Plans `q` end to end: gathers statistics, scores the whole-query
@@ -161,9 +145,18 @@ PlannedQuery PlanQuery(const ConjunctiveQuery& q,
                        int cluster_size, const PlannerOptions& options = {},
                        PlanCache* cache = nullptr);
 
-// Executes a planned query: kBinaryPlan plans walk the tree node by node
-// (ExecuteJoinOrderTree); the other families dispatch to their driver.
-// Output columns = query variables in id order.
+// The plan that runs `family` as forced by name: the driver's one-node
+// kAlgorithm tree, or for kBinaryPlan the identity join order with
+// skew-aware single-key steps. Gathers no statistics. INVALID_ARGUMENT
+// when the family cannot run `q` (GYM on a cyclic query).
+StatusOr<PlannedQuery> ForcedPlan(const ConjunctiveQuery& q,
+                                  PlanAlgorithm family);
+
+// Executes a planned or forced query: kBinaryPlan plans walk the tree
+// node by node (ExecuteJoinOrderTree); the other families dispatch to
+// their driver. Output columns = query variables in id order; bag
+// semantics except kBigJoin (set semantics — the planner only proposes it
+// when inputs are duplicate-free).
 DistRelation ExecutePlannedQuery(Cluster& cluster, const ConjunctiveQuery& q,
                                  const std::vector<DistRelation>& atoms,
                                  const PlannedQuery& planned, Rng& rng);

@@ -13,6 +13,17 @@ bool Atom::ContainsVar(int var) const {
   return std::find(vars.begin(), vars.end(), var) != vars.end();
 }
 
+std::vector<std::pair<int, int>> DistinctVarCols(const Atom& atom) {
+  std::vector<std::pair<int, int>> var_cols;
+  for (int c = 0; c < atom.arity(); ++c) {
+    if (std::find(atom.vars.begin(), atom.vars.begin() + c, atom.vars[c]) ==
+        atom.vars.begin() + c) {
+      var_cols.push_back({atom.vars[c], c});
+    }
+  }
+  return var_cols;
+}
+
 ConjunctiveQuery ConjunctiveQuery::Make(std::vector<std::string> var_names,
                                         std::vector<Atom> atoms) {
   const int k = static_cast<int>(var_names.size());

@@ -2,6 +2,7 @@
 #define MPCQP_QUERY_QUERY_H_
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/statusor.h"
@@ -18,6 +19,11 @@ struct Atom {
   int arity() const { return static_cast<int>(vars.size()); }
   bool ContainsVar(int var) const;
 };
+
+// The distinct variables of `atom` in first-occurrence order, each paired
+// with the column where it first appears: (variable, column). This is the
+// atom's schema once repeated variables are filtered and projected away.
+std::vector<std::pair<int, int>> DistinctVarCols(const Atom& atom);
 
 // A full conjunctive query Q(x1..xk) :- S1(...), ..., Sl(...), i.e. the
 // output contains every variable (the setting of the tutorial; slides

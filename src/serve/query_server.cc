@@ -3,19 +3,15 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <optional>
 #include <utility>
 #include <vector>
 
-#include "acyclic/gym.h"
 #include "common/check.h"
 #include "common/random.h"
 #include "mpc/cluster.h"
 #include "mpc/dist_relation.h"
-#include "multiway/binary_plan.h"
-#include "multiway/hypercube.h"
-#include "multiway/skew_hc.h"
 #include "planner/planner.h"
-#include "query/ghd.h"
 #include "query/hypergraph_lp.h"
 #include "query/query.h"
 
@@ -125,6 +121,17 @@ StatusOr<QueryResult> QueryServer::Execute(const std::string& query_text) {
   if (!query.ok()) return query.status();
   const ConjunctiveQuery& q = *query;
 
+  // A forced family is checked before any data is touched: a bad name or
+  // an infeasible family fails here, never holding an admission slot.
+  const auto family = ParseAlgorithmName(options_.algorithm);
+  if (!family.ok()) return family.status();
+  std::optional<PlannedQuery> forced;
+  if (family->has_value()) {
+    auto plan = ForcedPlan(q, **family);
+    if (!plan.ok()) return plan.status();
+    forced = std::move(plan).value();
+  }
+
   auto resolved = Resolve(q, *catalog_);
   if (!resolved.ok()) return resolved.status();
 
@@ -150,7 +157,8 @@ StatusOr<QueryResult> QueryServer::Execute(const std::string& query_text) {
     if (result_cache_.Lookup(key, &cached)) {
       QueryResult result;
       result.output = std::move(cached);
-      result.algorithm = options_.algorithm;
+      result.algorithm = forced ? PlanAlgorithmName(forced->plan.family)
+                                : options_.algorithm;
       result.result_cache_hit = true;
       result.latency_ms = NowMs() - start_ms;
       return result;
@@ -212,49 +220,23 @@ StatusOr<QueryResult> QueryServer::Execute(const std::string& query_text) {
   }
   Rng algo_rng(options_.seed + 2);
 
-  std::string algorithm = options_.algorithm;
-  bool plan_cache_hit = false;
-  DistRelation output(q.num_vars(), options_.num_servers);
-  if (algorithm == "auto" || algorithm == "planner") {
+  PlannedQuery planned;
+  if (forced) {
+    planned = std::move(*forced);
+  } else {
     PlannerOptions planner_options;
     planner_options.round_cost_tuples = options_.round_cost;
-    const PlannedQuery planned =
-        PlanQuery(q, dist, options_.num_servers, planner_options,
-                  options_.enable_plan_cache ? &plan_cache_ : nullptr);
-    plan_cache_hit = planned.cache_hit;
-    output = ExecutePlannedQuery(cluster, q, dist, planned, algo_rng);
-    algorithm = PlanAlgorithmName(planned.plan.family);
-  } else if (algorithm == "hypercube") {
-    output = HyperCubeJoin(cluster, q, dist).output;
-  } else if (algorithm == "skewhc") {
-    output = SkewHcJoin(cluster, q, dist).output;
-  } else if (algorithm == "binary") {
-    BinaryPlanOptions plan;
-    plan.skew_aware = true;
-    output = IterativeBinaryJoin(cluster, q, dist, algo_rng, plan).output;
-  } else if (algorithm == "gym") {
-    const auto tree = BuildJoinTree(q);
-    if (!tree.ok()) {
-      admission_.Release(estimated_bytes);
-      publish(tree.status());
-      return tree.status();
-    }
-    GymOptions gym;
-    gym.optimized = true;
-    output = GymJoin(cluster, q, *tree, dist, algo_rng, gym).output;
-  } else {
-    admission_.Release(estimated_bytes);
-    const Status status =
-        InvalidArgumentError("unknown algorithm: " + algorithm);
-    publish(status);
-    return status;
+    planned = PlanQuery(q, dist, options_.num_servers, planner_options,
+                        options_.enable_plan_cache ? &plan_cache_ : nullptr);
   }
+  const DistRelation output =
+      ExecutePlannedQuery(cluster, q, dist, planned, algo_rng);
 
   QueryResult result;
   result.output = output.Collect(&cluster.pool());
   result.stats = BuildStatsReport(cluster);
-  result.algorithm = algorithm;
-  result.plan_cache_hit = plan_cache_hit;
+  result.algorithm = PlanAlgorithmName(planned.plan.family);
+  result.plan_cache_hit = planned.cache_hit;
 
   if (options_.enable_result_cache) {
     result_cache_.Insert(key, result.output);

@@ -96,7 +96,8 @@ class QueryServer {
   QueryServer(Catalog* catalog, ServeOptions options);
 
   // Parses, resolves, admits, executes (or serves from cache), collects.
-  // Errors: INVALID_ARGUMENT (bad query), NOT_FOUND (unknown atom name),
+  // Errors: INVALID_ARGUMENT (bad query, unknown algorithm name, or a
+  // forced family that cannot run the query), NOT_FOUND (unknown atom name),
   // RESOURCE_EXHAUSTED (over memory budget), UNAVAILABLE (admission queue
   // full).
   StatusOr<QueryResult> Execute(const std::string& query_text);

@@ -1,7 +1,8 @@
 #include <gtest/gtest.h>
 
+#include "common/status.h"
 #include "mpc/cluster.h"
-#include "multiway/binary_plan.h"
+#include "mpc/metrics.h"
 #include "planner/calibration.h"
 #include "planner/enumerator.h"
 #include "planner/plan_cache.h"
@@ -26,13 +27,13 @@ TEST(PlannerTest, CyclicQueryCannotUseGym) {
   for (int j = 0; j < 3; ++j) {
     atoms.push_back(GenerateUniform(rng, 500, 2, 100));
   }
-  const PlanChoice choice = ChoosePlan(q, Scatter(atoms, 16), 16);
-  for (const CandidatePlan& plan : choice.candidates) {
+  const PlannedQuery planned = PlanQuery(q, Scatter(atoms, 16), 16);
+  for (const CandidatePlan& plan : planned.candidates) {
     if (plan.algorithm == PlanAlgorithm::kGym) {
       EXPECT_FALSE(plan.feasible);
     }
   }
-  EXPECT_NE(choice.chosen.algorithm, PlanAlgorithm::kGym);
+  EXPECT_NE(planned.plan.family, PlanAlgorithm::kGym);
 }
 
 TEST(PlannerTest, HighRoundCostFavorsOneRoundPlans) {
@@ -46,13 +47,13 @@ TEST(PlannerTest, HighRoundCostFavorsOneRoundPlans) {
   cheap_rounds.round_cost_tuples = 0.0;
   PlannerOptions expensive_rounds;
   expensive_rounds.round_cost_tuples = 1e7;
-  const PlanChoice flexible =
-      ChoosePlan(q, Scatter(atoms, 64), 64, cheap_rounds);
-  const PlanChoice latency_bound =
-      ChoosePlan(q, Scatter(atoms, 64), 64, expensive_rounds);
-  EXPECT_EQ(latency_bound.chosen.estimated_rounds, 1);
-  EXPECT_LE(flexible.chosen.estimated_load,
-            latency_bound.chosen.estimated_load + 1e-9);
+  const PlannedQuery flexible =
+      PlanQuery(q, Scatter(atoms, 64), 64, cheap_rounds);
+  const PlannedQuery latency_bound =
+      PlanQuery(q, Scatter(atoms, 64), 64, expensive_rounds);
+  EXPECT_EQ(latency_bound.plan.estimated_rounds, 1);
+  EXPECT_LE(flexible.plan.estimated_load,
+            latency_bound.plan.estimated_load + 1e-9);
 }
 
 TEST(PlannerTest, DetectsSkewAndPrefersSkewResilientPlan) {
@@ -65,9 +66,9 @@ TEST(PlannerTest, DetectsSkewAndPrefersSkewResilientPlan) {
   };
   PlannerOptions options;
   options.round_cost_tuples = 1e7;  // Force a one-round plan.
-  const PlanChoice choice = ChoosePlan(q, Scatter(atoms, 64), 64, options);
-  EXPECT_TRUE(choice.input_is_skewed);
-  EXPECT_EQ(choice.chosen.algorithm, PlanAlgorithm::kSkewHc);
+  const PlannedQuery planned = PlanQuery(q, Scatter(atoms, 64), 64, options);
+  EXPECT_TRUE(planned.input_is_skewed);
+  EXPECT_EQ(planned.plan.family, PlanAlgorithm::kSkewHc);
 }
 
 TEST(PlannerTest, AcyclicSelectiveQueryPicksGymWhenRoundsAreFree) {
@@ -81,12 +82,12 @@ TEST(PlannerTest, AcyclicSelectiveQueryPicksGymWhenRoundsAreFree) {
   PlannerOptions options;
   options.round_cost_tuples = 0.0;
   options.allowed = {PlanAlgorithm::kHyperCube, PlanAlgorithm::kGym};
-  const PlanChoice choice = ChoosePlan(q, Scatter(atoms, 64), 64, options);
+  const PlannedQuery planned = PlanQuery(q, Scatter(atoms, 64), 64, options);
   // Star-3 has tau* = 1: HyperCube's one-round load is ~IN/p^{1/1}... but
   // the whole star concentrates on the center dimension, so its load
   // estimate is ~IN/p too; GYM wins or ties. Either way both must beat
   // broadcast-level loads; assert GYM is feasible and cost-ranked sanely.
-  for (const CandidatePlan& plan : choice.candidates) {
+  for (const CandidatePlan& plan : planned.candidates) {
     if (plan.algorithm == PlanAlgorithm::kGym) {
       EXPECT_TRUE(plan.feasible);
       EXPECT_LT(plan.estimated_load, 4.0 * 3 * 4000 / 64 + 1000);
@@ -98,16 +99,15 @@ TEST(PlannerTest, BigJoinInfeasibleWithDuplicateInputs) {
   const ConjunctiveQuery q = ConjunctiveQuery::TwoWayJoin();
   Relation dup = Relation::FromRows({{1, 2}, {1, 2}});
   Relation clean = Relation::FromRows({{2, 3}});
-  const PlanChoice choice =
-      ChoosePlan(q, Scatter({dup, clean}, 4), 4);
-  for (const CandidatePlan& plan : choice.candidates) {
+  const PlannedQuery planned = PlanQuery(q, Scatter({dup, clean}, 4), 4);
+  for (const CandidatePlan& plan : planned.candidates) {
     if (plan.algorithm == PlanAlgorithm::kBigJoin) {
       EXPECT_FALSE(plan.feasible);
     }
   }
 }
 
-TEST(PlannerTest, ExecutePlanMatchesReferenceForEveryAlgorithm) {
+TEST(PlannerTest, ForcedPlanMatchesReferenceForEveryAlgorithm) {
   const ConjunctiveQuery q = ConjunctiveQuery::Triangle();
   Rng data_rng(5);
   std::vector<Relation> atoms;
@@ -118,17 +118,19 @@ TEST(PlannerTest, ExecutePlanMatchesReferenceForEveryAlgorithm) {
   for (const PlanAlgorithm algorithm :
        {PlanAlgorithm::kHyperCube, PlanAlgorithm::kSkewHc,
         PlanAlgorithm::kBinaryPlan, PlanAlgorithm::kBigJoin}) {
-    PlannerOptions options;
-    options.allowed = {algorithm};
-    const PlanChoice choice = ChoosePlan(q, Scatter(atoms, 8), 8, options);
-    ASSERT_TRUE(choice.chosen.feasible)
-        << PlanAlgorithmName(algorithm) << ": " << choice.chosen.rationale;
+    const StatusOr<PlannedQuery> forced = ForcedPlan(q, algorithm);
+    ASSERT_TRUE(forced.ok()) << forced.status().ToString();
+    EXPECT_EQ(forced->plan.family, algorithm);
     Cluster cluster(8, 5);
     Rng rng(6);
     const DistRelation out =
-        ExecutePlan(cluster, q, Scatter(atoms, 8), choice, rng);
+        ExecutePlannedQuery(cluster, q, Scatter(atoms, 8), *forced, rng);
     EXPECT_TRUE(MultisetEqual(out.Collect(), expected))
         << PlanAlgorithmName(algorithm);
+    // A forced plan is not a planner call.
+    const StatsReport stats = BuildStatsReport(cluster);
+    EXPECT_EQ(stats.plan_cache_hits, 0);
+    EXPECT_EQ(stats.plan_cache_misses, 0);
   }
 }
 
@@ -139,15 +141,66 @@ TEST(PlannerTest, ExecuteGymPlanOnAcyclicQuery) {
   for (int j = 0; j < 3; ++j) {
     atoms.push_back(GenerateUniform(data_rng, 200, 2, 25));
   }
-  PlannerOptions options;
-  options.allowed = {PlanAlgorithm::kGym};
-  const PlanChoice choice = ChoosePlan(q, Scatter(atoms, 8), 8, options);
-  ASSERT_TRUE(choice.chosen.feasible);
+  const StatusOr<PlannedQuery> forced = ForcedPlan(q, PlanAlgorithm::kGym);
+  ASSERT_TRUE(forced.ok()) << forced.status().ToString();
   Cluster cluster(8, 5);
   Rng rng(8);
   const DistRelation out =
-      ExecutePlan(cluster, q, Scatter(atoms, 8), choice, rng);
+      ExecutePlannedQuery(cluster, q, Scatter(atoms, 8), *forced, rng);
   EXPECT_TRUE(MultisetEqual(out.Collect(), EvalJoinLocal(q, atoms)));
+
+  // GYM needs an acyclic query: forcing it on the triangle is a typed
+  // error, not a CHECK at execution.
+  const StatusOr<PlannedQuery> cyclic =
+      ForcedPlan(ConjunctiveQuery::Triangle(), PlanAlgorithm::kGym);
+  ASSERT_FALSE(cyclic.ok());
+  EXPECT_EQ(cyclic.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(PlannerTest, ForcedBinaryPlanIsIdentityOrderWithSkewAwareSteps) {
+  const ConjunctiveQuery q = ConjunctiveQuery::Triangle();
+  const StatusOr<PlannedQuery> forced =
+      ForcedPlan(q, PlanAlgorithm::kBinaryPlan);
+  ASSERT_TRUE(forced.ok());
+  EXPECT_TRUE(forced->forced);
+  EXPECT_EQ(forced->plan.join_order, (std::vector<int>{0, 1, 2}));
+  EXPECT_EQ(forced->plan.tree.ToString(q),
+            "project [x,y,z]\n"
+            "  shuffle-join [z,x]\n"
+            "    exchange on [z,x]\n"
+            "      shuffle-join(skew) [y]\n"
+            "        exchange on [y]\n"
+            "          scan R [x,y]\n"
+            "        exchange on [y]\n"
+            "          scan S [y,z]\n"
+            "    exchange on [z,x]\n"
+            "      scan T [z,x]\n");
+}
+
+TEST(PlannerTest, ParseAlgorithmNameAcceptsExactlyTheCliSpellings) {
+  for (const char* planner : {"auto", "planner"}) {
+    const auto parsed = ParseAlgorithmName(planner);
+    ASSERT_TRUE(parsed.ok()) << planner;
+    EXPECT_FALSE(parsed->has_value()) << planner;
+  }
+  const std::pair<const char*, PlanAlgorithm> forced[] = {
+      {"hypercube", PlanAlgorithm::kHyperCube},
+      {"skewhc", PlanAlgorithm::kSkewHc},
+      {"binary", PlanAlgorithm::kBinaryPlan},
+      {"gym", PlanAlgorithm::kGym},
+  };
+  for (const auto& [name, family] : forced) {
+    const auto parsed = ParseAlgorithmName(name);
+    ASSERT_TRUE(parsed.ok()) << name;
+    ASSERT_TRUE(parsed->has_value()) << name;
+    EXPECT_EQ(**parsed, family) << name;
+  }
+  for (const char* bad : {"", "bogus", "skew-hc", "binary-plan", "bigjoin",
+                          "HyperCube"}) {
+    const auto parsed = ParseAlgorithmName(bad);
+    ASSERT_FALSE(parsed.ok()) << bad;
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument) << bad;
+  }
 }
 
 // ---------- Cost-based enumeration (PlanQuery) ----------
@@ -199,49 +252,6 @@ TEST(PlannerTest, DpAvoidsBlowupJoinOrder) {
   EXPECT_TRUE(MultisetEqual(out.Collect(), EvalJoinLocal(q, atoms)));
 }
 
-TEST(PlannerTest, TreeExecutorBitIdenticalToBinaryDriver) {
-  const ConjunctiveQuery q = ConjunctiveQuery::Triangle();
-  Rng data_rng(17);
-  std::vector<Relation> atoms;
-  for (int j = 0; j < 3; ++j) {
-    atoms.push_back(GenerateZipf(data_rng, 400, 2, 30, 0, 1.1));
-  }
-  PlannerOptions options;
-  options.allowed = {PlanAlgorithm::kBinaryPlan};
-  const PlannedQuery planned =
-      PlanQuery(q, Scatter(atoms, 8), 8, options, nullptr);
-  ASSERT_EQ(planned.plan.family, PlanAlgorithm::kBinaryPlan);
-
-  Cluster tree_cluster(8, 9);
-  Rng tree_rng(12);
-  const DistRelation via_tree = ExecutePlannedQuery(
-      tree_cluster, q, Scatter(atoms, 8), planned, tree_rng);
-
-  Cluster ref_cluster(8, 9);
-  Rng ref_rng(12);
-  BinaryPlanOptions ref;
-  ref.skew_aware = planned.plan.skew_aware;
-  ref.order = planned.plan.join_order;
-  const BinaryPlanResult expected =
-      IterativeBinaryJoin(ref_cluster, q, Scatter(atoms, 8), ref_rng, ref);
-
-  ASSERT_EQ(via_tree.num_servers(), expected.output.num_servers());
-  for (int s = 0; s < via_tree.num_servers(); ++s) {
-    const Relation& got = via_tree.fragment(s);
-    const Relation& want = expected.output.fragment(s);
-    ASSERT_EQ(got.size(), want.size()) << "server " << s;
-    for (int64_t i = 0; i < got.size(); ++i) {
-      for (int c = 0; c < got.arity(); ++c) {
-        ASSERT_EQ(got.at(i, c), want.at(i, c))
-            << "server " << s << " row " << i << " col " << c;
-      }
-    }
-  }
-  // And the metered cost reports agree round for round.
-  EXPECT_EQ(tree_cluster.cost_report().num_rounds(),
-            ref_cluster.cost_report().num_rounds());
-}
-
 TEST(PlannerTest, CalibrationProducesUsableCoefficients) {
   const CostCoefficients c = CalibrateCostModel(4, 1);
   EXPECT_TRUE(c.calibrated);
@@ -271,22 +281,6 @@ TEST(PlannerTest, UncalibratedPricingMatchesLegacyLambdaFormula) {
   EXPECT_DOUBLE_EQ(PriceCandidate(1000, 2, q, options), 1000 + 2 * 250.0);
 }
 
-TEST(PlannerTest, PlanQueryMatchesChoosePlanWhenEnumerationIsOff) {
-  const ConjunctiveQuery q = ConjunctiveQuery::Triangle();
-  Rng rng(19);
-  std::vector<Relation> atoms;
-  for (int j = 0; j < 3; ++j) {
-    atoms.push_back(GenerateUniform(rng, 600, 2, 40));
-  }
-  PlannerOptions options;
-  options.enumerate_join_orders = false;
-  const PlanChoice choice = ChoosePlan(q, Scatter(atoms, 16), 16, options);
-  const PlannedQuery planned =
-      PlanQuery(q, Scatter(atoms, 16), 16, options, nullptr);
-  EXPECT_EQ(planned.plan.family, choice.chosen.algorithm);
-  EXPECT_EQ(planned.dp_states, 0);
-}
-
 TEST(PlannerTest, RationalesAndNamesPopulated) {
   const ConjunctiveQuery q = ConjunctiveQuery::Triangle();
   Rng rng(9);
@@ -294,9 +288,9 @@ TEST(PlannerTest, RationalesAndNamesPopulated) {
   for (int j = 0; j < 3; ++j) {
     atoms.push_back(GenerateUniform(rng, 100, 2, 20));
   }
-  const PlanChoice choice = ChoosePlan(q, Scatter(atoms, 4), 4);
-  EXPECT_EQ(choice.candidates.size(), 5u);
-  for (const CandidatePlan& plan : choice.candidates) {
+  const PlannedQuery planned = PlanQuery(q, Scatter(atoms, 4), 4);
+  EXPECT_EQ(planned.candidates.size(), 5u);
+  for (const CandidatePlan& plan : planned.candidates) {
     EXPECT_FALSE(plan.rationale.empty());
     EXPECT_NE(std::string(PlanAlgorithmName(plan.algorithm)), "unknown");
   }

@@ -153,6 +153,23 @@ TEST(QueryServerTest, ErrorsAreTyped) {
   // Arity mismatch between the query and the registered relation.
   EXPECT_EQ(server.Execute("R(x,y,z), R(z,w,v)").status().code(),
             StatusCode::kInvalidArgument);
+
+  // An unknown algorithm name, and GYM forced on a cyclic query, fail
+  // before admission: nothing is admitted and nothing stays in flight.
+  ServeOptions bogus = TestOptions();
+  bogus.algorithm = "bogus";
+  QueryServer bogus_server(&catalog, bogus);
+  EXPECT_EQ(bogus_server.Execute("R(x,y), R(y,z)").status().code(),
+            StatusCode::kInvalidArgument);
+  ServeOptions gym = TestOptions();
+  gym.algorithm = "gym";
+  QueryServer gym_server(&catalog, gym);
+  EXPECT_EQ(gym_server.Execute("R(x,y), R(y,z), R(z,x)").status().code(),
+            StatusCode::kInvalidArgument);
+  for (const QueryServer* rejecting : {&bogus_server, &gym_server}) {
+    EXPECT_EQ(rejecting->admission().counters().admitted, 0);
+    EXPECT_EQ(rejecting->admission().counters().inflight, 0);
+  }
 }
 
 TEST(QueryServerTest, ResultCacheHitsAndInvalidatesOnRegister) {

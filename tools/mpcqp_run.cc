@@ -11,7 +11,14 @@
 //   mpcqp_run --query "R(x,y), S(y,z)" --input R=r.csv --input S=s.csv
 //             --algorithm skewhc --servers 16 --output out.csv
 //
-//   mpcqp_run --query "..." --analyze            # plan only, no execution
+//   mpcqp_run --query "..." --gen ... --analyze   # plan only, no execution
+//
+// --algorithm auto|planner runs the cost-based planner and prints its
+// candidate table; hypercube|skewhc|binary|gym forces that family (an
+// unknown name, or gym on a cyclic query, exits 2 before any data is
+// made). Every run prints the plan tree it executes. --analyze prints the
+// planner's candidate table and plan tree and stops there, or right after
+// the query analysis when no data is given.
 //
 // Generator specs: uniform:rows:domain | zipf:rows:domain:skew |
 //                  degree:rows:deg (binary, exact-degree column 1) |
@@ -22,28 +29,24 @@
 #include <cstdlib>
 #include <fstream>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
-#include "acyclic/gym.h"
 #include "agg/aggregate.h"
 #include "common/flags.h"
 #include "common/parse.h"
 #include "common/simd.h"
 #include "common/trace.h"
-#include "join/hash_join.h"
 #include "mpc/cluster.h"
 #include "mpc/metrics.h"
-#include "multiway/binary_plan.h"
-#include "multiway/hypercube.h"
-#include "multiway/skew_hc.h"
+#include "multiway/shares.h"
 #include "planner/calibration.h"
 #include "planner/plan_cache.h"
 #include "planner/planner.h"
 #include "query/ghd.h"
 #include "query/hypergraph_lp.h"
 #include "query/local_eval.h"
-#include "multiway/join_order.h"
 #include "query/lower_bounds.h"
 #include "query/query.h"
 #include "relation/csv.h"
@@ -248,7 +251,29 @@ StatusOr<Relation> Generate(const std::string& spec, int arity, Rng& rng) {
   return InvalidArgumentError("bad generator spec: " + spec);
 }
 
-int Run(const Options& options) {
+// EXPLAIN: the planner's candidate table and choice (a forced family has
+// neither), then the plan tree that runs.
+void PrintPlan(const ConjunctiveQuery& q, const PlannedQuery& planned) {
+  if (!planned.forced) {
+    std::printf("planner candidates:\n");
+    for (const CandidatePlan& plan : planned.candidates) {
+      std::printf("  %-12s %s est L=%.0f r=%d cost=%.0f  (%s)\n",
+                  PlanAlgorithmName(plan.algorithm),
+                  plan.feasible ? "ok " : "n/a", plan.estimated_load,
+                  plan.estimated_rounds, plan.total_cost,
+                  plan.rationale.c_str());
+    }
+    std::printf("planner chose: %s (%s, %lld dp states)\n",
+                PlanAlgorithmName(planned.plan.family),
+                planned.cache_hit ? "plan cache hit" : "planned",
+                static_cast<long long>(planned.dp_states));
+  }
+  std::printf("plan tree:\n%s", planned.plan.tree.ToString(q).c_str());
+}
+
+// `family` is the parsed --algorithm: a forced family, or nullopt for the
+// cost-based planner.
+int Run(const Options& options, std::optional<PlanAlgorithm> family) {
   const auto query = ConjunctiveQuery::Parse(options.query_text);
   if (!query.ok()) {
     std::fprintf(stderr, "query error: %s\n",
@@ -257,6 +282,19 @@ int Run(const Options& options) {
   }
   const ConjunctiveQuery& q = *query;
   std::printf("query: %s\n", q.ToString().c_str());
+
+  // A forced family that cannot run this query fails before any data is
+  // generated.
+  std::optional<PlannedQuery> forced;
+  if (family) {
+    auto plan = ForcedPlan(q, *family);
+    if (!plan.ok()) {
+      std::fprintf(stderr, "--algorithm: %s\n",
+                   plan.status().ToString().c_str());
+      return 2;
+    }
+    forced = std::move(plan).value();
+  }
 
   // --- Analysis ---
   const auto packing = FractionalEdgePacking(q);
@@ -316,37 +354,19 @@ int Run(const Options& options) {
   const auto lb = OneRoundLoadLowerBound(q, sizes, options.servers);
   if (lb.ok()) std::printf("one-round load lower bound: %.0f tuples\n", *lb);
 
-  // EXPLAIN-style extras when data is present.
-  bool have_data = true;
-  for (const Relation& rel : atoms) {
-    if (rel.empty()) have_data = false;
-  }
-  if (have_data) {
-    std::vector<DistRelation> probe;
-    for (const Relation& rel : atoms) {
-      probe.push_back(DistRelation::Scatter(rel, options.servers));
-    }
-    const std::vector<int> order = GreedyJoinOrder(q, probe);
-    const std::vector<double> estimates =
-        EstimateIntermediates(q, probe, order);
-    std::printf("greedy binary-join order:");
-    for (size_t i = 0; i < order.size(); ++i) {
-      std::printf(" %s", q.atom(order[i]).name.c_str());
-      if (i > 0) {
-        std::printf("(~%.0f)", estimates[i - 1]);
-      }
-    }
-    std::printf("\n");
-  }
   if (IsAcyclic(q)) {
     const auto tree = BuildJoinTree(q);
     if (tree.ok()) {
       std::printf("join tree: %s\n", tree->ToString(q).c_str());
     }
   }
-  if (options.analyze_only) return 0;
+  bool have_data = true;
+  for (const Relation& rel : atoms) {
+    if (rel.empty()) have_data = false;
+  }
+  if (options.analyze_only && !have_data) return 0;
 
-  // --- Execution ---
+  // --- Plan (--analyze stops after printing it) ---
   if (!options.trace_path.empty()) Tracer::Get().Enable();
   ClusterOptions cluster_options;
   cluster_options.num_threads = options.threads;
@@ -364,9 +384,12 @@ int Run(const Options& options) {
   }
   Rng algo_rng(options.seed + 2);
 
-  std::string algorithm = options.algorithm;
-  DistRelation output(q.num_vars(), options.servers);
-  if (algorithm == "auto" || algorithm == "planner") {
+  // --analyze explains the cost-based planner's choice, whatever
+  // --algorithm forces.
+  PlannedQuery planned;
+  if (forced && !options.analyze_only) {
+    planned = std::move(*forced);
+  } else {
     PlannerOptions planner_options;
     planner_options.round_cost_tuples = options.round_cost;
     if (options.calibrate) {
@@ -376,45 +399,15 @@ int Run(const Options& options) {
                   planner_options.cost.ToString().c_str());
     }
     PlanCache cache;
-    const PlannedQuery planned =
-        PlanQuery(q, dist, options.servers, planner_options,
-                  options.plan_cache ? &cache : nullptr);
-    std::printf("planner candidates:\n");
-    for (const CandidatePlan& plan : planned.candidates) {
-      std::printf("  %-12s %s est L=%.0f r=%d cost=%.0f  (%s)\n",
-                  PlanAlgorithmName(plan.algorithm),
-                  plan.feasible ? "ok " : "n/a", plan.estimated_load,
-                  plan.estimated_rounds, plan.total_cost,
-                  plan.rationale.c_str());
-    }
-    std::printf("planner chose: %s (%s, %lld dp states)\n",
-                PlanAlgorithmName(planned.plan.family),
-                planned.cache_hit ? "plan cache hit" : "planned",
-                static_cast<long long>(planned.dp_states));
-    std::printf("plan tree:\n%s", planned.plan.tree.ToString(q).c_str());
-    output = ExecutePlannedQuery(cluster, q, dist, planned, algo_rng);
-    algorithm = PlanAlgorithmName(planned.plan.family);
-  } else if (algorithm == "hypercube") {
-    output = HyperCubeJoin(cluster, q, dist).output;
-  } else if (algorithm == "skewhc") {
-    output = SkewHcJoin(cluster, q, dist).output;
-  } else if (algorithm == "binary") {
-    BinaryPlanOptions plan;
-    plan.skew_aware = true;
-    output = IterativeBinaryJoin(cluster, q, dist, algo_rng, plan).output;
-  } else if (algorithm == "gym") {
-    const auto tree = BuildJoinTree(q);
-    if (!tree.ok()) {
-      std::fprintf(stderr, "gym: %s\n", tree.status().ToString().c_str());
-      return 1;
-    }
-    GymOptions gym;
-    gym.optimized = true;
-    output = GymJoin(cluster, q, *tree, dist, algo_rng, gym).output;
-  } else {
-    std::fprintf(stderr, "unknown algorithm: %s\n", algorithm.c_str());
-    return 1;
+    planned = PlanQuery(q, dist, options.servers, planner_options,
+                        options.plan_cache ? &cache : nullptr);
   }
+  PrintPlan(q, planned);
+  if (options.analyze_only) return 0;
+
+  // --- Execution ---
+  DistRelation output =
+      ExecutePlannedQuery(cluster, q, dist, planned, algo_rng);
 
   // --agg runs the distributed group-by engine over the join output (with
   // per-fragment combiners and a hash shuffle), so its rounds show up in
@@ -480,7 +473,7 @@ int Run(const Options& options) {
   }
 
   std::printf("\nalgorithm: %s\noutput: %lld tuples\n%s\n",
-              algorithm.c_str(),
+              PlanAlgorithmName(planned.plan.family),
               static_cast<long long>(output.TotalSize()),
               cluster.cost_report().ToString().c_str());
 
@@ -675,11 +668,17 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "%s\n", parsed.message().c_str());
     mpcqp::Usage(argv[0], flags);
   }
+  const auto family = mpcqp::ParseAlgorithmName(options.algorithm);
+  if (!family.ok()) {
+    std::fprintf(stderr, "--algorithm: %s\n",
+                 family.status().ToString().c_str());
+    mpcqp::Usage(argv[0], flags);
+  }
   if (!options.serve_spec.empty()) {
     return mpcqp::RunServe(options);
   }
   if (options.query_text.empty()) {
     mpcqp::Usage(argv[0], flags);
   }
-  return mpcqp::Run(options);
+  return mpcqp::Run(options, *family);
 }
