@@ -1,16 +1,16 @@
-// Columnar vs row-major hot-kernel study (EXPERIMENTS.md E22): the three
-// kernels the --layout flag routes — single-column selection scans, the
-// exchange route pass, and group-by scans — timed through both physical
-// layouts on the same data, plus the arity/selectivity crossover sweep
-// the kAuto heuristics are derived from.
+// Columnar relation vs row-view selection study (EXPERIMENTS.md E22): the
+// same single-column range selection timed through the default row-view
+// SelectRange (which strides over narrow rows and gathers the column out
+// of wide ones) and the ColumnarRelation overload (a unit-stride scan of
+// an already-transposed column), plus the arity x selectivity crossover
+// sweep over the same pair.
 //
 // Emits BENCH_columnar.json. CI runs this binary as a Release gate and
 // fails (exit 1) if
-//  - any kernel's output differs between layouts, across {1, 8} threads
-//    and morsel sizes {1024, 65536} (the layout determinism contract), or
-//  - columnar loses to row-major (beyond a 5% noise band) at t=8 on any
-//    gated shape, or
-//  - the wide-arity filter shape shows less than 1.5x columnar speedup.
+//  - either overload's match list differs from the serial predicate,
+//    across {1, 8} threads and morsel sizes {1024, 65536}, or
+//  - the wide-arity filter shows less than 1.5x ColumnarRelation speedup
+//    over the row view at t=8.
 
 #include <cstdint>
 #include <cstdio>
@@ -18,13 +18,9 @@
 #include <string>
 #include <vector>
 
-#include "agg/groupby_engine.h"
 #include "bench/bench_util.h"
 #include "common/random.h"
 #include "common/thread_pool.h"
-#include "mpc/cluster.h"
-#include "mpc/dist_relation.h"
-#include "mpc/exchange.h"
 #include "relation/columnar.h"
 #include "relation/relation_ops.h"
 #include "workload/generator.h"
@@ -37,11 +33,7 @@ using bench::Fmt;
 using bench::Table;
 using bench::WallTimer;
 
-constexpr int kReps = 3;       // Best-of-N wall times.
-constexpr int kServers = 8;
-constexpr uint64_t kSeed = 42;
-// Columnar must not lose at t=8; a small band absorbs scheduler noise.
-constexpr double kNoiseBand = 1.05;
+constexpr int kReps = 3;  // Best-of-N wall times.
 // Headline gate on the wide-arity filter shape.
 constexpr double kHeadlineSpeedup = 1.5;
 const int64_t kMorselSweep[] = {1024, 65536};
@@ -66,11 +58,12 @@ void Gate(bool pass, const std::string& what) {
   }
 }
 
-// ---- Shape 1: wide-arity filter (the headline scan shape) ----
+// ---- Wide-arity filter (the gated shape) ----
 // A 16-wide fact relation filtered on one column at ~50% selectivity: the
-// row path strides 128 bytes per predicate, the columnar path streams one
-// contiguous column. Scans repeat against a transposed snapshot, so the
-// transpose is amortized and reported separately.
+// row view gathers the column out of 128-byte rows per morsel, the
+// ColumnarRelation streams one contiguous column. Scans repeat against a
+// transposed snapshot, so the transpose is amortized and reported
+// separately.
 void RunWideFilter(Table* table, BenchJson* json) {
   Rng rng(31);
   const int64_t rows = 600000;
@@ -79,40 +72,35 @@ void RunWideFilter(Table* table, BenchJson* json) {
   ThreadPool pool1(1);
   ThreadPool pool8(8);
 
-  const std::vector<int64_t> reference =
-      SelectRange(rel, 0, lo, hi, nullptr, 0, LayoutMode::kRow);
+  // Serial predicate: the oracle both overloads must reproduce.
+  std::vector<int64_t> reference;
+  for (int64_t r = 0; r < rows; ++r) {
+    if (rel.at(r, 0) >= lo && rel.at(r, 0) <= hi) reference.push_back(r);
+  }
 
   WallTimer transpose_timer;
   const ColumnarRelation col =
       ColumnarRelation::FromRowMajor(rel, &pool8, 65536);
   const double transpose_ms = transpose_timer.ElapsedMs();
 
-  const double row_t8 = BestOf([&] {
-    SelectRange(rel, 0, lo, hi, &pool8, 65536, LayoutMode::kRow);
-  });
+  const double row_t8 =
+      BestOf([&] { SelectRange(rel, 0, lo, hi, &pool8, 65536); });
   const double col_t8 =
       BestOf([&] { SelectRange(col, 0, lo, hi, &pool8, 65536); });
-  const double row_t1 = BestOf([&] {
-    SelectRange(rel, 0, lo, hi, &pool1, 65536, LayoutMode::kRow);
-  });
+  const double row_t1 =
+      BestOf([&] { SelectRange(rel, 0, lo, hi, &pool1, 65536); });
   const double col_t1 =
       BestOf([&] { SelectRange(col, 0, lo, hi, &pool1, 65536); });
 
-  // Bit-identity: layouts x threads x morsel sizes all match the serial
-  // row-path reference (ascending match indices).
   for (ThreadPool* pool : {&pool1, &pool8}) {
     for (const int64_t morsel : kMorselSweep) {
-      for (const LayoutMode layout :
-           {LayoutMode::kRow, LayoutMode::kColumnar, LayoutMode::kAuto}) {
-        Gate(SelectRange(rel, 0, lo, hi, pool, morsel, layout) == reference,
-             "wide_filter row-view output mismatch");
-      }
+      Gate(SelectRange(rel, 0, lo, hi, pool, morsel) == reference,
+           "wide_filter row-view output mismatch");
       Gate(SelectRange(col, 0, lo, hi, pool, morsel) == reference,
            "wide_filter columnar output mismatch");
     }
   }
 
-  Gate(col_t8 <= row_t8 * kNoiseBand, "wide_filter: columnar loses at t=8");
   Gate(row_t8 / col_t8 >= kHeadlineSpeedup,
        "wide_filter: columnar speedup below " + Fmt(kHeadlineSpeedup, 1) +
            "x at t=8 (" + Fmt(row_t8 / col_t8, 2) + "x)");
@@ -129,129 +117,11 @@ void RunWideFilter(Table* table, BenchJson* json) {
   json->Set("wide_filter_speedup_t8", row_t8 / col_t8);
 }
 
-// ---- Shape 2: wide-arity exchange route ----
-// HashPartition of a 12-wide relation on one key column: kRow fuses the
-// strided gather into the route loop, kColumnar extracts the key column
-// (Phase::kTranspose) and buckets it with one vectorized pass.
-void RunRouteWide(Table* table, BenchJson* json) {
-  Rng rng(32);
-  const int64_t rows = 400000;
-  const Relation rel = GenerateUniform(rng, rows, 12, 1 << 20);
-  const DistRelation input = DistRelation::Scatter(rel, kServers);
-
-  const auto run = [&](LayoutMode layout, int threads, int64_t morsel) {
-    ClusterOptions options;
-    options.num_threads = threads;
-    options.morsel_rows = morsel;
-    options.layout = layout;
-    Cluster cluster(kServers, kSeed, options);
-    const HashFunction hash = cluster.NewHashFunction();
-    return HashPartition(cluster, input, {3}, hash, "bench: route");
-  };
-
-  const DistRelation reference = run(LayoutMode::kRow, 1, 8192);
-  const auto same = [&](const DistRelation& got) {
-    for (int s = 0; s < kServers; ++s) {
-      if (!(got.fragment(s) == reference.fragment(s))) return false;
-    }
-    return true;
-  };
-  for (const int threads : {1, 8}) {
-    for (const int64_t morsel : kMorselSweep) {
-      for (const LayoutMode layout :
-           {LayoutMode::kRow, LayoutMode::kColumnar, LayoutMode::kAuto}) {
-        Gate(same(run(layout, threads, morsel)),
-             "route_wide shuffle output mismatch");
-      }
-    }
-  }
-
-  const double row_t8 =
-      BestOf([&] { run(LayoutMode::kRow, 8, 8192); });
-  const double col_t8 =
-      BestOf([&] { run(LayoutMode::kColumnar, 8, 8192); });
-  const double row_t1 =
-      BestOf([&] { run(LayoutMode::kRow, 1, 8192); });
-  const double col_t1 =
-      BestOf([&] { run(LayoutMode::kColumnar, 1, 8192); });
-
-  Gate(col_t8 <= row_t8 * kNoiseBand, "route_wide: columnar loses at t=8");
-
-  table->AddRow({"route_wide(a=12)", bench::FmtInt(rows), Fmt(row_t1, 2),
-                 Fmt(col_t1, 2), Fmt(row_t8, 2), Fmt(col_t8, 2),
-                 Fmt(row_t8 / col_t8, 2)});
-  json->Set("route_wide_rows", rows);
-  json->Set("route_wide_row_t1_ms", row_t1);
-  json->Set("route_wide_columnar_t1_ms", col_t1);
-  json->Set("route_wide_row_t8_ms", row_t8);
-  json->Set("route_wide_columnar_t8_ms", col_t8);
-  json->Set("route_wide_speedup_t8", row_t8 / col_t8);
-}
-
-// ---- Shape 3: wide-arity group-by scan ----
-// SUM over one value column grouped by one key column of an 8-wide
-// relation: the columnar engine path compacts the two live columns out of
-// the wide rows before hashing/accumulating.
-void RunGroupByWide(Table* table, BenchJson* json) {
-  Rng rng(33);
-  const int64_t rows = 600000;
-  const Relation rel = GenerateUniform(rng, rows, 8, 5000);
-  ThreadPool pool1(1);
-  ThreadPool pool8(8);
-
-  const auto run = [&](LayoutMode layout, ThreadPool* pool,
-                       int64_t morsel) {
-    GroupByEngineOptions options;
-    options.pool = pool;
-    options.morsel_rows = morsel;
-    options.layout = layout;
-    StatusOr<Relation> out =
-        GroupByAggregateParallel(rel, {0}, 1, AggregateOp::kSum, options);
-    if (!out.ok()) {
-      std::printf("FAIL: groupby_wide errored: %s\n",
-                  out.status().ToString().c_str());
-      std::exit(1);
-    }
-    return std::move(out).value();
-  };
-
-  const Relation reference = run(LayoutMode::kRow, &pool1, 8192);
-  for (ThreadPool* pool : {&pool1, &pool8}) {
-    for (const int64_t morsel : kMorselSweep) {
-      for (const LayoutMode layout :
-           {LayoutMode::kRow, LayoutMode::kColumnar, LayoutMode::kAuto}) {
-        Gate(run(layout, pool, morsel) == reference,
-             "groupby_wide output mismatch");
-      }
-    }
-  }
-
-  const double row_t8 =
-      BestOf([&] { run(LayoutMode::kRow, &pool8, 8192); });
-  const double col_t8 =
-      BestOf([&] { run(LayoutMode::kColumnar, &pool8, 8192); });
-  const double row_t1 =
-      BestOf([&] { run(LayoutMode::kRow, &pool1, 8192); });
-  const double col_t1 =
-      BestOf([&] { run(LayoutMode::kColumnar, &pool1, 8192); });
-
-  Gate(col_t8 <= row_t8 * kNoiseBand, "groupby_wide: columnar loses at t=8");
-
-  table->AddRow({"groupby_wide(a=8)", bench::FmtInt(rows), Fmt(row_t1, 2),
-                 Fmt(col_t1, 2), Fmt(row_t8, 2), Fmt(col_t8, 2),
-                 Fmt(row_t8 / col_t8, 2)});
-  json->Set("groupby_wide_rows", rows);
-  json->Set("groupby_wide_row_t1_ms", row_t1);
-  json->Set("groupby_wide_columnar_t1_ms", col_t1);
-  json->Set("groupby_wide_row_t8_ms", row_t8);
-  json->Set("groupby_wide_columnar_t8_ms", col_t8);
-  json->Set("groupby_wide_speedup_t8", row_t8 / col_t8);
-}
-
 // ---- Ungated: arity x selectivity crossover sweep (E22) ----
 // Constant total values (4.8M) across arities, so row counts shrink as
 // rows widen; selectivity varies the branch density of the predicate.
-// This is the data behind the kAuto thresholds in relation/columnar.h.
+// The row view strides at arity 2 and gathers from arity 4 up
+// (UseColumnarScan in relation/columnar.h).
 void RunCrossoverSweep(BenchJson* json) {
   ThreadPool pool8(8);
   bench::Banner("E22 crossover: scan ms by arity x selectivity, t=8");
@@ -266,7 +136,7 @@ void RunCrossoverSweep(BenchJson* json) {
     for (const double selectivity : {0.01, 0.5, 0.99}) {
       const Value hi = static_cast<Value>(1000 * selectivity);
       const double row_ms = BestOf([&] {
-        SelectRange(rel, 0, 0, hi, &pool8, 65536, LayoutMode::kRow);
+        SelectRange(rel, 0, 0, hi, &pool8, 65536);
       });
       const double col_ms =
           BestOf([&] { SelectRange(col, 0, 0, hi, &pool8, 65536); });
@@ -291,14 +161,12 @@ int main() {
   BenchJson json("columnar");
 
   bench::Banner(
-      "Columnar vs row-major hot kernels — threads {1, 8}, best of " +
+      "ColumnarRelation vs row-view SelectRange — threads {1, 8}, best of " +
       std::to_string(kReps));
   Table table({"shape", "rows", "row t1", "col t1", "row t8", "col t8",
                "speedup t8"});
 
   RunWideFilter(&table, &json);
-  RunRouteWide(&table, &json);
-  RunGroupByWide(&table, &json);
   table.Print();
 
   RunCrossoverSweep(&json);
@@ -310,8 +178,8 @@ int main() {
     return 1;
   }
   std::printf(
-      "\ncolumnar bench gate passed: outputs bit-identical across layouts "
-      "x threads x morsels, columnar >= row at t=8, wide filter >= %.1fx\n",
+      "\ncolumnar bench gate passed: outputs match the serial predicate "
+      "across threads x morsels, wide filter >= %.1fx at t=8\n",
       kHeadlineSpeedup);
   return 0;
 }

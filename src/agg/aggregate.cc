@@ -14,15 +14,14 @@ namespace mpcqp {
 namespace {
 
 // Engine options for local aggregation inside a cluster: the cluster's
-// pool, morsel grain and layout mode, the caller's strategy. None affect
-// output bytes (determinism contract of the engine).
+// pool and morsel grain, the caller's strategy. None affect output bytes
+// (determinism contract of the engine).
 GroupByEngineOptions EngineOptions(Cluster& cluster,
                                    const GroupByOptions& options) {
   GroupByEngineOptions engine;
   engine.strategy = options.strategy;
   engine.pool = &cluster.pool();
   engine.morsel_rows = cluster.morsel_rows();
-  engine.layout = cluster.layout();
   return engine;
 }
 
@@ -89,7 +88,7 @@ StatusOr<DistRelation> DistributedGroupByAggregate(
     // which reads every column, so it never goes columnar.
     const int columns_read = width + (value_col >= 0 ? 1 : 0);
     std::optional<ScopedPhaseTimer> phase;
-    if (UseColumnarScan(cluster.layout(), rel.arity(), columns_read)) {
+    if (UseColumnarScan(rel.arity(), columns_read)) {
       phase.emplace(cluster.metrics(), Phase::kColumnarScan);
     }
     cluster.pool().ParallelFor(p, [&](int64_t s) {
@@ -149,17 +148,14 @@ StatusOr<ScalarAggregateResult> DistributedSum(Cluster& cluster,
 
   // Local partials (free compute) through the scalar-group engine path:
   // the per-fragment scan is morsel-parallel and overflow-checked.
-  GroupByEngineOptions engine;
-  engine.pool = &cluster.pool();
-  engine.morsel_rows = cluster.morsel_rows();
-  engine.layout = cluster.layout();
+  const GroupByEngineOptions engine = EngineOptions(cluster, {});
   std::vector<Value> partial(p, 0);
   std::vector<Status> errors(p, OkStatus());
   {
     // Metered as a columnar scan when the engine's (data-only) heuristic
     // will compact the value column out of the wide rows.
     std::optional<ScopedPhaseTimer> scan_phase;
-    if (UseColumnarScan(cluster.layout(), rel.arity(), 1)) {
+    if (UseColumnarScan(rel.arity(), 1)) {
       scan_phase.emplace(cluster.metrics(), Phase::kColumnarScan);
     }
     cluster.pool().ParallelFor(p, [&](int64_t s) {

@@ -658,12 +658,12 @@ StatusOr<Relation> GroupByAggregateParallel(
                                  ? ~uint64_t{0}
                                  : (uint64_t{1} << options.hash_bits) - 1;
 
-  // Columnar scan decision: derived from (layout mode, arity, columns
-  // read) only — never thread count or morsel size — so the same path
-  // runs in every decomposition and outputs stay bit-identical.
+  // Columnar scan decision: derived from (arity, columns read) only —
+  // never thread count or morsel size — so the same path runs in every
+  // decomposition and outputs stay bit-identical.
   const int columns_read =
       static_cast<int>(group_cols.size()) + (value_col >= 0 ? 1 : 0);
-  const bool columnar = UseColumnarScan(options.layout, arity, columns_read);
+  const bool columnar = UseColumnarScan(arity, columns_read);
 
   MPCQP_TRACE_SCOPE_ARG("group-by engine", "compute", total_rows);
   switch (strategy) {

@@ -61,12 +61,6 @@ struct GroupByEngineOptions {
   // Small values force every probe/partition collision path to execute;
   // outputs must not change.
   int hash_bits = 64;
-  // Physical scan layout (see relation/columnar.h). kAuto compacts the
-  // grouping + value columns out of wide rows before the hot loops
-  // (UseColumnarScan heuristic); kRow always strides over the rows;
-  // kColumnar forces compaction whenever the scan reads a strict column
-  // subset. Never changes output bytes — only memory access patterns.
-  LayoutMode layout = LayoutMode::kAuto;
 };
 
 // The strategy kAdaptive resolves to for this input: samples a prefix of

@@ -28,7 +28,6 @@ struct Cluster::CostShard {
 Cluster::Cluster(int num_servers, uint64_t seed, ClusterOptions options)
     : num_servers_(num_servers),
       morsel_rows_(options.morsel_rows),
-      layout_(options.layout),
       next_seed_(seed) {
   MPCQP_CHECK_GT(num_servers, 0);
   MPCQP_CHECK_GE(options.morsel_rows, 1)

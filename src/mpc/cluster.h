@@ -11,7 +11,6 @@
 #include "common/thread_pool.h"
 #include "mpc/cost.h"
 #include "mpc/metrics.h"
-#include "relation/columnar.h"
 
 namespace mpcqp {
 
@@ -30,13 +29,6 @@ struct ClusterOptions {
   // morsel decomposition derives from input sizes only, and counts
   // aggregate in fixed morsel order (see DESIGN.md, "Execution model").
   int64_t morsel_rows = 8192;
-  // Physical layout for the hot kernels (exchange route hashing, local
-  // selection/semijoin/group-by scans). Like num_threads and morsel_rows
-  // this NEVER changes results — outputs, CostReports, and strategy
-  // choices are bit-identical for every mode; kAuto (the default) picks
-  // per kernel from arity heuristics (relation/columnar.h). The CLI
-  // exposes it as --layout row|columnar|auto.
-  LayoutMode layout = LayoutMode::kAuto;
   // When set, the cluster ATTACHES to this pool instead of spawning its
   // own threads, and num_threads is ignored. Any number of logical
   // clusters may attach to one pool — this is how N in-flight queries
@@ -75,7 +67,6 @@ class Cluster {
   int num_servers() const { return num_servers_; }
   int num_threads() const { return pool_->num_threads(); }
   int64_t morsel_rows() const { return morsel_rows_; }
-  LayoutMode layout() const { return layout_; }
 
   // The pool algorithms use for parallel per-server work within a round.
   // With num_threads == 1 every ParallelFor runs inline on the caller.
@@ -146,7 +137,6 @@ class Cluster {
 
   int num_servers_;
   int64_t morsel_rows_;
-  LayoutMode layout_;
   uint64_t next_seed_;
   bool in_round_ = false;
   RoundCost current_round_{0};

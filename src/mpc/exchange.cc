@@ -69,7 +69,10 @@ std::vector<Morsel> TileSources(const DistRelation& rel, int64_t morsel_rows) {
 // write-combining blocks instead of scattering per-tuple writes across all
 // p fragments. Up to a couple hundred streams the scattered writes stay
 // cache/TLB-resident and staging only adds bytes (measured: a 5-15% loss
-// at p = 64); past that the p write streams thrash and staging wins.
+// at p = 64); past that the p write streams thrash and staging wins. The
+// choice reads p alone. Paired HashPartition runs (EXPERIMENTS.md E22):
+// staged 39 ms vs direct 46-51 ms at p = 256, and 117-127 ms vs
+// 132-140 ms at p = 1024.
 constexpr int kWriteCombineMinDests = 256;
 // Staging block footprint per destination. Cache-resident: p blocks of
 // this size stay within L2 for the p this path targets.
@@ -77,7 +80,7 @@ constexpr int64_t kWriteCombineBlockBytes = 1024;
 
 // Per-thread write-combining scratch. Pool workers are long-lived, so the
 // buffers are allocated once per thread and reused across morsels and
-// exchanges (the satellite fix for the per-task cursor/scratch churn).
+// exchanges.
 struct WriteCombineScratch {
   std::vector<Value> rows;    // p blocks of block_rows rows each.
   std::vector<int32_t> fill;  // Rows currently staged per destination.
@@ -87,23 +90,23 @@ WriteCombineScratch& LocalWriteCombineScratch() {
   return scratch;
 }
 
-// Copies `rows[i]` of `frag` (for i in [begin, end), destinations in
-// `dests[i - begin]`) into the pre-sized fragments at `base`, advancing
-// `cursor[dst]` (this morsel's private offset row). The write-combining
-// variant stages per-destination blocks and flushes with bulk memcpy.
-void CopyMorselDirect(const Value* in, const int32_t* dests, int64_t rows,
-                      int arity, Value* const* base, int64_t* cursor) {
-  for (int64_t i = 0; i < rows; ++i, in += arity) {
-    const int dst = dests[i];
-    std::memcpy(base[dst] + cursor[dst] * arity, in,
-                static_cast<size_t>(arity) * sizeof(Value));
-    ++cursor[dst];
+// Phase 2 for one morsel, shared by both routers: copies rows into the
+// pre-sized fragments at `base`, advancing `cursor[dst]` (the morsel's
+// private offset row). `for_each_copy(emit)` calls `emit(row, dst)` once
+// per (row, destination) pair in row order. Below kWriteCombineMinDests
+// each row goes straight to its destination; at or above it, rows are
+// staged per destination and flushed with bulk memcpy.
+template <typename ForEachCopyFn>
+void CopyMorsel(int arity, int p, Value* const* base, int64_t* cursor,
+                const ForEachCopyFn& for_each_copy) {
+  const size_t row_bytes = static_cast<size_t>(arity) * sizeof(Value);
+  if (p < kWriteCombineMinDests) {
+    for_each_copy([&](const Value* row, int dst) {
+      std::memcpy(base[dst] + cursor[dst] * arity, row, row_bytes);
+      ++cursor[dst];
+    });
+    return;
   }
-}
-
-void CopyMorselWriteCombining(const Value* in, const int32_t* dests,
-                              int64_t rows, int arity, int p,
-                              Value* const* base, int64_t* cursor) {
   const int64_t block_rows =
       std::max<int64_t>(4, kWriteCombineBlockBytes /
                                (static_cast<int64_t>(arity) * sizeof(Value)));
@@ -116,19 +119,65 @@ void CopyMorselWriteCombining(const Value* in, const int32_t* dests,
     const int64_t staged = fill[dst];
     std::memcpy(base[dst] + cursor[dst] * arity,
                 stage + dst * block_rows * arity,
-                static_cast<size_t>(staged) * arity * sizeof(Value));
+                static_cast<size_t>(staged) * row_bytes);
     cursor[dst] += staged;
     fill[dst] = 0;
   };
-  for (int64_t i = 0; i < rows; ++i, in += arity) {
-    const int dst = dests[i];
-    std::memcpy(stage + (dst * block_rows + fill[dst]) * arity, in,
-                static_cast<size_t>(arity) * sizeof(Value));
+  for_each_copy([&](const Value* row, int dst) {
+    std::memcpy(stage + (dst * block_rows + fill[dst]) * arity, row,
+                row_bytes);
     if (++fill[dst] == block_rows) flush(dst);
-  }
+  });
   for (int dst = 0; dst < p; ++dst) {
     if (fill[dst] > 0) flush(dst);
   }
+}
+
+// Where phase 2 writes: `offsets[m * p + d]` is morsel m's first row in
+// fragment d (and, during the copy, its cursor); `base[d]` is fragment
+// d's pre-sized payload.
+struct CopyTargets {
+  std::vector<int64_t> offsets;
+  std::vector<Value*> base;
+};
+
+// The pass between the two morsel phases, shared by both routers, parallel
+// over destinations: for destination d, walk the morsels in (src, begin)
+// order so rows land src-major and row-ascending — the serial append
+// order — for any morsel size; meter each (src, d) message as its total
+// closes, then pre-size fragment d of `*out`.
+CopyTargets PresizeDestinations(Cluster& cluster,
+                                const std::vector<Morsel>& morsels,
+                                const std::vector<int64_t>& counts,
+                                DistRelation* out) {
+  const int p = cluster.num_servers();
+  const int arity = out->arity();
+  const int64_t num_morsels = static_cast<int64_t>(morsels.size());
+  CopyTargets targets;
+  targets.offsets.resize(static_cast<size_t>(num_morsels) * p);
+  targets.base.resize(p);
+  ScopedPhaseTimer phase(cluster.metrics(), Phase::kCount);
+  MPCQP_TRACE_SCOPE("presize", "exchange");
+  cluster.pool().ParallelFor(p, [&](int64_t task) {
+    const int dst = static_cast<int>(task);
+    int64_t total = 0;
+    int64_t src_total = 0;
+    for (int64_t m = 0; m < num_morsels; ++m) {
+      targets.offsets[m * p + dst] = total;
+      total += counts[m * p + dst];
+      src_total += counts[m * p + dst];
+      if (m + 1 == num_morsels || morsels[m + 1].src != morsels[m].src) {
+        if (src_total > 0) {
+          cluster.RecordMessage(morsels[m].src, dst, src_total,
+                                src_total * arity);
+        }
+        src_total = 0;
+      }
+    }
+    targets.base[dst] = out->fragment(dst).ResizeRowsForOverwrite(total);
+    cluster.metrics().RecordFragmentRows(total);
+  });
+  return targets;
 }
 
 // Router for exchanges where every tuple has exactly one destination
@@ -185,56 +234,26 @@ DistRelation RouteSingle(Cluster& cluster, const DistRelation& rel,
     });
   }
 
-  // Offsets + presize, parallel over destinations: for destination d, walk
-  // the morsels in (src, begin) order so rows land src-major and
-  // row-ascending — the serial append order — for any morsel size; meter
-  // each (src, d) message as its total closes.
-  std::vector<int64_t> offsets(static_cast<size_t>(num_morsels) * p);
-  std::vector<Value*> base(p);
-  {
-    ScopedPhaseTimer phase(cluster.metrics(), Phase::kCount);
-    MPCQP_TRACE_SCOPE("presize", "exchange");
-    pool.ParallelFor(p, [&](int64_t task) {
-      const int dst = static_cast<int>(task);
-      int64_t total = 0;
-      int64_t src_total = 0;
-      for (int64_t m = 0; m < num_morsels; ++m) {
-        offsets[m * p + dst] = total;
-        total += counts[m * p + dst];
-        src_total += counts[m * p + dst];
-        if (m + 1 == num_morsels || morsels[m + 1].src != morsels[m].src) {
-          if (src_total > 0) {
-            cluster.RecordMessage(morsels[m].src, dst, src_total,
-                                  src_total * arity);
-          }
-          src_total = 0;
-        }
-      }
-      base[dst] = out.fragment(dst).ResizeRowsForOverwrite(total);
-      cluster.metrics().RecordFragmentRows(total);
-    });
-  }
+  CopyTargets targets =
+      PresizeDestinations(cluster, morsels, counts, &out);
 
   // Phase 2: bulk copy into disjoint pre-sized ranges. Each morsel's
   // offsets row doubles as its private cursor — no per-task allocation.
   {
     ScopedPhaseTimer phase(cluster.metrics(), Phase::kCopy);
-    const bool write_combine = p >= kWriteCombineMinDests;
     pool.ParallelForGrained(num_morsels, 1, [&](int64_t mb, int64_t me) {
       for (int64_t m = mb; m < me; ++m) {
         const Morsel& mo = morsels[m];
         MPCQP_TRACE_SCOPE_ARG("copy morsel", "exchange", m);
-        const Relation& frag = rel.fragment(mo.src);
-        const Value* in = frag.row(0) + mo.begin * arity;
+        const Value* in = rel.fragment(mo.src).row(0) + mo.begin * arity;
         const int32_t* const d = dests.get() + row_base[mo.src] + mo.begin;
-        int64_t* const cursor = offsets.data() + m * p;
         const int64_t rows = mo.end - mo.begin;
-        if (write_combine) {
-          CopyMorselWriteCombining(in, d, rows, arity, p, base.data(),
-                                   cursor);
-        } else {
-          CopyMorselDirect(in, d, rows, arity, base.data(), cursor);
-        }
+        CopyMorsel(arity, p, targets.base.data(),
+                   targets.offsets.data() + m * p, [&](const auto& emit) {
+                     for (int64_t i = 0; i < rows; ++i, in += arity) {
+                       emit(in, d[i]);
+                     }
+                   });
       }
     });
   }
@@ -296,88 +315,28 @@ DistRelation RouteMulti(Cluster& cluster, const DistRelation& rel,
     });
   }
 
-  std::vector<int64_t> offsets(static_cast<size_t>(num_morsels) * p);
-  std::vector<Value*> base(p);
-  {
-    ScopedPhaseTimer phase(cluster.metrics(), Phase::kCount);
-    MPCQP_TRACE_SCOPE("presize", "exchange");
-    pool.ParallelFor(p, [&](int64_t task) {
-      const int dst = static_cast<int>(task);
-      int64_t total = 0;
-      int64_t src_total = 0;
-      for (int64_t m = 0; m < num_morsels; ++m) {
-        offsets[m * p + dst] = total;
-        total += counts[m * p + dst];
-        src_total += counts[m * p + dst];
-        if (m + 1 == num_morsels || morsels[m + 1].src != morsels[m].src) {
-          if (src_total > 0) {
-            cluster.RecordMessage(morsels[m].src, dst, src_total,
-                                  src_total * arity);
-          }
-          src_total = 0;
-        }
-      }
-      base[dst] = out.fragment(dst).ResizeRowsForOverwrite(total);
-      cluster.metrics().RecordFragmentRows(total);
-    });
-  }
+  CopyTargets copy_targets =
+      PresizeDestinations(cluster, morsels, counts, &out);
 
-  // Phase 2.
+  // Phase 2: every row once per entry of its destination list.
   {
     ScopedPhaseTimer phase(cluster.metrics(), Phase::kCopy);
-    const bool write_combine = p >= kWriteCombineMinDests;
     pool.ParallelForGrained(num_morsels, 1, [&](int64_t mb, int64_t me) {
       for (int64_t m = mb; m < me; ++m) {
         const Morsel& mo = morsels[m];
         MPCQP_TRACE_SCOPE_ARG("copy morsel", "exchange", m);
-        const Relation& frag = rel.fragment(mo.src);
+        const Value* in = rel.fragment(mo.src).row(0) + mo.begin * arity;
         const std::vector<int32_t>& my_flat = flat[m];
         const std::vector<int64_t>& ends = row_end[m];
-        int64_t* const cursor = offsets.data() + m * p;
-        if (write_combine) {
-          // Stage per-destination blocks exactly as the single-target
-          // copy does, but walking the flat multicast list.
-          const int64_t block_rows = std::max<int64_t>(
-              4, kWriteCombineBlockBytes /
-                     (static_cast<int64_t>(arity) * sizeof(Value)));
-          WriteCombineScratch& wc = LocalWriteCombineScratch();
-          wc.rows.resize(static_cast<size_t>(p) * block_rows * arity);
-          wc.fill.assign(p, 0);
-          Value* const stage = wc.rows.data();
-          int32_t* const fill = wc.fill.data();
-          const auto flush = [&](int dst) {
-            std::memcpy(base[dst] + cursor[dst] * arity,
-                        stage + dst * block_rows * arity,
-                        static_cast<size_t>(fill[dst]) * arity *
-                            sizeof(Value));
-            cursor[dst] += fill[dst];
-            fill[dst] = 0;
-          };
-          const Value* in = frag.row(0) + mo.begin * arity;
-          int64_t j = 0;
-          for (int64_t i = 0; i < mo.end - mo.begin; ++i, in += arity) {
-            for (; j < ends[i]; ++j) {
-              const int dst = my_flat[j];
-              std::memcpy(stage + (dst * block_rows + fill[dst]) * arity,
-                          in, static_cast<size_t>(arity) * sizeof(Value));
-              if (++fill[dst] == block_rows) flush(dst);
-            }
-          }
-          for (int dst = 0; dst < p; ++dst) {
-            if (fill[dst] > 0) flush(dst);
-          }
-        } else {
-          const Value* in = frag.row(0) + mo.begin * arity;
-          int64_t j = 0;
-          for (int64_t i = 0; i < mo.end - mo.begin; ++i, in += arity) {
-            for (; j < ends[i]; ++j) {
-              const int dst = my_flat[j];
-              std::memcpy(base[dst] + cursor[dst] * arity, in,
-                          static_cast<size_t>(arity) * sizeof(Value));
-              ++cursor[dst];
-            }
-          }
-        }
+        const int64_t rows = mo.end - mo.begin;
+        CopyMorsel(arity, p, copy_targets.base.data(),
+                   copy_targets.offsets.data() + m * p,
+                   [&](const auto& emit) {
+                     int64_t j = 0;
+                     for (int64_t i = 0; i < rows; ++i, in += arity) {
+                       for (; j < ends[i]; ++j) emit(in, my_flat[j]);
+                     }
+                   });
       }
     });
   }
@@ -412,86 +371,23 @@ DistRelation HashPartition(Cluster& cluster, const DistRelation& rel,
         },
         label);
   }
-  // Single-column keys route through one of three physical plans, picked
-  // by ClusterOptions::layout (destinations — and therefore outputs and
-  // CostReports — are byte-identical for all three, since HashSpan(v, 1)
-  // == Hash(v) == HashMany element-wise and Bucket == BucketMany):
-  //   kRow            the seed per-row loop (arity-strided loads, one
-  //                   HashSpan per row) — via the generic path below;
-  //   kColumnar/kAuto over the UseColumnarRoute thresholds: extract the
-  //                   key column into one contiguous buffer (metered as
-  //                   kTranspose), then a pure vectorized BucketMany;
-  //   kAuto otherwise a fused per-morsel gather + batched BucketMany —
-  //                   columnar hashing without the extraction pass, the
-  //                   right trade below the thresholds.
-  // An arity-1 relation is already a contiguous column: direct BucketMany
-  // under every mode.
-  if (key_cols.size() == 1 && rel.arity() == 1) {
-    return RouteSingle(
-        cluster, rel,
-        [&hash, p](int /*src*/, const Relation& frag, int64_t begin,
-                   int64_t end, int32_t* dests) {
-          hash.BucketMany(frag.data().data() + begin, end - begin, p, dests);
-        },
-        label);
-  }
-  if (key_cols.size() == 1 && cluster.layout() != LayoutMode::kRow) {
+  // Single-column keys: one plan. Each morsel's key column is bucketed in
+  // one batched, vectorizable BucketMany pass — read in place when the
+  // relation has arity 1 (it already is a contiguous column), otherwise
+  // gathered per morsel into thread-local scratch first. Destinations
+  // equal the generic multi-column loop's below (HashSpan(v, 1) == Hash(v)
+  // == HashMany element-wise, Bucket == BucketMany).
+  if (key_cols.size() == 1) {
     const int col = key_cols.front();
-    int64_t total_rows = 0;
-    for (int src = 0; src < rel.num_servers(); ++src) {
-      total_rows += rel.fragment(src).size();
-    }
-    if (UseColumnarRoute(cluster.layout(), rel.arity(), total_rows)) {
-      // Columnar route: extract the key column of every fragment into one
-      // contiguous buffer first (morsel-parallel, metered as kTranspose),
-      // then the route phase is a pure unit-stride BucketMany — the
-      // splitmix loop vectorizes with no arity-stride gathers left in it.
-      // Destinations are computed from the same values with the same hash,
-      // and phase 2 still copies the row-major payloads, so outputs and
-      // CostReports are byte-identical to the other plans.
-      RoundScope scope(cluster, label);
-      std::vector<int64_t> row_base(static_cast<size_t>(p) + 1, 0);
-      for (int src = 0; src < p; ++src) {
-        row_base[src + 1] = row_base[src] + rel.fragment(src).size();
-      }
-      auto keys = std::make_unique_for_overwrite<Value[]>(
-          static_cast<size_t>(std::max<int64_t>(total_rows, 1)));
-      {
-        ScopedPhaseTimer phase(cluster.metrics(), Phase::kTranspose);
-        const std::vector<Morsel> morsels =
-            TileSources(rel, cluster.morsel_rows());
-        cluster.pool().ParallelForGrained(
-            static_cast<int64_t>(morsels.size()), 1,
-            [&](int64_t mb, int64_t me) {
-              for (int64_t m = mb; m < me; ++m) {
-                const Morsel& mo = morsels[m];
-                const Relation& frag = rel.fragment(mo.src);
-                GatherKeyColumn(frag.data().data(), frag.arity(), col,
-                                mo.begin, mo.end,
-                                keys.get() + row_base[mo.src] + mo.begin);
-              }
-            });
-      }
-      const Value* const key_base = keys.get();
-      const int64_t* const bases = row_base.data();
-      return RouteSingle(
-          cluster, rel,
-          [&hash, p, key_base, bases](int src, const Relation& /*frag*/,
-                                      int64_t begin, int64_t end,
-                                      int32_t* dests) {
-            hash.BucketMany(key_base + bases[src] + begin, end - begin, p,
-                            dests);
-          },
-          label);
-    }
-    // Fused path (kAuto below the extraction thresholds): gather the
-    // column per morsel and bucket the whole morsel in one batched,
-    // vectorizable pass.
     return RouteSingle(
         cluster, rel,
         [&hash, p, col](int /*src*/, const Relation& frag, int64_t begin,
                         int64_t end, int32_t* dests) {
           const int64_t rows = end - begin;
+          if (frag.arity() == 1) {
+            hash.BucketMany(frag.data().data() + begin, rows, p, dests);
+            return;
+          }
           // Per-thread scratch: morsel tasks run concurrently.
           thread_local std::vector<Value> keys;
           keys.resize(static_cast<size_t>(rows));

@@ -25,14 +25,14 @@ class Cluster;
 //                   (includes Broadcast payload construction);
 //   kLocalCompute — per-server algorithm work (local joins, sorts, block
 //                   multiplies), whether inside or after a metered round;
-//   kTranspose    — row<->column layout conversions: key-column extraction
-//                   ahead of a columnar route pass and ColumnarRelation
-//                   transposes on metered paths (subset of the round wall,
-//                   runs inside kRoute's bracket but is tallied apart so
-//                   the layout cost is observable);
-//   kColumnarScan — local scans that ran the columnar kernel (selection /
-//                   semijoin / group-by fast paths), split out from
-//                   kLocalCompute so `--layout` effects show in --stats.
+//   kTranspose    — nothing records this phase: no metered path converts
+//                   between row and column layouts, so it always reads 0.
+//                   The slot is kept so phase indices and the reported
+//                   `transpose` field keep their meaning for readers;
+//   kColumnarScan — distributed group-by / SUM scans whose input is wide
+//                   enough that UseColumnarScan compacts the columns they
+//                   read, split out from kLocalCompute so the compaction
+//                   shows in --stats.
 enum class Phase {
   kRoute = 0,
   kCount = 1,

@@ -1,18 +1,14 @@
 #include "planner/calibration.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 
 #include "common/check.h"
-#include "common/thread_pool.h"
 #include "join/hash_join.h"
 #include "mpc/cluster.h"
 #include "mpc/dist_relation.h"
 #include "mpc/exchange.h"
 #include "mpc/metrics.h"
-#include "relation/columnar.h"
-#include "relation/relation_ops.h"
 #include "workload/generator.h"
 
 namespace mpcqp {
@@ -21,12 +17,9 @@ std::string CostCoefficients::ToString() const {
   char buf[256];
   std::snprintf(buf, sizeof(buf),
                 "route %.4f us/tuple, copy %.4f us/value, local %.4f "
-                "us/tuple, round overhead %.1f us, scan row %.4f / "
-                "columnar %.4f us/tuple%s",
+                "us/tuple, round overhead %.1f us%s",
                 route_us_per_tuple, copy_us_per_value, local_us_per_tuple,
-                round_overhead_us, scan_row_us_per_tuple,
-                scan_columnar_us_per_tuple,
-                calibrated ? "" : " (uncalibrated)");
+                round_overhead_us, calibrated ? "" : " (uncalibrated)");
   return buf;
 }
 
@@ -101,34 +94,6 @@ CostCoefficients CalibrateCostModel(int num_servers, int num_threads,
     }
   }
 
-  // Scan constants: the same single-column range selection over wide rows,
-  // timed through both physical layouts (forced, so the fit does not
-  // depend on the kAuto thresholds). Outputs are identical by the layout
-  // determinism contract; only the memory access pattern differs.
-  Fit scan_row_fit;
-  Fit scan_columnar_fit;
-  {
-    ThreadPool pool(num_threads);
-    constexpr int kScanArity = 12;
-    for (const int64_t rows : {20000, 60000}) {
-      const Relation wide = GenerateUniform(rng, rows, kScanArity, rows);
-      for (int rep = 0; rep < 2; ++rep) {
-        for (const LayoutMode layout :
-             {LayoutMode::kRow, LayoutMode::kColumnar}) {
-          const auto start = std::chrono::steady_clock::now();
-          const std::vector<int64_t> hits = SelectRange(
-              wide, 0, 0, static_cast<Value>(rows / 2), &pool, 8192, layout);
-          const double us = std::chrono::duration<double, std::micro>(
-                                std::chrono::steady_clock::now() - start)
-                                .count();
-          MPCQP_CHECK_LE(static_cast<int64_t>(hits.size()), rows);
-          (layout == LayoutMode::kRow ? scan_row_fit : scan_columnar_fit)
-              .Add(static_cast<double>(rows), us);
-        }
-      }
-    }
-  }
-
   // Round overhead: near-empty exchanges isolate the fixed per-round price
   // (pool fan-out, offset pass, metering) from the per-tuple terms.
   double overhead_ms = 0;
@@ -151,9 +116,6 @@ CostCoefficients CalibrateCostModel(int num_servers, int num_threads,
   coefficients.route_us_per_tuple = route_fit.Coefficient(1e-4);
   coefficients.copy_us_per_value = copy_fit.Coefficient(1e-4);
   coefficients.local_us_per_tuple = local_fit.Coefficient(1e-4);
-  coefficients.scan_row_us_per_tuple = scan_row_fit.Coefficient(1e-4);
-  coefficients.scan_columnar_us_per_tuple =
-      scan_columnar_fit.Coefficient(1e-4);
   coefficients.round_overhead_us = std::max(
       1.0, overhead_rounds > 0 ? overhead_ms * 1e3 / overhead_rounds : 0.0);
   coefficients.calibrated = true;

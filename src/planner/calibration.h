@@ -23,13 +23,6 @@ struct CostCoefficients {
   double local_us_per_tuple = 0.05;
   // Fixed synchronization price of one MPC round, microseconds.
   double round_overhead_us = 100.0;
-  // Per-tuple cost of a single-column selection scan over wide rows, by
-  // physical layout (relation/columnar.h): strided row-major reads vs a
-  // gather into a contiguous key column. Diagnostics for the --layout
-  // crossover (EXPERIMENTS.md E22); the enumerator's plan costs use only
-  // the row-path constants above, so plan goldens are layout-independent.
-  double scan_row_us_per_tuple = 0.01;
-  double scan_columnar_us_per_tuple = 0.005;
   bool calibrated = false;
 
   std::string ToString() const;

@@ -1,5 +1,6 @@
 #include "relation/columnar.h"
 
+#include <algorithm>
 #include <functional>
 #include <utility>
 
@@ -11,62 +12,12 @@
 
 namespace mpcqp {
 
-const char* LayoutModeName(LayoutMode mode) {
-  switch (mode) {
-    case LayoutMode::kRow:
-      return "row";
-    case LayoutMode::kColumnar:
-      return "columnar";
-    case LayoutMode::kAuto:
-      return "auto";
-  }
-  return "unknown";
-}
-
-bool ParseLayoutMode(const std::string& text, LayoutMode* out) {
-  if (text == "row") {
-    *out = LayoutMode::kRow;
-  } else if (text == "columnar") {
-    *out = LayoutMode::kColumnar;
-  } else if (text == "auto") {
-    *out = LayoutMode::kAuto;
-  } else {
-    return false;
-  }
-  return true;
-}
-
-bool UseColumnarRoute(LayoutMode mode, int arity, int64_t rows) {
-  // An arity-1 relation IS a contiguous key column; the fused route loop
-  // already bucket-hashes it with unit stride.
-  if (arity <= 1) return false;
-  switch (mode) {
-    case LayoutMode::kRow:
-      return false;
-    case LayoutMode::kColumnar:
-      return true;
-    case LayoutMode::kAuto:
-      return arity >= kColumnarRouteMinArity && rows >= kColumnarRouteMinRows;
-  }
-  return false;
-}
-
-bool UseColumnarScan(LayoutMode mode, int arity, int columns_read) {
+bool UseColumnarScan(int arity, int columns_read) {
   MPCQP_CHECK_GE(columns_read, 0);
   // Reading (nearly) the whole row: compaction would copy everything the
   // scan touches anyway.
   if (columns_read >= arity) return false;
-  switch (mode) {
-    case LayoutMode::kRow:
-      return false;
-    case LayoutMode::kColumnar:
-      return true;
-    case LayoutMode::kAuto:
-      return arity >= kColumnarScanArityFactor * (columns_read > 0
-                                                      ? columns_read
-                                                      : 1);
-  }
-  return false;
+  return arity >= kColumnarScanArityFactor * std::max(columns_read, 1);
 }
 
 void GatherKeyColumn(const Value* base, int arity, int col, int64_t begin,

@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "relation/relation.h"
@@ -13,46 +12,21 @@ namespace mpcqp {
 
 class ThreadPool;
 
-// Which physical layout the hot local kernels (route hashing, selections,
-// semijoin probes, group-by scans) iterate over. The layout NEVER changes
-// results: every kernel produces bit-identical outputs, CostReports, and
-// strategy choices for every mode — only the memory access pattern (and
-// therefore wall time) differs. kAuto picks per kernel from arity
-// heuristics (see UseColumnarRoute / UseColumnarScan below), which depend
-// on data shape only, never on thread count or morsel size.
-enum class LayoutMode {
-  kRow = 0,       // Always stride over row-major payloads (the seed path).
-  kColumnar = 1,  // Force the columnar kernels wherever one exists.
-  kAuto = 2,      // Per-kernel arity heuristics (the default).
-};
-
-const char* LayoutModeName(LayoutMode mode);
-// Parses "row" / "columnar" / "auto"; returns false on anything else.
-bool ParseLayoutMode(const std::string& text, LayoutMode* out);
-
-// ---- Layout heuristics (data-derived only; see LayoutMode) ----
-
-// Arity at or above which kAuto extracts the key column into a contiguous
-// buffer before the route pass: at this row width every strided key load
-// touches a fresh cache line, so a separate gather pass plus a pure
-// vectorized BucketMany beats the fused gather-per-morsel loop.
-inline constexpr int kColumnarRouteMinArity = 4;
-// Row count below which the route extraction is not worth its setup.
-inline constexpr int64_t kColumnarRouteMinRows = 1 << 14;
-// For scans (selection / group-by), kAuto goes columnar when the kernel
-// reads at most this fraction of the row: arity >= kColumnarScanArityFactor
-// * columns_read. Narrower rows are cheaper to stride over directly.
+// ---- Input-derived scan rule ----
+// Scans (selection / group-by) compact the columns they read out of the
+// row-major payload when the kernel reads at most a third of the row:
+// arity >= kColumnarScanArityFactor * columns_read. Narrower rows are
+// cheaper to stride over directly. The rule reads only the input's shape,
+// never thread count or morsel size, so every decomposition runs the same
+// kernel and outputs stay bit-identical. Paired runs that keep it
+// (EXPERIMENTS.md E22): the compacted group-by scan measured 1.49x, 1.01x
+// and 1.45x over the stride loop in three t=1 runs on 8-wide rows, and the
+// SelectRange gather 1.2-2.1x over the stride loop on 16-wide rows.
 inline constexpr int kColumnarScanArityFactor = 3;
-
-// True if the exchange route pass should gather the key column into a
-// contiguous buffer (metered under Phase::kTranspose) and bucket it with
-// one vectorized pass. An arity-1 relation is already a contiguous
-// column, so the fused path is used even under kColumnar.
-bool UseColumnarRoute(LayoutMode mode, int arity, int64_t rows);
 
 // True if a scan kernel reading `columns_read` of `arity` columns should
 // compact those columns out of the wide rows before the hot loop.
-bool UseColumnarScan(LayoutMode mode, int arity, int columns_read);
+bool UseColumnarScan(int arity, int columns_read);
 
 // ---- Shared key-gather helper ----
 // The one strided gather loop: out[i] = row i's column `col`, for rows
@@ -85,8 +59,7 @@ class ColumnarRelation {
   // Transposes a row-major relation. With a pool, the transpose tiles
   // rows into morsels of `morsel_rows` (<= 0 means one morsel) and runs
   // work-stealing parallel; the output bytes are identical for every
-  // (pool, morsel_rows) since morsels write disjoint row ranges. Callers
-  // on a metered path time this under Phase::kTranspose.
+  // (pool, morsel_rows) since morsels write disjoint row ranges.
   static ColumnarRelation FromRowMajor(const Relation& rel,
                                        ThreadPool* pool = nullptr,
                                        int64_t morsel_rows = 0);

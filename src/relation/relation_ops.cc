@@ -176,14 +176,15 @@ std::vector<int64_t> SelectByRange(
 
 std::vector<int64_t> SelectRange(RelationView rel, int col, Value lo,
                                  Value hi, ThreadPool* pool,
-                                 int64_t morsel_rows, LayoutMode layout) {
+                                 int64_t morsel_rows) {
   MPCQP_CHECK_GE(col, 0);
   MPCQP_CHECK_LT(col, rel.arity());
   MPCQP_TRACE_SCOPE_ARG("select range", "compute", rel.size());
-  if (UseColumnarScan(layout, rel.arity(), 1) || rel.selection() != nullptr) {
+  if (UseColumnarScan(rel.arity(), 1) || rel.selection() != nullptr) {
     // Compact the column out of the wide rows (the shared gather kernel),
-    // then run the unit-stride SIMD predicate. Selection views always take
-    // this path: their rows are not contiguous to begin with.
+    // then run the unit-stride SIMD predicate: 1.2-2.1x over the stride
+    // loop below on 16-wide rows (EXPERIMENTS.md E22). Selection views
+    // always take this path: their rows are not contiguous to begin with.
     const auto count = [&](int64_t begin, int64_t end) {
       std::vector<Value> keys(static_cast<size_t>(end - begin));
       GatherKeyColumn(rel, col, begin, end, keys.data());

@@ -39,14 +39,12 @@ Relation Filter(RelationView rel,
 // compose it with RelationView(rel, selection) to run further operators
 // over the matches without materializing them. With a pool the scan is
 // morsel-parallel (count -> prefix -> fill over disjoint ranges), and the
-// index list is bit-identical for every (pool, morsel_rows, layout):
-// `layout` only decides whether the predicate strides over rows or runs
-// over a compacted copy of the column (kAuto: compact when the row is
-// wide, see UseColumnarScan).
+// index list is bit-identical for every (pool, morsel_rows). Wide rows
+// (UseColumnarScan(arity, 1)) and selection views gather the column into
+// a contiguous buffer for the SIMD predicate; narrow rows stride directly.
 std::vector<int64_t> SelectRange(RelationView rel, int col, Value lo,
                                  Value hi, ThreadPool* pool = nullptr,
-                                 int64_t morsel_rows = 0,
-                                 LayoutMode layout = LayoutMode::kAuto);
+                                 int64_t morsel_rows = 0);
 
 // The same predicate over a column-major relation: a tight unit-stride
 // loop over column(col). Produces exactly the index list of the row-major

@@ -150,20 +150,22 @@ StatusOr<QueryResult> QueryServer::Execute(const std::string& query_text) {
 
   const std::string key = BuildKey(q, *resolved, options_);
 
-  // Fast path: a previous execution against the same data already
-  // answered this.
-  if (options_.enable_result_cache) {
+  // A previous execution against the same data already answered this.
+  const auto cache_hit = [&]() -> std::optional<QueryResult> {
     Relation cached;
-    if (result_cache_.Lookup(key, &cached)) {
-      QueryResult result;
-      result.output = std::move(cached);
-      result.algorithm = forced ? PlanAlgorithmName(forced->plan.family)
-                                : options_.algorithm;
-      result.result_cache_hit = true;
-      result.latency_ms = NowMs() - start_ms;
-      return result;
+    if (!options_.enable_result_cache || !result_cache_.Lookup(key, &cached)) {
+      return std::nullopt;
     }
-  }
+    QueryResult result;
+    result.output = std::move(cached);
+    result.algorithm = forced ? PlanAlgorithmName(forced->plan.family)
+                              : options_.algorithm;
+    result.result_cache_hit = true;
+    result.latency_ms = NowMs() - start_ms;
+    return result;
+  };
+  // Fast path, outside the in-flight lock.
+  if (auto hit = cache_hit()) return std::move(*hit);
 
   // Coalesce with an identical in-flight execution, or become the leader.
   std::shared_ptr<Inflight> flight;
@@ -183,6 +185,11 @@ StatusOr<QueryResult> QueryServer::Execute(const std::string& query_text) {
       result.latency_ms = NowMs() - start_ms;
       return result;
     }
+    // No flight in progress, but one may have finished since the fast
+    // path missed: a leader inserts its result before it erases its
+    // flight under this lock, so this re-check sees every finished
+    // execution and a late request never runs the query again.
+    if (auto hit = cache_hit()) return std::move(*hit);
     flight = std::make_shared<Inflight>();
     inflight_[key] = flight;
   }
@@ -204,7 +211,6 @@ StatusOr<QueryResult> QueryServer::Execute(const std::string& query_text) {
 
   ClusterOptions cluster_options;
   cluster_options.morsel_rows = options_.morsel_rows;
-  cluster_options.layout = options_.layout;
   cluster_options.shared_pool = pool_;
   // seed + 1 for the cluster, seed + 2 for the algorithm Rng: the exact
   // derivation mpcqp_run uses, so served answers are bit-identical to the

@@ -13,7 +13,6 @@
 #include "common/thread_pool.h"
 #include "mpc/metrics.h"
 #include "planner/plan_cache.h"
-#include "relation/columnar.h"
 #include "relation/relation.h"
 #include "serve/admission.h"
 #include "serve/catalog.h"
@@ -28,9 +27,6 @@ struct ServeOptions {
   int num_servers = 16;       // Simulated MPC cluster size p per query.
   int num_threads = 1;        // Shared pool width (first creator sizes it).
   int64_t morsel_rows = 8192;
-  // Physical layout for hot kernels (never changes answers; see
-  // ClusterOptions::layout).
-  LayoutMode layout = LayoutMode::kAuto;
   std::string algorithm = "auto";  // auto|planner|hypercube|skewhc|binary|gym.
   uint64_t seed = 42;
   double round_cost = 0.0;    // Planner λ (tuples per round).

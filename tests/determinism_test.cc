@@ -679,8 +679,11 @@ TEST(ConcurrentDeterminismTest, IdenticalQueriesDoNotInterfere) {
 }
 
 // p large enough to engage the write-combining copy path (p >= 256), for
-// both the single-destination and the multicast router: staged + flushed
-// rows must land exactly where the direct path would put them.
+// both the single-destination and the multicast router. Every run here
+// stages (the path is chosen by p alone), so the oracle is the
+// single-threaded default-morsel run: staged + flushed rows must land in
+// the same positions across thread counts x morsel sizes, and morsel
+// boundaries must not split or reorder a flush.
 TEST(DeterminismTest, MorselBoundaryWriteCombiningCopy) {
   static constexpr int kWideServers = 256;
   Rng rng(101);
@@ -703,102 +706,49 @@ TEST(DeterminismTest, MorselBoundaryWriteCombiningCopy) {
       /*servers=*/kWideServers);
 }
 
-// --- Layout invariance ---
+// --- Columnar scan invariance ---
 //
-// The fourth axis of the contract: ClusterOptions::layout selects the
-// physical access pattern of the hot kernels (columnar route hashing,
-// compacted group-by scans) and must never change outputs, CostReports,
-// or strategy choices. The sweeps compare every layout x thread count x
-// morsel size against the row-layout single-threaded baseline.
-
-RunResult RunWithLayout(int threads, LayoutMode layout, int64_t morsel_rows,
-                        const std::function<DistRelation(Cluster&)>& body) {
-  ClusterOptions options;
-  options.num_threads = threads;
-  options.morsel_rows = morsel_rows;
-  options.layout = layout;
-  Cluster cluster(kServers, kSeed, options);
-  const DistRelation out = body(cluster);
-  RunResult result;
-  for (int s = 0; s < out.num_servers(); ++s) {
-    result.fragments.push_back(out.fragment(s));
-  }
-  result.report = cluster.cost_report();
-  return result;
-}
-
-void ExpectLayoutInvariant(
-    const std::function<DistRelation(Cluster&)>& body) {
-  const RunResult base = RunWithLayout(1, LayoutMode::kRow,
-                                       ClusterOptions{}.morsel_rows, body);
-  EXPECT_GT(base.report.num_rounds(), 0) << "body metered nothing";
-  for (const LayoutMode layout :
-       {LayoutMode::kRow, LayoutMode::kColumnar, LayoutMode::kAuto}) {
-    for (const int threads : kThreadCounts) {
-      for (const int64_t morsel : kMorselSizes) {
-        const RunResult got = RunWithLayout(threads, layout, morsel, body);
-        ASSERT_EQ(base.fragments.size(), got.fragments.size());
-        for (size_t s = 0; s < base.fragments.size(); ++s) {
-          EXPECT_EQ(base.fragments[s], got.fragments[s])
-              << "fragment " << s << " differs at layout="
-              << LayoutModeName(layout) << " threads=" << threads
-              << " morsel=" << morsel;
-        }
-        ExpectSameReport(base.report, got.report, threads);
-      }
-    }
-  }
-}
-
-// Wide-arity exchange: rows and arity cross the kAuto route thresholds,
-// so all three modes genuinely exercise the extracted-key-column router
-// (kRow the fused one), and the shuffled bytes must agree exactly.
-TEST(LayoutInvariance, WideExchangeRoute) {
-  Rng rng(kSeed);
-  const Relation wide = GenerateUniform(rng, 20000, 5, 500);
-  ExpectLayoutInvariant([&](Cluster& cluster) {
-    const HashFunction hash = cluster.NewHashFunction();
-    return HashPartition(cluster,
-                         DistRelation::Scatter(wide, kServers),
-                         {2}, hash, "layout sweep: route");
-  });
-}
-
-// Wide-arity group-by, both parallel strategies pinned: the columnar scan
-// compaction (tree-merge morsels, radix passes) must reproduce the row
-// path bit for bit, including the OutOfRange-free accumulators.
-TEST(LayoutInvariance, WideGroupByAggregate) {
+// A group-by reading 2 of 6 columns crosses UseColumnarScan's input rule,
+// so the tree-merge and radix strategies scan compacted columns. Both must
+// reproduce the serial sorted-map strategy, which never compacts, bit for
+// bit across thread counts x morsel sizes — outputs and CostReports.
+TEST(ColumnarScanInvariance, WideGroupByMatchesSortedMap) {
   Rng rng(kSeed + 1);
   const Relation wide = GenerateZipf(rng, 12000, 6, 200, 1, 1.1);
-  for (const GroupByStrategy strategy :
-       {GroupByStrategy::kTreeMerge, GroupByStrategy::kRadix}) {
-    ExpectLayoutInvariant([&](Cluster& cluster) {
+  ASSERT_TRUE(UseColumnarScan(wide.arity(), 2));
+  const auto group_by = [&](GroupByStrategy strategy) {
+    return [&wide, strategy](Cluster& cluster) {
       GroupByOptions options;
       options.strategy = strategy;
       return DistributedGroupByAggregate(
                  cluster, DistRelation::Scatter(wide, kServers), {1}, 3,
                  AggregateOp::kSum, options)
           .value();
-    });
+    };
+  };
+  const RunResult reference = RunWith(1, group_by(GroupByStrategy::kSortedMap));
+  EXPECT_GT(reference.report.num_rounds(), 0) << "body metered nothing";
+  for (const GroupByStrategy strategy :
+       {GroupByStrategy::kTreeMerge, GroupByStrategy::kRadix}) {
+    for (const int threads : kThreadCounts) {
+      for (const int64_t morsel : kMorselSizes) {
+        const RunResult got = RunWith(threads, group_by(strategy), morsel);
+        ASSERT_EQ(reference.fragments.size(), got.fragments.size());
+        for (size_t s = 0; s < reference.fragments.size(); ++s) {
+          EXPECT_EQ(reference.fragments[s], got.fragments[s])
+              << "fragment " << s << " differs at strategy="
+              << GroupByStrategyName(strategy) << " threads=" << threads
+              << " morsel=" << morsel;
+        }
+        ExpectSameReport(reference.report, got.report, threads);
+      }
+    }
   }
-}
-
-// Scalar-group COUNT over wide rows plus the adaptive strategy: layout
-// must not leak into the sampled strategy choice either.
-TEST(LayoutInvariance, AdaptiveStrategyUnaffectedByLayout) {
-  Rng rng(kSeed + 2);
-  const Relation wide = GenerateUniform(rng, 9000, 7, 4000);
-  ExpectLayoutInvariant([&](Cluster& cluster) {
-    return DistributedGroupByAggregate(
-               cluster, DistRelation::Scatter(wide, kServers), {0, 2}, 5,
-               AggregateOp::kMax)
-        .value();
-  });
 }
 
 // --- SIMD ISA invariance ---
 //
-// The fifth axis of the contract: the dispatched SIMD level (scalar vs
+// The fourth axis of the contract: the dispatched SIMD level (scalar vs
 // the best this hardware offers) selects the instruction sequence of the
 // hot kernels — route hashing, range filters, gathers, group hashes,
 // radix histograms — and every kernel is bit-identical to its scalar
@@ -820,18 +770,17 @@ std::vector<simd::IsaLevel> IsaAxis() {
   return axis;
 }
 
-void ExpectSimdInvariant(const std::function<DistRelation(Cluster&)>& body,
-                         LayoutMode layout = LayoutMode::kAuto) {
+void ExpectSimdInvariant(const std::function<DistRelation(Cluster&)>& body) {
   const RunResult base = [&] {
     simd::ScopedIsaOverride over(simd::IsaLevel::kScalar);
-    return RunWithLayout(1, layout, ClusterOptions{}.morsel_rows, body);
+    return RunWith(1, body);
   }();
   EXPECT_GT(base.report.num_rounds(), 0) << "body metered nothing";
   for (const simd::IsaLevel level : IsaAxis()) {
     simd::ScopedIsaOverride over(level);
     for (const int threads : kThreadCounts) {
       for (const int64_t morsel : kMorselSizes) {
-        const RunResult got = RunWithLayout(threads, layout, morsel, body);
+        const RunResult got = RunWith(threads, body, morsel);
         ASSERT_EQ(base.fragments.size(), got.fragments.size());
         for (size_t s = 0; s < base.fragments.size(); ++s) {
           EXPECT_EQ(base.fragments[s], got.fragments[s])
@@ -869,25 +818,23 @@ TEST(SimdInvariance, Semijoin) {
   });
 }
 
-// Group-by under forced-columnar layout with a single group column: the
-// compacted scans batch their hashes through GroupHashMany and the radix
-// count pass through HistogramTopBits; both pinned strategies plus the
-// adaptive chooser must reproduce the scalar run bit for bit.
+// Group-by reading 2 of 6 columns, so the input rule compacts the scans:
+// they batch their hashes through GroupHashMany and the radix count pass
+// through HistogramTopBits; both pinned strategies plus the adaptive
+// chooser must reproduce the scalar run bit for bit.
 TEST(SimdInvariance, GroupByColumnarScans) {
   Rng rng(kSeed + 11);
   const Relation wide = GenerateZipf(rng, 12000, 6, 200, 1, 1.1);
   for (const GroupByStrategy strategy :
        {GroupByStrategy::kTreeMerge, GroupByStrategy::kRadix}) {
-    ExpectSimdInvariant(
-        [&](Cluster& cluster) {
-          GroupByOptions options;
-          options.strategy = strategy;
-          return DistributedGroupByAggregate(
-                     cluster, DistRelation::Scatter(wide, kServers), {1}, 3,
-                     AggregateOp::kSum, options)
-              .value();
-        },
-        LayoutMode::kColumnar);
+    ExpectSimdInvariant([&](Cluster& cluster) {
+      GroupByOptions options;
+      options.strategy = strategy;
+      return DistributedGroupByAggregate(
+                 cluster, DistRelation::Scatter(wide, kServers), {1}, 3,
+                 AggregateOp::kSum, options)
+          .value();
+    });
   }
   ExpectSimdInvariant([&](Cluster& cluster) {
     return DistributedGroupByAggregate(cluster,
@@ -898,12 +845,14 @@ TEST(SimdInvariance, GroupByColumnarScans) {
 }
 
 // SelectRange is a local kernel, so the ISA sweep compares it directly:
-// all three entry points (wide row view with the columnar-scan gather, a
-// non-contiguous selection view, and a true ColumnarRelation column)
-// against the forced-scalar result, across threads x morsel sizes.
+// every entry point (wide row view with the gather, narrow row view with
+// the stride loop, a non-contiguous selection view, and a true
+// ColumnarRelation column) against the forced-scalar result, across
+// threads x morsel sizes.
 TEST(SimdInvariance, SelectRangeAllOverloads) {
   Rng rng(kSeed + 12);
   const Relation wide = GenerateUniform(rng, 30000, 5, 2000);
+  const Relation narrow = Project(wide, {1, 2});
   const Value lo = 150, hi = 1200;
   const ColumnarRelation columnar = ColumnarRelation::FromRowMajor(wide);
   // A non-contiguous selection over the wide rows (every third row).
@@ -913,12 +862,9 @@ TEST(SimdInvariance, SelectRangeAllOverloads) {
 
   const auto run_all = [&](ThreadPool* pool, int64_t morsel) {
     std::vector<std::vector<int64_t>> outs;
-    outs.push_back(
-        SelectRange(wide, 2, lo, hi, pool, morsel, LayoutMode::kColumnar));
-    outs.push_back(
-        SelectRange(wide, 2, lo, hi, pool, morsel, LayoutMode::kRow));
-    outs.push_back(
-        SelectRange(sel_view, 2, lo, hi, pool, morsel, LayoutMode::kAuto));
+    outs.push_back(SelectRange(wide, 2, lo, hi, pool, morsel));
+    outs.push_back(SelectRange(narrow, 1, lo, hi, pool, morsel));
+    outs.push_back(SelectRange(sel_view, 2, lo, hi, pool, morsel));
     outs.push_back(SelectRange(columnar, 2, lo, hi, pool, morsel));
     return outs;
   };
@@ -928,7 +874,7 @@ TEST(SimdInvariance, SelectRangeAllOverloads) {
     return run_all(nullptr, ClusterOptions{}.morsel_rows);
   }();
   ASSERT_FALSE(base[0].empty());
-  EXPECT_EQ(base[0], base[1]);  // Layout never changes the match list.
+  EXPECT_EQ(base[0], base[1]);  // Gather and stride loops agree.
   EXPECT_EQ(base[0], base[3]);
   for (const simd::IsaLevel level : IsaAxis()) {
     simd::ScopedIsaOverride over(level);

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <barrier>
 #include <memory>
 #include <string>
 #include <thread>
@@ -232,6 +233,43 @@ TEST(QueryServerTest, ConcurrentIdenticalQueriesExecuteOnce) {
   EXPECT_EQ(server.counters().coalesced +
                 server.result_cache().counters().hits,
             kClients - 1);
+}
+
+// Every round, all clients send one text nobody has sent before, released
+// together by a barrier, so late arrivals race the leader's finish: a
+// request that misses the cache just before the leader inserts its result
+// and takes the in-flight lock just after the leader leaves must still not
+// execute a second time. Exactly one execution per round.
+TEST(QueryServerTest, FreshTextPerRoundExecutesOncePerRound) {
+  Catalog catalog;
+  catalog.Register("R", SmallRelation(37, /*rows=*/40));
+  catalog.Register("S", SmallRelation(41, /*rows=*/40));
+  QueryServer server(&catalog, TestOptions());
+
+  constexpr int kClients = 8;
+  constexpr int kRounds = 200;
+  std::barrier round_start(kClients);
+  std::atomic<int> failures{0};
+  std::vector<std::thread> clients;
+  for (int c = 0; c < kClients; ++c) {
+    clients.emplace_back([&] {
+      for (int round = 0; round < kRounds; ++round) {
+        const std::string v = std::to_string(round);
+        const std::string text =
+            "R(x" + v + ",y" + v + "), S(y" + v + ",z" + v + ")";
+        round_start.arrive_and_wait();
+        const auto result = server.Execute(text);
+        if (!result.ok()) ++failures;
+      }
+    });
+  }
+  for (std::thread& t : clients) t.join();
+
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_EQ(server.counters().executed, kRounds);
+  EXPECT_EQ(server.counters().executed + server.counters().coalesced +
+                server.result_cache().counters().hits,
+            kClients * kRounds);
 }
 
 TEST(QueryServerTest, ServedAnswerIsBitIdenticalToSoloRun) {

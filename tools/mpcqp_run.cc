@@ -64,7 +64,6 @@ struct Options {
   int servers = 16;
   int threads = 1;
   int64_t morsel_rows = ClusterOptions{}.morsel_rows;
-  std::string layout = "auto";  // row|columnar|auto (never changes results).
   std::string algorithm = "hypercube";
   std::map<std::string, std::string> generators;  // atom name -> spec.
   std::map<std::string, std::string> inputs;      // atom name -> csv path.
@@ -103,9 +102,6 @@ FlagSet BuildFlags(Options* options) {
             "OS threads executing a round (never changes results)");
   flags.Int64("morsel-rows", &options->morsel_rows, 1, INT64_MAX,
               "rows per exchange morsel (never changes results)");
-  flags.String("layout", &options->layout,
-               "physical layout for hot kernels, row|columnar|auto "
-               "(never changes results)");
   flags.String("algorithm", &options->algorithm,
                "hypercube|skewhc|binary|gym|auto|planner");
   flags.KeyValue("gen", &options->generators,
@@ -371,11 +367,6 @@ int Run(const Options& options, std::optional<PlanAlgorithm> family) {
   ClusterOptions cluster_options;
   cluster_options.num_threads = options.threads;
   cluster_options.morsel_rows = options.morsel_rows;
-  if (!ParseLayoutMode(options.layout, &cluster_options.layout)) {
-    std::fprintf(stderr, "--layout must be row|columnar|auto, got \"%s\"\n",
-                 options.layout.c_str());
-    return 2;
-  }
   Cluster cluster(options.servers, options.seed + 1, cluster_options);
   std::vector<DistRelation> dist;
   for (const Relation& r : atoms) {
@@ -604,11 +595,6 @@ int RunServe(const Options& options) {
   serve.num_servers = options.servers;
   serve.num_threads = options.threads;
   serve.morsel_rows = options.morsel_rows;
-  if (!ParseLayoutMode(options.layout, &serve.layout)) {
-    std::fprintf(stderr, "--layout must be row|columnar|auto, got \"%s\"\n",
-                 options.layout.c_str());
-    return 2;
-  }
   serve.algorithm = options.algorithm;
   serve.seed = options.seed;
   serve.round_cost = options.round_cost;
