@@ -139,6 +139,49 @@ TEST(ExchangeTest, HashPartitionColocatesKeys) {
   }
 }
 
+// HashPartition's single-key plan buckets the key column in place at
+// arity 1 and gathers it per morsel otherwise; multi-column keys take the
+// per-row HashSpan loop. Every row must land on the server the per-row
+// hash names, on a pool and with morsels that split every fragment.
+TEST(ExchangeTest, HashPartitionRoutesToPerRowBucketAtEveryArity) {
+  constexpr int kServers = 16;
+  struct Shape {
+    int arity;
+    std::vector<int> key_cols;
+  };
+  for (const Shape& shape : {Shape{1, {0}}, Shape{5, {3}}, Shape{5, {1, 4}}}) {
+    Rng rng(11);
+    ClusterOptions options;
+    options.num_threads = 4;
+    options.morsel_rows = 7;
+    Cluster cluster(kServers, 5, options);
+    const Relation input = GenerateUniform(rng, 600, shape.arity, 1000);
+    const HashFunction hash = cluster.NewHashFunction();
+    const DistRelation parts =
+        HashPartition(cluster, DistRelation::Scatter(input, kServers),
+                      shape.key_cols, hash, "route");
+    EXPECT_TRUE(MultisetEqual(parts.Collect(), input));
+    std::vector<Value> key(shape.key_cols.size());
+    for (int s = 0; s < kServers; ++s) {
+      const Relation& frag = parts.fragment(s);
+      for (int64_t i = 0; i < frag.size(); ++i) {
+        for (size_t k = 0; k < key.size(); ++k) {
+          key[k] = frag.at(i, shape.key_cols[k]);
+        }
+        const uint64_t h =
+            hash.HashSpan(key.data(), static_cast<int>(key.size()));
+        const int expected = static_cast<int>(
+            (static_cast<unsigned __int128>(h) * kServers) >> 64);
+        ASSERT_EQ(expected, s) << "arity " << shape.arity << " keys "
+                               << shape.key_cols.size() << " row " << i;
+        if (key.size() == 1) {
+          ASSERT_EQ(hash.Bucket(key[0], kServers), s);
+        }
+      }
+    }
+  }
+}
+
 TEST(ExchangeTest, BroadcastReplicatesEverywhere) {
   Rng rng(9);
   Cluster cluster(5, 3);
