@@ -13,8 +13,13 @@
 //     must hit the cache and skip enumeration entirely (dp_states == 0),
 //     or the bench exits nonzero.
 //
-// Emits BENCH_planner.json with both studies' datapoints for CI tracking.
+//  3. Cold planning cost: PlanQuery without a cache on the triangle
+//     shape, 3 x 60K uniform tuples at p=64 (the statistics pass plus
+//     enumeration). Informational only; no gate.
+//
+// Emits BENCH_planner.json with the studies' datapoints for CI tracking.
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -184,6 +189,31 @@ int Run() {
   if (!warm.cache_hit || warm.dp_states != 0) {
     std::printf("FAIL: warm plan was not a cache hit with zero dp states\n");
     ++failures;
+  }
+
+  // ---- Study 3: cold planning on the triangle shape ----
+  {
+    constexpr int kTriangleServers = 64;
+    constexpr int kRepeats = 5;
+    const ConjunctiveQuery triangle = ConjunctiveQuery::Triangle();
+    Rng data_rng(19);
+    std::vector<Relation> tri_atoms;
+    for (int j = 0; j < 3; ++j) {
+      tri_atoms.push_back(GenerateUniform(data_rng, 60000, 2, 3000));
+    }
+    const std::vector<DistRelation> scattered =
+        Scatter(tri_atoms, kTriangleServers);
+    std::vector<double> runs;
+    for (int i = 0; i < kRepeats; ++i) {
+      runs.push_back(
+          PlanQuery(triangle, scattered, kTriangleServers).planning_ms);
+    }
+    std::sort(runs.begin(), runs.end());
+    const double median_ms = runs[kRepeats / 2];
+    bench::Banner("E19: cold PlanQuery, triangle 3 x 60K, p=64");
+    std::printf("median of %d: %.3f ms (min %.3f, max %.3f)\n", kRepeats,
+                median_ms, runs.front(), runs.back());
+    json.Set("triangle_cold_plan_ms", median_ms);
   }
 
   json.Write();

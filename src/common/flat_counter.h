@@ -58,6 +58,20 @@ class FlatCounter {
 
   int64_t num_keys() const { return num_keys_; }
 
+  // The largest count of any key, or 0 when no key was added — the heavy-
+  // hitter test without materializing the sorted entries.
+  int64_t MaxCount() const {
+    int64_t best = 0;
+    bool any = false;
+    for (const SlotEntry& s : slots_) {
+      if (s.used && (!any || s.count > best)) {
+        best = s.count;
+        any = true;
+      }
+    }
+    return best;
+  }
+
   // All (key, count) pairs sorted by key — the iteration order of the
   // std::map-based counters this class replaces.
   std::vector<std::pair<uint64_t, int64_t>> SortedEntries() const {

@@ -80,9 +80,12 @@ struct CandidatePlan {
   std::string rationale;
 };
 
-// Cheap catalog statistics (exact, as the theory assumes them free):
-// per-atom sizes and per-variable distinct counts, per-variable heavy
-// flags against the given threshold, and duplicate presence per atom.
+// Exact planner statistics: per-atom sizes and per-variable distinct
+// counts, per-variable heavy flags against the given threshold, and
+// duplicate presence per atom. The theory assumes them free; here
+// GatherPlannerStats reads each atom's fragments in place, one hash-count
+// pass per distinct-variable column plus one hashed duplicate check per
+// atom, on every plan-cache miss.
 struct PlannerStats {
   std::vector<int64_t> sizes;                  // Per atom.
   std::vector<std::vector<int64_t>> distinct;  // distinct[j][v] or 0.

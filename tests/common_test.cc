@@ -4,6 +4,7 @@
 #include <set>
 #include <vector>
 
+#include "common/flat_counter.h"
 #include "common/hash.h"
 #include "common/random.h"
 #include "common/status.h"
@@ -272,6 +273,35 @@ TEST(RngTest, NextDoubleInUnitInterval) {
     sum += d;
   }
   EXPECT_NEAR(sum / 10000, 0.5, 0.02);
+}
+
+// ---------- FlatCounter::MaxCount ----------
+
+TEST(FlatCounterMaxCountTest, EmptyCounterIsZero) {
+  EXPECT_EQ(FlatCounter().MaxCount(), 0);
+  EXPECT_EQ(FlatCounter(1000).MaxCount(), 0);
+}
+
+TEST(FlatCounterMaxCountTest, SurvivesRehashAndMergeFrom) {
+  FlatCounter counter;  // 16 slots: the loop below grows it several times.
+  counter.Add(0, 40);
+  counter.Add(UINT64_MAX, 7);
+  EXPECT_EQ(counter.MaxCount(), 40);
+  for (uint64_t k = 1; k <= 1000; ++k) counter.Add(k, 3);
+  EXPECT_EQ(counter.num_keys(), 1002);
+  EXPECT_EQ(counter.MaxCount(), 40);
+  counter.Reserve(100000);  // An explicit rehash to a larger table.
+  EXPECT_EQ(counter.MaxCount(), 40);
+
+  // The merged maximum is a sum no single input held.
+  FlatCounter other;
+  for (uint64_t k = 500; k < 3000; ++k) other.Add(k, 2);
+  other.Add(UINT64_MAX, 50);
+  EXPECT_EQ(other.MaxCount(), 50);
+  counter.MergeFrom(other);
+  EXPECT_EQ(counter.num_keys(), 3001);
+  EXPECT_EQ(counter.MaxCount(), 57);
+  EXPECT_EQ(counter.Get(UINT64_MAX), 57);
 }
 
 }  // namespace

@@ -95,15 +95,174 @@ TEST(PlannerTest, AcyclicSelectiveQueryPicksGymWhenRoundsAreFree) {
   }
 }
 
+// The planner's BigJoin candidate for `atoms` (it must be ranked).
+CandidatePlan BigJoinCandidate(const ConjunctiveQuery& q,
+                               const std::vector<DistRelation>& atoms) {
+  const PlannedQuery planned = PlanQuery(q, atoms, atoms[0].num_servers());
+  for (const CandidatePlan& plan : planned.candidates) {
+    if (plan.algorithm == PlanAlgorithm::kBigJoin) return plan;
+  }
+  ADD_FAILURE() << "no bigjoin candidate";
+  return CandidatePlan();
+}
+
 TEST(PlannerTest, BigJoinInfeasibleWithDuplicateInputs) {
   const ConjunctiveQuery q = ConjunctiveQuery::TwoWayJoin();
   Relation dup = Relation::FromRows({{1, 2}, {1, 2}});
   Relation clean = Relation::FromRows({{2, 3}});
-  const PlannedQuery planned = PlanQuery(q, Scatter({dup, clean}, 4), 4);
-  for (const CandidatePlan& plan : planned.candidates) {
-    if (plan.algorithm == PlanAlgorithm::kBigJoin) {
-      EXPECT_FALSE(plan.feasible);
+  EXPECT_FALSE(BigJoinCandidate(q, Scatter({dup, clean}, 4)).feasible);
+
+  // The two copies of (1,2) live on different servers; no fragment holds a
+  // duplicate on its own.
+  const std::vector<DistRelation> split = {
+      DistRelation::FromFragments({Relation::FromRows({{1, 2}, {4, 2}}),
+                                   Relation(2),
+                                   Relation::FromRows({{1, 2}}),
+                                   Relation(2)}),
+      DistRelation::Scatter(clean, 4)};
+  EXPECT_FALSE(BigJoinCandidate(q, split).feasible);
+
+  // Control: the same layout with distinct rows stays feasible.
+  const std::vector<DistRelation> distinct = {
+      DistRelation::FromFragments({Relation::FromRows({{1, 2}, {4, 2}}),
+                                   Relation(2),
+                                   Relation::FromRows({{2, 1}}),
+                                   Relation(2)}),
+      DistRelation::Scatter(clean, 4)};
+  EXPECT_TRUE(BigJoinCandidate(q, distinct).feasible);
+}
+
+// The statistics as the planner once computed them: collect each atom,
+// sort-dedup it for the duplicate flag, and build a sorted degree table
+// per distinct-variable column.
+PlannerStats CollectReferenceStats(const ConjunctiveQuery& q,
+                                   const std::vector<DistRelation>& atoms,
+                                   int64_t heavy_threshold) {
+  PlannerStats stats;
+  stats.distinct.assign(q.num_atoms(),
+                        std::vector<int64_t>(q.num_vars(), 0));
+  stats.var_is_heavy.assign(q.num_vars(), false);
+  for (int j = 0; j < q.num_atoms(); ++j) {
+    const int64_t size = atoms[j].TotalSize();
+    stats.sizes.push_back(size);
+    stats.total_in += size;
+    const Relation whole = atoms[j].Collect();
+    stats.atom_has_duplicates.push_back(Dedup(whole).size() != whole.size());
+    for (const auto& [v, c] : DistinctVarCols(q.atom(j))) {
+      const Relation degrees = DegreeCount(whole, c);
+      stats.distinct[j][v] = degrees.size();
+      for (int64_t i = 0; i < degrees.size(); ++i) {
+        if (static_cast<int64_t>(degrees.at(i, 1)) > heavy_threshold) {
+          stats.var_is_heavy[v] = true;
+        }
+      }
     }
+  }
+  return stats;
+}
+
+// Gathers the statistics both ways, expects every field to agree, and
+// returns the planner's.
+PlannerStats GatherAndCompare(const ConjunctiveQuery& q,
+                              const std::vector<DistRelation>& atoms,
+                              int64_t heavy_threshold) {
+  const PlannerStats want = CollectReferenceStats(q, atoms, heavy_threshold);
+  const PlannerStats got = GatherPlannerStats(q, atoms, heavy_threshold);
+  EXPECT_EQ(got.sizes, want.sizes);
+  EXPECT_EQ(got.distinct, want.distinct);
+  EXPECT_EQ(got.var_is_heavy, want.var_is_heavy);
+  EXPECT_EQ(got.atom_has_duplicates, want.atom_has_duplicates);
+  EXPECT_EQ(got.total_in, want.total_in);
+  return got;
+}
+
+// Puts every row of `rel` on server 0 of `p`.
+DistRelation OnOneServer(const Relation& rel, int p) {
+  std::vector<Relation> fragments(p, Relation(rel.arity()));
+  fragments[0] = rel;
+  return DistRelation::FromFragments(std::move(fragments));
+}
+
+TEST(PlannerTest, GatherPlannerStatsMatchesCollectReference) {
+  const ConjunctiveQuery two_way = ConjunctiveQuery::TwoWayJoin();
+
+  // An empty atom next to a non-empty one.
+  {
+    const PlannerStats stats = GatherAndCompare(
+        two_way,
+        {DistRelation(2, 8),
+         DistRelation::Scatter(Relation::FromRows({{1, 2}, {3, 4}}), 8)},
+        1);
+    EXPECT_EQ(stats.sizes, (std::vector<int64_t>{0, 2}));
+    EXPECT_EQ(stats.atom_has_duplicates, (std::vector<bool>{false, false}));
+  }
+
+  // The same data on one server and spread over 64, duplicate-free and
+  // with duplicates.
+  Rng rng(21);
+  for (const Relation& data :
+       {Dedup(GenerateUniform(rng, 3000, 2, 200)),
+        GenerateUniform(rng, 3000, 2, 40)}) {
+    const Relation other = GenerateUniform(rng, 500, 2, 200);
+    const PlannerStats one = GatherAndCompare(
+        two_way, {OnOneServer(data, 64), OnOneServer(other, 64)}, 30);
+    const PlannerStats spread = GatherAndCompare(
+        two_way,
+        {DistRelation::Scatter(data, 64), DistRelation::Scatter(other, 64)},
+        30);
+    EXPECT_EQ(one.distinct, spread.distinct);
+    EXPECT_EQ(one.atom_has_duplicates, spread.atom_has_duplicates);
+  }
+
+  // A duplicate whose copies sit on two fragments, none within one.
+  {
+    const DistRelation split = DistRelation::FromFragments(
+        {Relation::FromRows({{5, 6}, {7, 8}}),
+         Relation::FromRows({{9, 10}, {5, 6}})});
+    const PlannerStats stats = GatherAndCompare(
+        two_way, {split, DistRelation::Scatter(Relation(2), 2)}, 1);
+    EXPECT_TRUE(stats.atom_has_duplicates[0]);
+  }
+
+  // A repeated-variable atom R(x,x) and an arity-3 atom S(x,y,z).
+  {
+    const ConjunctiveQuery q =
+        ConjunctiveQuery::Make({"x", "y", "z"}, {Atom{"R", {0, 0}},
+                                                  Atom{"S", {0, 1, 2}}});
+    const Relation r = Relation::FromRows({{1, 1}, {2, 2}, {3, 9}, {1, 1}});
+    const Relation s =
+        Relation::FromRows({{1, 2, 3}, {1, 2, 4}, {2, 2, 3}, {1, 2, 3}});
+    const PlannerStats stats = GatherAndCompare(
+        q, {DistRelation::Scatter(r, 3), DistRelation::Scatter(s, 3)}, 1);
+    EXPECT_EQ(stats.distinct[0], (std::vector<int64_t>{3, 0, 0}));
+    EXPECT_EQ(stats.distinct[1], (std::vector<int64_t>{2, 1, 2}));
+    EXPECT_EQ(stats.atom_has_duplicates, (std::vector<bool>{true, true}));
+  }
+
+  // A degree exactly at the threshold is light; one above it is heavy.
+  {
+    const Relation r = Relation::FromRows(
+        {{7, 1}, {7, 2}, {7, 3}, {8, 4}, {9, 4}, {10, 4}, {11, 4}});
+    const PlannerStats stats = GatherAndCompare(
+        two_way,
+        {DistRelation::Scatter(r, 4),
+         DistRelation::Scatter(Relation::FromRows({{4, 1}}), 4)},
+        3);
+    EXPECT_EQ(stats.var_is_heavy, (std::vector<bool>{false, true, false}));
+  }
+
+  // The extreme values 0 and UINT64_MAX, in a duplicate and apart.
+  {
+    const Value max = UINT64_MAX;
+    const DistRelation r = DistRelation::FromFragments(
+        {Relation::FromRows({{0, max}, {max, 0}, {0, 0}}),
+         Relation::FromRows({{max, max}, {0, max}})});
+    const DistRelation s = DistRelation::FromFragments(
+        {Relation::FromRows({{max, 0}}), Relation::FromRows({{0, 0}})});
+    const PlannerStats stats = GatherAndCompare(two_way, {r, s}, 2);
+    EXPECT_EQ(stats.distinct[0], (std::vector<int64_t>{2, 2, 0}));
+    EXPECT_EQ(stats.atom_has_duplicates, (std::vector<bool>{true, false}));
+    EXPECT_EQ(stats.var_is_heavy, (std::vector<bool>{true, true, false}));
   }
 }
 
