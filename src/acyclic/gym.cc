@@ -456,9 +456,7 @@ GymResult GymJoin(Cluster& cluster, const ConjunctiveQuery& q, const Ghd& ghd,
     }
     const ConjunctiveQuery bag_query =
         ConjunctiveQuery::Make(q.var_names(), bag_atoms);
-    SkewHcOptions hc;
-    hc.rounding = options.rounding;
-    result.output = SkewHcJoin(cluster, bag_query, bags, hc).output;
+    result.output = SkewHcJoin(cluster, bag_query, bags).output;
   } else {
     std::vector<DistRelation> results = bags;
     std::vector<std::vector<int>> result_vars = bag_vars;

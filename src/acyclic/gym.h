@@ -33,7 +33,6 @@ namespace mpcqp {
 // materializations) stay proportional to input (slide 78).
 struct GymOptions {
   bool optimized = false;
-  ShareRounding rounding = ShareRounding::kFloorGreedy;
 };
 
 struct GymResult {

@@ -164,7 +164,8 @@ void FlagSet::KeyValue(const std::string& name,
   Add(std::move(flag));
 }
 
-Status FlagSet::Parse(int argc, char** argv) const {
+Status FlagSet::Parse(int argc, char** argv,
+                      std::set<std::string>* given) const {
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
     // Accept the --flag=value spelling by splitting at the first '='.
@@ -180,6 +181,7 @@ Status FlagSet::Parse(int argc, char** argv) const {
     }
     const Flag* flag = Find(arg);
     if (flag == nullptr) return InvalidArgumentError("unknown flag " + arg);
+    if (given != nullptr) given->insert(flag->name);
     if (!flag->takes_value) {
       if (has_inline_value) {
         return FlagError(flag->name, "does not take a value");

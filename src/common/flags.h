@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -42,8 +43,10 @@ class FlagSet {
 
   // Parses argv[1..argc). On the first problem returns an
   // InvalidArgumentError naming the flag; `out` state already assigned by
-  // earlier flags is left in place (callers exit on error anyway).
-  Status Parse(int argc, char** argv) const;
+  // earlier flags is left in place (callers exit on error anyway). A
+  // non-null `given` receives the name of every flag on the command line.
+  Status Parse(int argc, char** argv,
+               std::set<std::string>* given = nullptr) const;
 
   // One "  --name VALUE  help" line per registered flag, in registration
   // order (the generated body of a usage message).

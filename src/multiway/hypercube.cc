@@ -6,7 +6,6 @@
 #include "common/trace.h"
 #include "mpc/exchange.h"
 #include "mpc/metrics.h"
-#include "query/generic_join.h"
 #include "query/local_eval.h"
 #include "relation/relation_ops.h"
 
@@ -63,7 +62,7 @@ HyperCubeResult HyperCubeJoin(Cluster& cluster, const ConjunctiveQuery& q,
     std::vector<int64_t> sizes;
     sizes.reserve(q.num_atoms());
     for (const DistRelation& a : atoms) sizes.push_back(a.TotalSize());
-    shares = ComputeShares(q, sizes, p, options.rounding).shares;
+    shares = ComputeShares(q, sizes, p).shares;
   }
 
   // Mixed-radix strides: coordinate c = (c_0..c_{k-1}) lives on server
@@ -142,10 +141,7 @@ HyperCubeResult HyperCubeJoin(Cluster& cluster, const ConjunctiveQuery& q,
       local_atoms[j] = routed[j].fragment(s);
       if (!local_atoms[j].empty()) any = true;
     }
-    outputs[s] = any ? (options.local == LocalEvaluator::kBinaryJoins
-                            ? EvalJoinLocal(q, local_atoms)
-                            : EvalJoinWcoj(q, local_atoms))
-                     : Relation(k);
+    outputs[s] = any ? EvalJoinLocal(q, local_atoms) : Relation(k);
   });
   return HyperCubeResult{DistRelation::FromFragments(std::move(outputs)),
                          std::move(shares)};

@@ -22,19 +22,9 @@ namespace mpcqp {
 // Skew-free load: IN / p^{1/τ*} for equal-size atoms (τ* = fractional edge
 // packing number); N/p^{2/3} for the triangle. Degrades under skew — use
 // SkewHcJoin then.
-// Which local evaluator each server runs on its received fragments.
-enum class LocalEvaluator {
-  // Pairwise hash joins (EvalJoinLocal): SQL bag semantics.
-  kBinaryJoins,
-  // Worst-case optimal Generic Join (EvalJoinWcoj): SET semantics — input
-  // duplicates do not multiply. Robust against skewed fragments whose
-  // binary intermediates would explode (bench A3).
-  kGenericJoin,
-};
-
+// Each server evaluates its fragments with pairwise hash joins
+// (EvalJoinLocal): SQL bag semantics.
 struct HyperCubeOptions {
-  ShareRounding rounding = ShareRounding::kFloorGreedy;
-  LocalEvaluator local = LocalEvaluator::kBinaryJoins;
   // If non-empty, overrides the share computation (one entry per query
   // variable, product <= p). Used by benches reproducing specific rows of
   // the deck's tables.

@@ -150,7 +150,7 @@ SkewHcResult SkewHcJoin(Cluster& cluster, const ConjunctiveQuery& q,
         const ConjunctiveQuery residual =
             ConjunctiveQuery::Make(names, residual_atoms);
         const IntegerShares shares =
-            ComputeShares(residual, residual_sizes, p, options.rounding);
+            ComputeShares(residual, residual_sizes, p);
         for (size_t i = 0; i < light_vars.size(); ++i) {
           plan.shares[light_vars[i]] = shares.shares[i];
         }

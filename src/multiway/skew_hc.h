@@ -27,7 +27,6 @@ namespace mpcqp {
 struct SkewHcOptions {
   // Multiplies the IN/p heavy threshold (ablation knob A2).
   double threshold_factor = 1.0;
-  ShareRounding rounding = ShareRounding::kFloorGreedy;
 };
 
 // Book-keeping about one executed residual query (a heavy/light combo),

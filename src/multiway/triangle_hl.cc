@@ -71,10 +71,8 @@ TriangleHlResult TriangleHeavyLightJoin(Cluster& cluster,
   const ConjunctiveQuery q = ConjunctiveQuery::Triangle();
 
   // Light part: one-round HyperCube over all p servers.
-  HyperCubeOptions hc;
-  hc.rounding = options.rounding;
-  const HyperCubeResult light = HyperCubeJoin(cluster, q, {r, s_light,
-                                                           t_light}, hc);
+  const HyperCubeResult light =
+      HyperCubeJoin(cluster, q, {r, s_light, t_light});
 
   TriangleHlResult result{light.output, static_cast<int64_t>(heavy.size()),
                           0, 2};

@@ -28,7 +28,6 @@ namespace mpcqp {
 struct TriangleHlOptions {
   // Heavy threshold factor over IN/p^{1/3}.
   double threshold_factor = 1.0;
-  ShareRounding rounding = ShareRounding::kFloorGreedy;
 };
 
 struct TriangleHlResult {

@@ -101,6 +101,10 @@ void PlanCache::Insert(const ConjunctiveQuery& q,
                        const std::vector<int64_t>& sizes, int p,
                        const PlannerOptions& options,
                        const EnumeratedPlan& plan) {
+  // BigJoin is the one family that is correct only on duplicate-free
+  // inputs, and a size-only key cannot see duplicates: a same-size hit
+  // could run it on data with duplicates. It is never cached.
+  if (plan.family == PlanAlgorithm::kBigJoin) return;
   Entry entry;
   entry.size_fingerprint = CanonicalSizes(shape, sizes);
   entry.family = plan.family;

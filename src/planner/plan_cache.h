@@ -45,6 +45,8 @@ class PlanCache {
 
   // Stores a freshly enumerated plan (given in q's atom space) under the
   // shape's canonical space. Overwrites any existing entry for the key.
+  // A kBigJoin plan is not stored: it needs duplicate-free inputs, which
+  // the size-only key cannot check.
   void Insert(const ConjunctiveQuery& q, const CanonicalQueryShape& shape,
               const std::vector<int64_t>& sizes, int p,
               const PlannerOptions& options, const EnumeratedPlan& plan);

@@ -3,17 +3,17 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <cstdio>
 #include <optional>
 #include <utility>
 #include <vector>
 
+#include "agg/aggregate.h"
 #include "common/check.h"
 #include "common/random.h"
 #include "mpc/cluster.h"
 #include "mpc/dist_relation.h"
-#include "planner/planner.h"
 #include "query/hypergraph_lp.h"
-#include "query/query.h"
 
 namespace mpcqp {
 namespace {
@@ -78,7 +78,8 @@ int64_t EstimateBytes(const ConjunctiveQuery& q, const ResolvedAtoms& atoms) {
 // bit. Thread count and morsel size are deliberately absent — the
 // determinism contract says they never change results.
 std::string BuildKey(const ConjunctiveQuery& q, const ResolvedAtoms& atoms,
-                     const ServeOptions& options) {
+                     const ServeOptions& options,
+                     const std::optional<AggregateColumns>& aggregate) {
   std::string key = q.ToString();
   for (const Catalog::Entry& entry : atoms.entries) {
     key += "|fp=" + std::to_string(entry.fingerprint);
@@ -87,10 +88,51 @@ std::string BuildKey(const ConjunctiveQuery& q, const ResolvedAtoms& atoms,
   key += "|alg=" + options.algorithm;
   key += "|seed=" + std::to_string(options.seed);
   key += "|rc=" + std::to_string(options.round_cost);
+  if (options.cost.calibrated) {
+    char buf[128];
+    std::snprintf(buf, sizeof(buf), "|c=%.9g,%.9g,%.9g,%.9g",
+                  options.cost.route_us_per_tuple,
+                  options.cost.copy_us_per_value,
+                  options.cost.local_us_per_tuple,
+                  options.cost.round_overhead_us);
+    key += buf;
+  }
+  if (aggregate) {
+    key += "|agg=" + std::to_string(static_cast<int>(aggregate->op)) + ":" +
+           std::to_string(aggregate->value_col) + "|by=";
+    for (const int col : aggregate->group_cols) {
+      key += std::to_string(col) + ",";
+    }
+  }
   return key;
 }
 
 }  // namespace
+
+StatusOr<AggregateColumns> ResolveAggregate(const ConjunctiveQuery& q,
+                                            const AggregateSpec& spec) {
+  const std::vector<std::string>& vars = q.var_names();
+  auto column = [&](const std::string& name) -> StatusOr<int> {
+    const auto it = std::find(vars.begin(), vars.end(), name);
+    if (it == vars.end()) {
+      return InvalidArgumentError("aggregate names '" + name +
+                                  "', which is not a query variable");
+    }
+    return static_cast<int>(it - vars.begin());
+  };
+  AggregateColumns columns;
+  columns.op = spec.op;
+  for (const std::string& name : spec.group_vars) {
+    MPCQP_ASSIGN_OR_RETURN(const int col, column(name));
+    columns.group_cols.push_back(col);
+  }
+  if (!spec.value_var.empty()) {
+    MPCQP_ASSIGN_OR_RETURN(columns.value_col, column(spec.value_var));
+  } else if (spec.op != AggregateOp::kCount) {
+    return InvalidArgumentError("only COUNT may omit the value variable");
+  }
+  return columns;
+}
 
 QueryServer::QueryServer(Catalog* catalog, ServeOptions options)
     : catalog_(catalog),
@@ -115,27 +157,29 @@ QueryServer::Counters QueryServer::counters() const {
   return counters_;
 }
 
-StatusOr<QueryResult> QueryServer::Execute(const std::string& query_text) {
+StatusOr<QueryResult> QueryServer::Execute(
+    const std::string& query_text,
+    const std::optional<AggregateSpec>& aggregate) {
   const double start_ms = NowMs();
-  const auto query = ConjunctiveQuery::Parse(query_text);
-  if (!query.ok()) return query.status();
-  const ConjunctiveQuery& q = *query;
+  MPCQP_ASSIGN_OR_RETURN(const ConjunctiveQuery q,
+                         ConjunctiveQuery::Parse(query_text));
 
-  // A forced family is checked before any data is touched: a bad name or
-  // an infeasible family fails here, never holding an admission slot.
+  // A forced family and the aggregate are checked before any data is
+  // touched: a bad name, an infeasible family or an unknown variable fails
+  // here, never holding an admission slot.
   const auto family = ParseAlgorithmName(options_.algorithm);
   if (!family.ok()) return family.status();
   std::optional<PlannedQuery> forced;
   if (family->has_value()) {
-    auto plan = ForcedPlan(q, **family);
-    if (!plan.ok()) return plan.status();
-    forced = std::move(plan).value();
+    MPCQP_ASSIGN_OR_RETURN(forced, ForcedPlan(q, **family));
   }
+  std::optional<AggregateColumns> agg;
+  if (aggregate) {
+    MPCQP_ASSIGN_OR_RETURN(agg, ResolveAggregate(q, *aggregate));
+  }
+  MPCQP_ASSIGN_OR_RETURN(const ResolvedAtoms resolved, Resolve(q, *catalog_));
 
-  auto resolved = Resolve(q, *catalog_);
-  if (!resolved.ok()) return resolved.status();
-
-  const int64_t estimated_bytes = EstimateBytes(q, *resolved);
+  const int64_t estimated_bytes = EstimateBytes(q, resolved);
   if (options_.mem_budget_bytes > 0 &&
       estimated_bytes > options_.mem_budget_bytes) {
     {
@@ -148,7 +192,7 @@ StatusOr<QueryResult> QueryServer::Execute(const std::string& query_text) {
         std::to_string(options_.mem_budget_bytes));
   }
 
-  const std::string key = BuildKey(q, *resolved, options_);
+  const std::string key = BuildKey(q, resolved, options_, agg);
 
   // A previous execution against the same data already answered this.
   const auto cache_hit = [&]() -> std::optional<QueryResult> {
@@ -208,19 +252,22 @@ StatusOr<QueryResult> QueryServer::Execute(const std::string& query_text) {
     publish(admitted);
     return admitted;
   }
+  // Gives the slot back on every path out of here, error or not.
+  struct Slot {
+    AdmissionController& admission;
+    int64_t bytes;
+    ~Slot() { admission.Release(bytes); }
+  } slot{admission_, estimated_bytes};
 
   ClusterOptions cluster_options;
   cluster_options.morsel_rows = options_.morsel_rows;
   cluster_options.shared_pool = pool_;
-  // seed + 1 for the cluster, seed + 2 for the algorithm Rng: the exact
-  // derivation mpcqp_run uses, so served answers are bit-identical to the
-  // one-shot CLI.
   Cluster cluster(options_.num_servers, options_.seed + 1, cluster_options);
   Cluster::ScopedExecution exec_scope(cluster);
 
   std::vector<DistRelation> dist;
-  dist.reserve(resolved->entries.size());
-  for (const Catalog::Entry& entry : resolved->entries) {
+  dist.reserve(resolved.entries.size());
+  for (const Catalog::Entry& entry : resolved.entries) {
     dist.push_back(DistRelation::Scatter(entry.relation, options_.num_servers,
                                          &cluster.pool()));
   }
@@ -232,17 +279,29 @@ StatusOr<QueryResult> QueryServer::Execute(const std::string& query_text) {
   } else {
     PlannerOptions planner_options;
     planner_options.round_cost_tuples = options_.round_cost;
+    planner_options.cost = options_.cost;
     planned = PlanQuery(q, dist, options_.num_servers, planner_options,
                         options_.enable_plan_cache ? &plan_cache_ : nullptr);
   }
-  const DistRelation output =
+  DistRelation output =
       ExecutePlannedQuery(cluster, q, dist, planned, algo_rng);
+  if (agg) {
+    auto grouped = DistributedGroupByAggregate(
+        cluster, output, agg->group_cols, agg->value_col, agg->op);
+    if (!grouped.ok()) {
+      publish(grouped.status());
+      return grouped.status();
+    }
+    output = std::move(grouped).value();
+  }
 
   QueryResult result;
   result.output = output.Collect(&cluster.pool());
   result.stats = BuildStatsReport(cluster);
+  result.cost = cluster.cost_report();
   result.algorithm = PlanAlgorithmName(planned.plan.family);
   result.plan_cache_hit = planned.cache_hit;
+  result.plan = std::move(planned);
 
   if (options_.enable_result_cache) {
     result_cache_.Insert(key, result.output);
@@ -257,7 +316,6 @@ StatusOr<QueryResult> QueryServer::Execute(const std::string& query_text) {
     inflight_.erase(key);
     flight->done_cv.notify_all();
   }
-  admission_.Release(estimated_bytes);
 
   result.latency_ms = NowMs() - start_ms;
   return result;

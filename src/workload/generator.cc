@@ -2,9 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <new>
+#include <stdexcept>
 #include <unordered_set>
 
 #include "common/check.h"
+#include "common/parse.h"
 
 namespace mpcqp {
 
@@ -139,6 +142,85 @@ std::vector<Relation> GenerateChain(Rng& rng, int num_atoms, int64_t rows,
 std::vector<Relation> GenerateStar(Rng& rng, int num_atoms, int64_t rows,
                                    uint64_t domain) {
   return GenerateChain(rng, num_atoms, rows, domain);
+}
+
+namespace {
+
+// The spec's fields, each through the checked parsers ("20k" or a wrapped
+// 2^64 is an error, not a silent zero), plus every precondition the
+// generators above CHECK.
+StatusOr<Relation> ParseAndGenerate(const std::string& spec, int arity,
+                                    Rng& rng) {
+  std::vector<std::string> parts;
+  size_t pos = 0;
+  for (size_t colon; (colon = spec.find(':', pos)) != std::string::npos;
+       pos = colon + 1) {
+    parts.push_back(spec.substr(pos, colon - pos));
+  }
+  parts.push_back(spec.substr(pos));
+  const std::string& kind = parts[0];
+  auto bad = [&](const std::string& why) {
+    return InvalidArgumentError("bad generator spec '" + spec + "': " + why);
+  };
+  // Field i as an integer in [min, max].
+  auto field = [&](size_t i, uint64_t min,
+                   uint64_t max) -> StatusOr<uint64_t> {
+    auto parsed = ParseUint64(parts[i]);
+    if (!parsed.ok()) return bad(parsed.status().message());
+    if (*parsed < min || *parsed > max) {
+      return bad(parts[i] + " is outside [" + std::to_string(min) + ", " +
+                 std::to_string(max) + "]");
+    }
+    return parsed;
+  };
+  if (arity < 1) return bad("the atom has no columns");
+  const uint64_t max_rows = INT64_MAX / arity;
+
+  if ((kind == "uniform" && parts.size() == 3) ||
+      (kind == "zipf" && parts.size() == 4)) {
+    MPCQP_ASSIGN_OR_RETURN(const uint64_t rows, field(1, 0, max_rows));
+    MPCQP_ASSIGN_OR_RETURN(const uint64_t domain, field(2, 1, UINT64_MAX));
+    if (kind == "uniform") return GenerateUniform(rng, rows, arity, domain);
+    const auto skew = ParseDouble(parts[3]);
+    if (!skew.ok()) return bad(skew.status().message());
+    if (*skew < 0.0) return bad("skew must be >= 0");
+    return GenerateZipf(rng, rows, arity, domain, /*zipf_col=*/0, *skew);
+  }
+  if ((kind == "degree" || kind == "graph") && parts.size() == 3 &&
+      arity != 2) {
+    return bad(kind + " needs arity 2");
+  }
+  if (kind == "degree" && parts.size() == 3) {
+    MPCQP_ASSIGN_OR_RETURN(const uint64_t rows, field(1, 0, max_rows));
+    MPCQP_ASSIGN_OR_RETURN(const uint64_t degree, field(2, 1, INT64_MAX));
+    if (rows % degree != 0) return bad("rows must be a multiple of degree");
+    return GenerateMatchingDegree(rng, rows, degree);
+  }
+  if (kind == "graph" && parts.size() == 3) {
+    MPCQP_ASSIGN_OR_RETURN(const uint64_t nodes, field(1, 2, UINT64_MAX));
+    // NODES * (NODES - 1) distinct edges exist; past 2^64, any count fits.
+    uint64_t pairs = 0;
+    const bool huge = __builtin_mul_overflow(nodes, nodes - 1, &pairs);
+    MPCQP_ASSIGN_OR_RETURN(
+        const uint64_t edges,
+        field(2, 0, huge ? max_rows : std::min(pairs, max_rows)));
+    return GenerateRandomGraph(rng, nodes, edges);
+  }
+  return bad("expected uniform:ROWS:DOMAIN | zipf:ROWS:DOMAIN:SKEW | "
+             "degree:ROWS:DEGREE | graph:NODES:EDGES");
+}
+
+}  // namespace
+
+StatusOr<Relation> GenerateFromSpec(const std::string& spec, int arity,
+                                    Rng& rng) {
+  try {
+    return ParseAndGenerate(spec, arity, rng);
+  } catch (const std::bad_alloc&) {
+  } catch (const std::length_error&) {
+  }
+  return ResourceExhaustedError("generator spec '" + spec +
+                                "' does not fit in memory");
 }
 
 }  // namespace mpcqp

@@ -2,9 +2,11 @@
 #define MPCQP_WORKLOAD_GENERATOR_H_
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "common/random.h"
+#include "common/statusor.h"
 #include "relation/relation.h"
 
 namespace mpcqp {
@@ -67,6 +69,16 @@ std::vector<Relation> GenerateChain(Rng& rng, int num_atoms, int64_t rows,
 // variable x0 is drawn uniform in [0, domain) in every relation.
 std::vector<Relation> GenerateStar(Rng& rng, int num_atoms, int64_t rows,
                                    uint64_t domain);
+
+// One relation of the given arity from a command-line generator spec:
+//   uniform:ROWS:DOMAIN | zipf:ROWS:DOMAIN:SKEW (column 0 skewed) |
+//   degree:ROWS:DEGREE (arity 2) | graph:NODES:EDGES (arity 2).
+// Every spec the generators above would CHECK on (a zero domain or
+// degree, a negative skew, ROWS not a multiple of DEGREE, fewer than two
+// nodes, more edges than NODES*(NODES-1)), and every malformed one, is
+// INVALID_ARGUMENT; a size whose allocation fails is RESOURCE_EXHAUSTED.
+StatusOr<Relation> GenerateFromSpec(const std::string& spec, int arity,
+                                    Rng& rng);
 
 }  // namespace mpcqp
 

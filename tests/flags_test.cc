@@ -6,6 +6,7 @@
 
 #include <cstdint>
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -71,7 +72,10 @@ TEST(FlagsTest, AliasAndRepeatedKeyValue) {
 
   Argv argv({"-p", "64", "--gen", "R=uniform:10:5", "--gen=S=zipf:9:3:1.1",
              "--gen", "R=uniform:20:7"});
-  ASSERT_TRUE(flags.Parse(argv.argc(), argv.argv()).ok());
+  std::set<std::string> given;
+  ASSERT_TRUE(flags.Parse(argv.argc(), argv.argv(), &given).ok());
+  // Each given flag once, by its long name, whatever the spelling.
+  EXPECT_EQ(given, (std::set<std::string>{"servers", "gen"}));
   EXPECT_EQ(servers, 64);
   ASSERT_EQ(gens.size(), 2u);
   EXPECT_EQ(gens["R"], "uniform:20:7");  // Later occurrence wins.

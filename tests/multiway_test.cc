@@ -183,24 +183,6 @@ TEST(HyperCubeTest, ForcedSharesRespected) {
       MultisetEqual(result.output.Collect(), EvalJoinLocal(q, atoms)));
 }
 
-TEST(HyperCubeTest, GenericJoinLocalEvaluatorSetSemantics) {
-  // Duplicate-free inputs: the WCOJ evaluator must produce exactly the
-  // (set-semantics == bag-semantics) reference.
-  const ConjunctiveQuery q = ConjunctiveQuery::Triangle();
-  Rng rng(93);
-  std::vector<Relation> atoms;
-  for (int j = 0; j < 3; ++j) {
-    atoms.push_back(Dedup(GenerateUniform(rng, 250, 2, 12)));
-  }
-  Cluster cluster(27, 5);
-  HyperCubeOptions options;
-  options.local = LocalEvaluator::kGenericJoin;
-  const HyperCubeResult result =
-      HyperCubeJoin(cluster, q, Scatter(atoms, 27), options);
-  EXPECT_TRUE(
-      MultisetEqual(result.output.Collect(), EvalJoinLocal(q, atoms)));
-}
-
 TEST(HyperCubeTest, EmptyAtomGivesEmptyOutput) {
   const ConjunctiveQuery q = ConjunctiveQuery::Triangle();
   Rng rng(91);

@@ -9,6 +9,7 @@
 #include "planner/planner.h"
 #include "query/local_eval.h"
 #include "relation/relation_ops.h"
+#include "test_data.h"
 #include "workload/generator.h"
 
 namespace mpcqp {
@@ -130,6 +131,30 @@ TEST(PlannerTest, BigJoinInfeasibleWithDuplicateInputs) {
                                    Relation(2)}),
       DistRelation::Scatter(clean, 4)};
   EXPECT_TRUE(BigJoinCandidate(q, distinct).feasible);
+}
+
+// BigJoin is correct only on duplicate-free inputs, and the plan cache's
+// size-only key cannot see duplicates: same-size data with one duplicate
+// must be planned afresh, not handed the cached BigJoin plan.
+TEST(PlannerTest, PlanCacheDoesNotReuseBigJoinAcrossDuplicates) {
+  const ConjunctiveQuery q = ConjunctiveQuery::Triangle();
+  constexpr int kServers = 64;
+  const TriangleDuplicateData data = MakeTriangleDuplicateData();
+  PlanCache cache;
+  const PlannedQuery clean =
+      PlanQuery(q, Scatter(data.atoms, kServers), kServers, {}, &cache);
+  ASSERT_EQ(clean.plan.family, PlanAlgorithm::kBigJoin);
+
+  const std::vector<Relation> atoms = {data.r_with_duplicate, data.atoms[1],
+                                       data.atoms[2]};
+  const std::vector<DistRelation> dist = Scatter(atoms, kServers);
+  const PlannedQuery planned = PlanQuery(q, dist, kServers, {}, &cache);
+  EXPECT_FALSE(planned.cache_hit);
+  EXPECT_NE(planned.plan.family, PlanAlgorithm::kBigJoin);
+  Cluster cluster(kServers, 1);
+  Rng rng(2);
+  const DistRelation out = ExecutePlannedQuery(cluster, q, dist, planned, rng);
+  EXPECT_TRUE(MultisetEqual(out.Collect(), EvalJoinLocal(q, atoms)));
 }
 
 // The statistics as the planner once computed them: collect each atom,

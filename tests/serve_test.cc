@@ -22,6 +22,7 @@
 #include "serve/load_driver.h"
 #include "serve/query_server.h"
 #include "serve/result_cache.h"
+#include "test_data.h"
 #include "workload/generator.h"
 
 namespace mpcqp {
@@ -167,7 +168,17 @@ TEST(QueryServerTest, ErrorsAreTyped) {
   QueryServer gym_server(&catalog, gym);
   EXPECT_EQ(gym_server.Execute("R(x,y), R(y,z), R(z,x)").status().code(),
             StatusCode::kInvalidArgument);
-  for (const QueryServer* rejecting : {&bogus_server, &gym_server}) {
+  // So does an aggregate naming an unknown variable, or a SUM without one.
+  QueryServer agg_server(&catalog, TestOptions());
+  for (const AggregateSpec& spec :
+       {AggregateSpec{{"bogus"}, AggregateOp::kCount, ""},
+        AggregateSpec{{"x"}, AggregateOp::kSum, "nonexistent"},
+        AggregateSpec{{"x"}, AggregateOp::kSum, ""}}) {
+    EXPECT_EQ(agg_server.Execute("R(x,y), R(y,z)", spec).status().code(),
+              StatusCode::kInvalidArgument);
+  }
+  for (const QueryServer* rejecting :
+       {&bogus_server, &gym_server, &agg_server}) {
     EXPECT_EQ(rejecting->admission().counters().admitted, 0);
     EXPECT_EQ(rejecting->admission().counters().inflight, 0);
   }
@@ -321,6 +332,94 @@ TEST(QueryServerTest, ServedAnswerIsBitIdenticalToSoloRun) {
   EXPECT_EQ(served->stats.max_load_tuples, solo_result->stats.max_load_tuples);
   EXPECT_EQ(served->stats.total_comm_tuples,
             solo_result->stats.total_comm_tuples);
+}
+
+// Same-size data with one duplicate, re-registered under the same names:
+// the plan cache must not hand the duplicate-free epoch's BigJoin plan to
+// the new data.
+TEST(QueryServerTest, SameSizeDuplicateAfterBigJoinMatchesSerial) {
+  const TriangleDuplicateData data = MakeTriangleDuplicateData();
+  Catalog catalog;
+  catalog.Register("R", data.atoms[0]);
+  catalog.Register("S", data.atoms[1]);
+  catalog.Register("T", data.atoms[2]);
+  ServeOptions options = TestOptions();
+  options.num_servers = 64;
+  QueryServer server(&catalog, options);
+  const std::string text = "R(x,y), S(y,z), T(z,x)";
+  const auto clean = server.Execute(text);
+  ASSERT_TRUE(clean.ok()) << clean.status().ToString();
+  ASSERT_EQ(clean->algorithm, "bigjoin");
+
+  catalog.Register("R", data.r_with_duplicate);
+  const auto served = server.Execute(text);
+  ASSERT_TRUE(served.ok()) << served.status().ToString();
+  EXPECT_FALSE(served->result_cache_hit);
+  const auto q = ConjunctiveQuery::Parse(text);
+  EXPECT_TRUE(MultisetEqual(
+      served->output,
+      EvalJoinLocal(*q, {data.r_with_duplicate, data.atoms[1],
+                         data.atoms[2]})));
+}
+
+// The join round feeds a group-by round on the same Cluster: the answer is
+// the serial GROUP BY of the serial join, the CostReport ends in the
+// group-by round, and the aggregate is part of the result-cache key.
+TEST(QueryServerTest, AggregateRunsAsAGroupByRound) {
+  Catalog catalog;
+  const Relation a = SmallRelation(61);
+  const Relation b = SmallRelation(67);
+  catalog.Register("A", a);
+  catalog.Register("B", b);
+  QueryServer server(&catalog, TestOptions());
+  const std::string text = "A(x,y), B(y,z)";
+  const AggregateSpec sum_z_by_x{{"x"}, AggregateOp::kSum, "z"};
+
+  const auto plain = server.Execute(text);
+  ASSERT_TRUE(plain.ok()) << plain.status().ToString();
+  const auto grouped = server.Execute(text, sum_z_by_x);
+  ASSERT_TRUE(grouped.ok()) << grouped.status().ToString();
+  EXPECT_FALSE(grouped->result_cache_hit);
+  const auto q = ConjunctiveQuery::Parse(text);
+  const auto expected =
+      GroupByAggregate(EvalJoinLocal(*q, {a, b}), {0}, 2, AggregateOp::kSum);
+  ASSERT_TRUE(expected.ok());
+  EXPECT_TRUE(MultisetEqual(grouped->output, *expected));
+  EXPECT_EQ(grouped->stats.num_rounds, plain->stats.num_rounds + 1);
+  ASSERT_FALSE(grouped->cost.rounds().empty());
+  EXPECT_EQ(grouped->cost.rounds().back().label, "group-by shuffle");
+  EXPECT_EQ(grouped->cost.num_rounds(), grouped->stats.num_rounds);
+
+  // Same aggregate: a hit. Another aggregate, or none: not this entry.
+  const auto again = server.Execute(text, sum_z_by_x);
+  ASSERT_TRUE(again.ok());
+  EXPECT_TRUE(again->result_cache_hit);
+  EXPECT_EQ(again->output, grouped->output);
+  const auto count = server.Execute(text, AggregateSpec{{"x"}, AggregateOp::kCount, ""});
+  ASSERT_TRUE(count.ok());
+  EXPECT_FALSE(count->result_cache_hit);
+  const auto unaggregated = server.Execute(text);
+  ASSERT_TRUE(unaggregated.ok());
+  EXPECT_EQ(unaggregated->output, plain->output);
+  EXPECT_EQ(server.counters().executed, 3);
+}
+
+// A group-by that overflows fails after its join ran: the error reaches
+// the caller, the slot is released, and nothing is cached.
+TEST(QueryServerTest, FailedAggregateReleasesItsSlot) {
+  constexpr Value kHalf = Value{1} << 63;
+  Catalog catalog;
+  catalog.Register("A", Relation::FromRows({{1, kHalf}}));
+  catalog.Register("B", Relation::FromRows({{kHalf, 1}, {kHalf, 2}}));
+  QueryServer server(&catalog, TestOptions());
+  const AggregateSpec sum_y{{}, AggregateOp::kSum, "y"};
+  for (int attempt = 0; attempt < 2; ++attempt) {
+    EXPECT_EQ(server.Execute("A(x,y), B(y,z)", sum_y).status().code(),
+              StatusCode::kOutOfRange);
+  }
+  EXPECT_EQ(server.admission().counters().admitted, 2);
+  EXPECT_EQ(server.admission().counters().inflight, 0);
+  EXPECT_EQ(server.result_cache().counters().insertions, 0);
 }
 
 TEST(QueryServerTest, MemoryBudgetRejectsBigQueries) {

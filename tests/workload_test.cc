@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <ostream>
 #include <set>
+#include <string>
 
+#include "common/status.h"
 #include "relation/relation_ops.h"
 #include "workload/generator.h"
 
@@ -94,6 +97,103 @@ TEST(GeneratorTest, DeterministicGivenSeed) {
   Rng a(77);
   Rng b(77);
   EXPECT_TRUE(GenerateUniform(a, 50, 2, 10) == GenerateUniform(b, 50, 2, 10));
+}
+
+// --- GenerateFromSpec: the command-line spec grammar ---
+
+TEST(GenerateFromSpecTest, SpecsMatchTheGenerators) {
+  Rng a(7);
+  Rng b(7);
+  auto uniform = GenerateFromSpec("uniform:40:9", 3, a);
+  ASSERT_TRUE(uniform.ok()) << uniform.status().ToString();
+  EXPECT_EQ(*uniform, GenerateUniform(b, 40, 3, 9));
+  auto zipf = GenerateFromSpec("zipf:40:9:1.5", 2, a);
+  ASSERT_TRUE(zipf.ok()) << zipf.status().ToString();
+  EXPECT_EQ(*zipf, GenerateZipf(b, 40, 2, 9, /*zipf_col=*/0, 1.5));
+  auto degree = GenerateFromSpec("degree:40:4", 2, a);
+  ASSERT_TRUE(degree.ok()) << degree.status().ToString();
+  EXPECT_EQ(*degree, GenerateMatchingDegree(b, 40, 4));
+  auto graph = GenerateFromSpec("graph:3:6", 2, a);
+  ASSERT_TRUE(graph.ok()) << graph.status().ToString();
+  EXPECT_EQ(*graph, GenerateRandomGraph(b, 3, 6));
+  // NODES * (NODES - 1) overflows 64 bits past 2^32 nodes; such a graph
+  // has room for any edge count.
+  auto sparse = GenerateFromSpec("graph:4294967297:10", 2, a);
+  ASSERT_TRUE(sparse.ok()) << sparse.status().ToString();
+  EXPECT_EQ(*sparse, GenerateRandomGraph(b, 4294967297, 10));
+}
+
+struct BadSpec {
+  const char* name;  // gtest parameter name.
+  const char* spec;
+  int arity;
+  StatusCode code;
+};
+
+void PrintTo(const BadSpec& bad, std::ostream* os) { *os << bad.spec; }
+
+class GenerateFromSpecRejects : public ::testing::TestWithParam<BadSpec> {};
+
+// Every spec a generator would CHECK on, and every malformed one, is a
+// typed error rather than an abort.
+TEST_P(GenerateFromSpecRejects, WithATypedError) {
+  Rng rng(9);
+  const auto generated =
+      GenerateFromSpec(GetParam().spec, GetParam().arity, rng);
+  EXPECT_EQ(generated.status().code(), GetParam().code)
+      << GetParam().spec << ": " << generated.status().ToString();
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Specs, GenerateFromSpecRejects,
+    ::testing::Values(
+        BadSpec{"UniformZeroDomain", "uniform:10:0", 2,
+                StatusCode::kInvalidArgument},
+        BadSpec{"ZipfNegativeSkew", "zipf:10:5:-1", 2,
+                StatusCode::kInvalidArgument},
+        BadSpec{"DegreeZero", "degree:10:0", 2, StatusCode::kInvalidArgument},
+        BadSpec{"DegreeNotDividingRows", "degree:10:3", 2,
+                StatusCode::kInvalidArgument},
+        BadSpec{"GraphNoNodes", "graph:0:10", 2, StatusCode::kInvalidArgument},
+        BadSpec{"GraphOneNode", "graph:1:10", 2, StatusCode::kInvalidArgument},
+        BadSpec{"GraphTooManyEdges", "graph:3:100", 2,
+                StatusCode::kInvalidArgument},
+        BadSpec{"DegreeWrongArity", "degree:10:2", 3,
+                StatusCode::kInvalidArgument},
+        BadSpec{"UnknownKind", "normal:10:5", 2, StatusCode::kInvalidArgument},
+        BadSpec{"NotANumber", "uniform:20k:5", 2,
+                StatusCode::kInvalidArgument},
+        // rows * arity past INT64_MAX would wrap the reservation.
+        BadSpec{"RowsTimesArityOverflow", "uniform:4611686018427387904:5", 4,
+                StatusCode::kInvalidArgument}),
+    [](const ::testing::TestParamInfo<BadSpec>& info) {
+      return std::string(info.param.name);
+    });
+
+// Sanitizer allocators abort on an impossible request instead of throwing
+// std::bad_alloc, so the RESOURCE_EXHAUSTED path only runs without them.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+constexpr bool kAllocatorThrows = false;
+#else
+constexpr bool kAllocatorThrows = true;
+#endif
+
+TEST(GenerateFromSpecTest, UniformTooLargeIsResourceExhausted) {
+  if (!kAllocatorThrows) GTEST_SKIP() << "sanitizer allocator aborts";
+  Rng rng(10);
+  EXPECT_EQ(GenerateFromSpec("uniform:99999999999999:5", 2, rng)
+                .status()
+                .code(),
+            StatusCode::kResourceExhausted);
+}
+
+TEST(GenerateFromSpecTest, ZipfDomainTooLargeIsResourceExhausted) {
+  if (!kAllocatorThrows) GTEST_SKIP() << "sanitizer allocator aborts";
+  Rng rng(11);
+  EXPECT_EQ(GenerateFromSpec("zipf:10:9999999999999:1", 2, rng)
+                .status()
+                .code(),
+            StatusCode::kResourceExhausted);
 }
 
 }  // namespace

@@ -1,7 +1,11 @@
 // mpcqp_run — command-line driver for the library: parse a conjunctive
 // query, generate or load data, analyze the query (τ*, ρ*, AGM, shares),
-// run a chosen parallel algorithm on the simulator, and print the cost
-// report.
+// run it on the simulator, and print the cost report.
+//
+// Both modes run queries the same way: the data goes into a Catalog and
+// each query is one QueryServer::Execute request. The one-shot mode
+// (--query) is a single Execute on a fresh server; --serve batch:FILE
+// drives one server from --clients threads.
 //
 // Examples:
 //   mpcqp_run --query "Q(x,y,z) :- R(x,y), S(y,z), T(z,x)"
@@ -14,15 +18,20 @@
 //   mpcqp_run --query "..." --gen ... --analyze   # plan only, no execution
 //
 // --algorithm auto|planner runs the cost-based planner and prints its
-// candidate table; hypercube|skewhc|binary|gym forces that family (an
-// unknown name, or gym on a cyclic query, exits 2 before any data is
-// made). Every run prints the plan tree it executes. --analyze prints the
-// planner's candidate table and plan tree and stops there, or right after
-// the query analysis when no data is given.
+// candidate table; hypercube (the default)|skewhc|binary|gym forces that
+// family (an unknown name, or gym on a cyclic query, exits 2 before any
+// data is made). Every run prints the plan tree it executes. --analyze
+// prints the planner's candidate table and plan tree and stops there, or
+// right after the query analysis when no data is given. A bad --agg or
+// --group-by variable exits 1 before any round runs.
 //
-// Generator specs: uniform:rows:domain | zipf:rows:domain:skew |
-//                  degree:rows:deg (binary, exact-degree column 1) |
-//                  graph:nodes:edges (binary edge list)
+// Engine flags apply in both modes; a flag the chosen mode has no use for
+// exits 2 (README.md, "Command-line driver").
+//
+// Generator specs (workload/generator.h, GenerateFromSpec):
+//   uniform:rows:domain | zipf:rows:domain:skew |
+//   degree:rows:deg (binary, exact-degree column 1) |
+//   graph:nodes:edges (binary edge list)
 
 #include <cstdint>
 #include <cstdio>
@@ -30,19 +39,18 @@
 #include <fstream>
 #include <map>
 #include <optional>
+#include <set>
+#include <sstream>
 #include <string>
 #include <vector>
 
-#include "agg/aggregate.h"
 #include "common/flags.h"
-#include "common/parse.h"
 #include "common/simd.h"
 #include "common/trace.h"
-#include "mpc/cluster.h"
+#include "mpc/dist_relation.h"
 #include "mpc/metrics.h"
 #include "multiway/shares.h"
 #include "planner/calibration.h"
-#include "planner/plan_cache.h"
 #include "planner/planner.h"
 #include "query/ghd.h"
 #include "query/hypergraph_lp.h"
@@ -60,13 +68,16 @@ namespace mpcqp {
 namespace {
 
 struct Options {
-  std::string query_text;
-  int servers = 16;
-  int threads = 1;
-  int64_t morsel_rows = ClusterOptions{}.morsel_rows;
-  std::string algorithm = "hypercube";
+  Options() { serve.algorithm = "hypercube"; }
+
+  // Engine flags, shared by both modes.
+  ServeOptions serve;
+  int64_t mem_budget_mb = 0;  // Sets serve.mem_budget_bytes; 0 = off.
+  bool calibrate = false;     // Measure per-tuple costs into serve.cost.
   std::map<std::string, std::string> generators;  // atom name -> spec.
   std::map<std::string, std::string> inputs;      // atom name -> csv path.
+  // One-shot mode (--query).
+  std::string query_text;
   std::string output_path;
   std::string group_by;  // Comma-separated output variables to group on.
   std::string agg;       // sum:var | count | count:var | min:var | max:var.
@@ -74,35 +85,27 @@ struct Options {
   std::string stats_path;  // StatsReport JSON sink.
   bool analyze_only = false;
   bool verify = false;
-  uint64_t seed = 42;
-  // Planner controls (--algorithm auto/planner).
-  double round_cost = 0.0;   // λ: tuples-equivalent charge per round.
-  bool plan_cache = true;    // --plan-cache on|off.
-  bool calibrate = false;    // Measure per-tuple costs before planning.
   // Serving mode (--serve batch:FILE).
-  std::string serve_spec;    // Empty = one-shot mode.
+  std::string serve_spec;
   int clients = 1;
   int64_t requests = 0;      // 0 = 25 per client.
-  int max_inflight = 4;
-  int max_queued = 64;
-  int64_t mem_budget_mb = 0;  // Per-query estimate cap; 0 = unlimited.
-  bool result_cache = true;
   std::string serve_stats_path;  // LoadReport JSON sink.
 };
 
 // Registers every flag against `options`. One table: Parse() and the
 // usage text both come from it, so they cannot drift.
 FlagSet BuildFlags(Options* options) {
+  ServeOptions& serve = options->serve;
   FlagSet flags;
   flags.String("query", &options->query_text,
                "conjunctive query, e.g. \"Q(x,z) :- R(x,y), S(y,z)\"");
-  flags.Int("servers", &options->servers, 1, 1 << 20,
+  flags.Int("servers", &serve.num_servers, 1, 1 << 20,
             "simulated MPC cluster size p", "-p");
-  flags.Int("threads", &options->threads, 1, 1 << 20,
+  flags.Int("threads", &serve.num_threads, 1, 1 << 20,
             "OS threads executing a round (never changes results)");
-  flags.Int64("morsel-rows", &options->morsel_rows, 1, INT64_MAX,
+  flags.Int64("morsel-rows", &serve.morsel_rows, 1, INT64_MAX,
               "rows per exchange morsel (never changes results)");
-  flags.String("algorithm", &options->algorithm,
+  flags.String("algorithm", &serve.algorithm,
                "hypercube|skewhc|binary|gym|auto|planner");
   flags.KeyValue("gen", &options->generators,
                  "generator spec per atom, NAME=uniform:rows:domain | "
@@ -120,10 +123,10 @@ FlagSet BuildFlags(Options* options) {
                "write a Chrome-trace (Perfetto) timeline");
   flags.String("stats", &options->stats_path,
                "write a machine-readable per-round stats report");
-  flags.Uint64("seed", &options->seed, "RNG seed (data + hash functions)");
-  flags.Double("round-cost", &options->round_cost, 0.0,
+  flags.Uint64("seed", &serve.seed, "RNG seed (data + hash functions)");
+  flags.Double("round-cost", &serve.round_cost, 0.0,
                "planner lambda: tuples-equivalent charge per round");
-  flags.Bool("plan-cache", &options->plan_cache,
+  flags.Bool("plan-cache", &serve.enable_plan_cache,
              "toggle the shape+stats plan cache");
   flags.Switch("calibrate", &options->calibrate,
                "measure per-tuple phase costs first, plan in microseconds");
@@ -137,14 +140,14 @@ FlagSet BuildFlags(Options* options) {
             "serve: concurrent client threads");
   flags.Int64("requests", &options->requests, 0, INT64_MAX,
               "serve: total requests (0 = 25 per client)");
-  flags.Int("max-inflight", &options->max_inflight, 1, 4096,
-            "serve: queries executing at once");
-  flags.Int("max-queued", &options->max_queued, 0, 1 << 20,
-            "serve: admission queue depth beyond max-inflight");
-  flags.Int64("mem-budget", &options->mem_budget_mb, 0, INT64_MAX,
-              "serve: per-query estimated-memory cap in MiB (0 = off)");
-  flags.Bool("result-cache", &options->result_cache,
-             "serve: toggle the fingerprint-keyed result cache");
+  flags.Int("max-inflight", &serve.max_inflight, 1, 4096,
+            "queries executing at once");
+  flags.Int("max-queued", &serve.max_queued, 0, 1 << 20,
+            "admission queue depth beyond max-inflight");
+  flags.Int64("mem-budget", &options->mem_budget_mb, 0, INT64_MAX >> 20,
+              "per-query estimated-memory cap in MiB (0 = off)");
+  flags.Bool("result-cache", &serve.enable_result_cache,
+             "toggle the fingerprint-keyed result cache");
   flags.String("serve-stats", &options->serve_stats_path,
                "serve: write the load report as JSON");
   return flags;
@@ -156,95 +159,100 @@ FlagSet BuildFlags(Options* options) {
   std::exit(2);
 }
 
-std::vector<std::string> SplitCommas(const std::string& s) {
-  std::vector<std::string> parts;
-  size_t pos = 0;
-  while (pos < s.size()) {
-    const size_t comma = s.find(',', pos);
-    if (comma == std::string::npos) {
-      parts.push_back(s.substr(pos));
-      break;
+// A flag the chosen mode has no use for is an error, not a silent no-op.
+bool CheckModeFlags(const Options& options,
+                    const std::set<std::string>& given) {
+  const bool serving = !options.serve_spec.empty();
+  const std::vector<std::string> unused =
+      serving ? std::vector<std::string>{"query", "agg", "group-by",
+                                         "verify", "output", "analyze",
+                                         "trace", "stats"}
+              : std::vector<std::string>{"clients", "requests",
+                                         "serve-stats"};
+  for (const std::string& name : unused) {
+    if (given.count(name) > 0) {
+      std::fprintf(stderr, "--%s does not apply %s --serve\n", name.c_str(),
+                   serving ? "with" : "without");
+      return false;
     }
-    parts.push_back(s.substr(pos, comma - pos));
-    pos = comma + 1;
   }
-  return parts;
+  if (given.count("group-by") > 0 && options.agg.empty()) {
+    std::fprintf(stderr, "--group-by needs --agg\n");
+    return false;
+  }
+  return true;
 }
 
-std::vector<std::string> SplitColons(const std::string& s) {
-  std::vector<std::string> parts;
-  size_t pos = 0;
-  while (true) {
-    const size_t colon = s.find(':', pos);
-    if (colon == std::string::npos) {
-      parts.push_back(s.substr(pos));
-      break;
-    }
-    parts.push_back(s.substr(pos, colon - pos));
-    pos = colon + 1;
+// --agg OP[:VAR] and --group-by VAR,... as an AggregateSpec; the server
+// resolves the names against the query.
+StatusOr<AggregateSpec> ParseAggregate(const std::string& agg,
+                                       const std::string& group_by) {
+  static const std::map<std::string, AggregateOp> kOps = {
+      {"sum", AggregateOp::kSum}, {"count", AggregateOp::kCount},
+      {"min", AggregateOp::kMin}, {"max", AggregateOp::kMax}};
+  const size_t colon = agg.find(':');
+  const auto op = kOps.find(agg.substr(0, colon));
+  if (op == kOps.end()) return InvalidArgumentError("unknown op in " + agg);
+  AggregateSpec spec;
+  spec.op = op->second;
+  if (colon != std::string::npos) spec.value_var = agg.substr(colon + 1);
+  std::istringstream vars(group_by);
+  for (std::string var; std::getline(vars, var, ',');) {
+    spec.group_vars.push_back(var);
   }
-  return parts;
+  return spec;
 }
 
-StatusOr<Relation> Generate(const std::string& spec, int arity, Rng& rng) {
-  const std::vector<std::string> parts = SplitColons(spec);
-  const std::string& kind = parts[0];
-  auto need = [&](size_t n) { return parts.size() == n; };
-  // Every numeric field goes through the checked parsers: "20k" or a
-  // wrapped 2^64 row count is a spec error, not a silent zero.
-  auto count = [&](const std::string& text) -> StatusOr<int64_t> {
-    auto parsed = ParseInt64InRange(text, 0, INT64_MAX);
-    if (!parsed.ok()) {
-      return InvalidArgumentError("bad generator spec '" + spec +
-                                  "': " + parsed.status().message());
+// The relation for `atom` from --input or --gen; with neither, an error,
+// or an empty relation when `allow_missing`.
+StatusOr<Relation> LoadAtom(const Atom& atom, const Options& options,
+                            bool allow_missing, Rng& rng) {
+  if (const auto it = options.inputs.find(atom.name);
+      it != options.inputs.end()) {
+    return ReadCsvFile(it->second, atom.arity());
+  }
+  if (const auto it = options.generators.find(atom.name);
+      it != options.generators.end()) {
+    return GenerateFromSpec(it->second, atom.arity(), rng);
+  }
+  if (allow_missing) return Relation(atom.arity());
+  return NotFoundError("no data (use --gen or --input)");
+}
+
+// Registers data for every atom `queries` mention, in first-use order
+// (which makes generated data reproducible from --seed alone), and prints
+// each size.
+bool LoadAtoms(const std::vector<ConjunctiveQuery>& queries,
+               const Options& options, bool allow_missing,
+               Catalog* catalog) {
+  Rng rng(options.serve.seed);
+  for (const ConjunctiveQuery& q : queries) {
+    for (const Atom& atom : q.atoms()) {
+      Catalog::Entry existing;
+      if (catalog->Find(atom.name, &existing)) {
+        if (existing.relation.arity() == atom.arity()) continue;
+        std::fprintf(stderr, "atom %s: arity differs from an earlier use\n",
+                     atom.name.c_str());
+        return false;
+      }
+      auto rel = LoadAtom(atom, options, allow_missing, rng);
+      if (!rel.ok()) {
+        std::fprintf(stderr, "atom %s: %s\n", atom.name.c_str(),
+                     rel.status().ToString().c_str());
+        return false;
+      }
+      std::printf("  %s: %lld tuples\n", atom.name.c_str(),
+                  static_cast<long long>(rel->size()));
+      catalog->Register(atom.name, std::move(rel).value());
     }
-    return parsed;
-  };
-  auto domain = [&](const std::string& text) -> StatusOr<uint64_t> {
-    auto parsed = ParseUint64(text);
-    if (!parsed.ok()) {
-      return InvalidArgumentError("bad generator spec '" + spec +
-                                  "': " + parsed.status().message());
-    }
-    return parsed;
-  };
-  if (kind == "uniform" && need(3)) {
-    auto rows = count(parts[1]);
-    if (!rows.ok()) return rows.status();
-    auto dom = domain(parts[2]);
-    if (!dom.ok()) return dom.status();
-    return GenerateUniform(rng, *rows, arity, *dom);
   }
-  if (kind == "zipf" && need(4)) {
-    if (arity < 1) return InvalidArgumentError("zipf needs arity >= 1");
-    auto rows = count(parts[1]);
-    if (!rows.ok()) return rows.status();
-    auto dom = domain(parts[2]);
-    if (!dom.ok()) return dom.status();
-    auto skew = ParseDouble(parts[3]);
-    if (!skew.ok()) {
-      return InvalidArgumentError("bad generator spec '" + spec +
-                                  "': " + skew.status().message());
-    }
-    return GenerateZipf(rng, *rows, arity, *dom, /*zipf_col=*/0, *skew);
-  }
-  if (kind == "degree" && need(3)) {
-    if (arity != 2) return InvalidArgumentError("degree needs arity 2");
-    auto rows = count(parts[1]);
-    if (!rows.ok()) return rows.status();
-    auto deg = count(parts[2]);
-    if (!deg.ok()) return deg.status();
-    return GenerateMatchingDegree(rng, *rows, *deg);
-  }
-  if (kind == "graph" && need(3)) {
-    if (arity != 2) return InvalidArgumentError("graph needs arity 2");
-    auto nodes = domain(parts[1]);
-    if (!nodes.ok()) return nodes.status();
-    auto edges = count(parts[2]);
-    if (!edges.ok()) return edges.status();
-    return GenerateRandomGraph(rng, *nodes, *edges);
-  }
-  return InvalidArgumentError("bad generator spec: " + spec);
+  return true;
+}
+
+// --calibrate: measures the cost model the planner prices plans with.
+void Calibrate(ServeOptions* serve) {
+  serve->cost = CalibrateCostModel(serve->num_servers, serve->num_threads);
+  std::printf("calibrated cost model: %s\n", serve->cost.ToString().c_str());
 }
 
 // EXPLAIN: the planner's candidate table and choice (a forced family has
@@ -267,9 +275,10 @@ void PrintPlan(const ConjunctiveQuery& q, const PlannedQuery& planned) {
   std::printf("plan tree:\n%s", planned.plan.tree.ToString(q).c_str());
 }
 
+// One query: analysis, data, then a single Execute on a fresh server.
 // `family` is the parsed --algorithm: a forced family, or nullopt for the
 // cost-based planner.
-int Run(const Options& options, std::optional<PlanAlgorithm> family) {
+int Run(Options& options, std::optional<PlanAlgorithm> family) {
   const auto query = ConjunctiveQuery::Parse(options.query_text);
   if (!query.ok()) {
     std::fprintf(stderr, "query error: %s\n",
@@ -281,15 +290,21 @@ int Run(const Options& options, std::optional<PlanAlgorithm> family) {
 
   // A forced family that cannot run this query fails before any data is
   // generated.
-  std::optional<PlannedQuery> forced;
   if (family) {
-    auto plan = ForcedPlan(q, *family);
-    if (!plan.ok()) {
+    if (auto plan = ForcedPlan(q, *family); !plan.ok()) {
       std::fprintf(stderr, "--algorithm: %s\n",
                    plan.status().ToString().c_str());
       return 2;
     }
-    forced = std::move(plan).value();
+  }
+  std::optional<AggregateSpec> aggregate;
+  if (!options.agg.empty()) {
+    auto spec = ParseAggregate(options.agg, options.group_by);
+    if (!spec.ok()) {
+      std::fprintf(stderr, "--agg: %s\n", spec.status().ToString().c_str());
+      return 1;
+    }
+    aggregate = std::move(spec).value();
   }
 
   // --- Analysis ---
@@ -303,51 +318,29 @@ int Run(const Options& options, std::optional<PlanAlgorithm> family) {
   }
 
   // --- Data ---
-  Rng rng(options.seed);
+  Catalog catalog;
+  if (!LoadAtoms({q}, options, options.analyze_only, &catalog)) return 1;
   std::vector<Relation> atoms;
   std::vector<int64_t> sizes;
-  for (int j = 0; j < q.num_atoms(); ++j) {
-    const Atom& atom = q.atom(j);
-    Relation rel(atom.arity());
-    if (const auto it = options.inputs.find(atom.name);
-        it != options.inputs.end()) {
-      auto loaded = ReadCsvFile(it->second, atom.arity());
-      if (!loaded.ok()) {
-        std::fprintf(stderr, "input %s: %s\n", atom.name.c_str(),
-                     loaded.status().ToString().c_str());
-        return 1;
-      }
-      rel = std::move(loaded).value();
-    } else if (const auto git = options.generators.find(atom.name);
-               git != options.generators.end()) {
-      auto generated = Generate(git->second, atom.arity(), rng);
-      if (!generated.ok()) {
-        std::fprintf(stderr, "gen %s: %s\n", atom.name.c_str(),
-                     generated.status().ToString().c_str());
-        return 1;
-      }
-      rel = std::move(generated).value();
-    } else if (!options.analyze_only) {
-      std::fprintf(stderr,
-                   "no data for atom %s (use --gen or --input)\n",
-                   atom.name.c_str());
-      return 1;
-    }
-    std::printf("  %s: %lld tuples\n", atom.name.c_str(),
-                static_cast<long long>(rel.size()));
-    sizes.push_back(rel.size());
-    atoms.push_back(std::move(rel));
+  bool have_data = true;
+  for (const Atom& atom : q.atoms()) {
+    Catalog::Entry entry;
+    catalog.Find(atom.name, &entry);
+    sizes.push_back(entry.relation.size());
+    if (entry.relation.empty()) have_data = false;
+    atoms.push_back(std::move(entry.relation));
   }
 
+  const int p = options.serve.num_servers;
   const auto agm = AgmBound(q, sizes);
   if (agm.ok()) std::printf("AGM output bound: %.0f\n", *agm);
-  const IntegerShares shares = ComputeShares(q, sizes, options.servers);
-  std::printf("HyperCube shares for p=%d: ", options.servers);
+  const IntegerShares shares = ComputeShares(q, sizes, p);
+  std::printf("HyperCube shares for p=%d: ", p);
   for (int v = 0; v < q.num_vars(); ++v) {
     std::printf("%s=%d ", q.var_name(v).c_str(), shares.shares[v]);
   }
   std::printf(" (predicted load %.0f tuples)\n", shares.predicted_load);
-  const auto lb = OneRoundLoadLowerBound(q, sizes, options.servers);
+  const auto lb = OneRoundLoadLowerBound(q, sizes, p);
   if (lb.ok()) std::printf("one-round load lower bound: %.0f tuples\n", *lb);
 
   if (IsAcyclic(q)) {
@@ -356,117 +349,39 @@ int Run(const Options& options, std::optional<PlanAlgorithm> family) {
       std::printf("join tree: %s\n", tree->ToString(q).c_str());
     }
   }
-  bool have_data = true;
-  for (const Relation& rel : atoms) {
-    if (rel.empty()) have_data = false;
-  }
   if (options.analyze_only && !have_data) return 0;
-
-  // --- Plan (--analyze stops after printing it) ---
-  if (!options.trace_path.empty()) Tracer::Get().Enable();
-  ClusterOptions cluster_options;
-  cluster_options.num_threads = options.threads;
-  cluster_options.morsel_rows = options.morsel_rows;
-  Cluster cluster(options.servers, options.seed + 1, cluster_options);
-  std::vector<DistRelation> dist;
-  for (const Relation& r : atoms) {
-    dist.push_back(
-        DistRelation::Scatter(r, options.servers, &cluster.pool()));
-  }
-  Rng algo_rng(options.seed + 2);
+  if (options.calibrate) Calibrate(&options.serve);
 
   // --analyze explains the cost-based planner's choice, whatever
-  // --algorithm forces.
-  PlannedQuery planned;
-  if (forced && !options.analyze_only) {
-    planned = std::move(*forced);
-  } else {
+  // --algorithm forces, and executes nothing.
+  if (options.analyze_only) {
+    std::vector<DistRelation> dist;
+    for (const Relation& r : atoms) dist.push_back(DistRelation::Scatter(r, p));
     PlannerOptions planner_options;
-    planner_options.round_cost_tuples = options.round_cost;
-    if (options.calibrate) {
-      planner_options.cost =
-          CalibrateCostModel(options.servers, options.threads);
-      std::printf("calibrated cost model: %s\n",
-                  planner_options.cost.ToString().c_str());
-    }
-    PlanCache cache;
-    planned = PlanQuery(q, dist, options.servers, planner_options,
-                        options.plan_cache ? &cache : nullptr);
+    planner_options.round_cost_tuples = options.serve.round_cost;
+    planner_options.cost = options.serve.cost;
+    PrintPlan(q, PlanQuery(q, dist, p, planner_options));
+    return 0;
   }
-  PrintPlan(q, planned);
-  if (options.analyze_only) return 0;
 
   // --- Execution ---
-  DistRelation output =
-      ExecutePlannedQuery(cluster, q, dist, planned, algo_rng);
-
-  // --agg runs the distributed group-by engine over the join output (with
-  // per-fragment combiners and a hash shuffle), so its rounds show up in
-  // the cost report below.
-  bool aggregated = false;
-  std::vector<int> group_cols;
-  int agg_value_col = -1;
-  AggregateOp agg_op = AggregateOp::kCount;
-  if (!options.agg.empty()) {
-    auto var_index = [&](const std::string& name) {
-      for (int v = 0; v < q.num_vars(); ++v) {
-        if (q.var_name(v) == name) return v;
-      }
-      return -1;
-    };
-    for (const std::string& name : SplitCommas(options.group_by)) {
-      const int v = var_index(name);
-      if (v < 0) {
-        std::fprintf(stderr, "--group-by: unknown variable '%s'\n",
-                     name.c_str());
-        return 1;
-      }
-      group_cols.push_back(v);
-    }
-    const std::vector<std::string> parts = SplitColons(options.agg);
-    if (parts[0] == "sum") {
-      agg_op = AggregateOp::kSum;
-    } else if (parts[0] == "count") {
-      agg_op = AggregateOp::kCount;
-    } else if (parts[0] == "min") {
-      agg_op = AggregateOp::kMin;
-    } else if (parts[0] == "max") {
-      agg_op = AggregateOp::kMax;
-    } else {
-      std::fprintf(stderr, "--agg: unknown op '%s'\n", parts[0].c_str());
-      return 1;
-    }
-    if (parts.size() == 2) {
-      agg_value_col = var_index(parts[1]);
-      if (agg_value_col < 0) {
-        std::fprintf(stderr, "--agg: unknown variable '%s'\n",
-                     parts[1].c_str());
-        return 1;
-      }
-    } else if (parts.size() != 1 || agg_op != AggregateOp::kCount) {
-      std::fprintf(stderr,
-                   "--agg: expected OP:VAR (only bare 'count' may omit the "
-                   "value variable)\n");
-      return 1;
-    }
-    auto agg_result = DistributedGroupByAggregate(cluster, output, group_cols,
-                                                  agg_value_col, agg_op);
-    if (!agg_result.ok()) {
-      std::fprintf(stderr, "aggregate: %s\n",
-                   agg_result.status().ToString().c_str());
-      return 1;
-    }
-    output = std::move(agg_result).value();
-    aggregated = true;
-    std::printf("aggregate: %s over %zu group column(s) -> %lld groups\n",
-                options.agg.c_str(), group_cols.size(),
-                static_cast<long long>(output.TotalSize()));
+  if (!options.trace_path.empty()) Tracer::Get().Enable();
+  QueryServer server(&catalog, options.serve);
+  const auto result = server.Execute(options.query_text, aggregate);
+  if (!result.ok()) {
+    std::fprintf(stderr, "query: %s\n", result.status().ToString().c_str());
+    return 1;
   }
-
+  PrintPlan(q, result->plan);
+  if (aggregate) {
+    std::printf("aggregate: %s over %zu group column(s) -> %lld groups\n",
+                options.agg.c_str(), aggregate->group_vars.size(),
+                static_cast<long long>(result->output.size()));
+  }
   std::printf("\nalgorithm: %s\noutput: %lld tuples\n%s\n",
-              PlanAlgorithmName(planned.plan.family),
-              static_cast<long long>(output.TotalSize()),
-              cluster.cost_report().ToString().c_str());
+              result->algorithm.c_str(),
+              static_cast<long long>(result->output.size()),
+              result->cost.ToString().c_str());
 
   if (!options.trace_path.empty()) {
     const Status written = Tracer::Get().WriteChromeTrace(options.trace_path);
@@ -478,8 +393,7 @@ int Run(const Options& options, std::optional<PlanAlgorithm> family) {
                 static_cast<long long>(Tracer::Get().event_count()));
   }
   if (!options.stats_path.empty()) {
-    const Status written =
-        WriteStatsJson(BuildStatsReport(cluster), options.stats_path);
+    const Status written = WriteStatsJson(result->stats, options.stats_path);
     if (!written.ok()) {
       std::fprintf(stderr, "stats: %s\n", written.ToString().c_str());
       return 1;
@@ -490,25 +404,25 @@ int Run(const Options& options, std::optional<PlanAlgorithm> family) {
 
   if (options.verify) {
     Relation expected = EvalJoinLocal(q, atoms);
-    if (aggregated) {
-      auto agg_expected =
-          GroupByAggregate(expected, group_cols, agg_value_col, agg_op);
-      if (!agg_expected.ok()) {
+    if (aggregate) {
+      // Execute accepted the spec, so it resolves.
+      const auto columns = ResolveAggregate(q, *aggregate);
+      auto grouped = GroupByAggregate(expected, columns->group_cols,
+                                      columns->value_col, columns->op);
+      if (!grouped.ok()) {
         std::fprintf(stderr, "verify aggregate: %s\n",
-                     agg_expected.status().ToString().c_str());
+                     grouped.status().ToString().c_str());
         return 1;
       }
-      expected = std::move(agg_expected).value();
+      expected = std::move(grouped).value();
     }
-    const bool ok = MultisetEqual(output.Collect(&cluster.pool()), expected,
-                                  &cluster.pool());
+    const bool ok = MultisetEqual(result->output, expected, &server.pool());
     std::printf("verify against serial evaluation: %s\n",
                 ok ? "PASS" : "FAIL");
     if (!ok) return 1;
   }
   if (!options.output_path.empty()) {
-    const Status written =
-        WriteCsvFile(output.Collect(&cluster.pool()), options.output_path);
+    const Status written = WriteCsvFile(result->output, options.output_path);
     if (!written.ok()) {
       std::fprintf(stderr, "output: %s\n", written.ToString().c_str());
       return 1;
@@ -522,7 +436,7 @@ int Run(const Options& options, std::optional<PlanAlgorithm> family) {
 // workload (one query per line, '#' comments), registers every referenced
 // atom's data in a Catalog, then drives a QueryServer with --clients
 // closed-loop threads on the process-wide shared pool.
-int RunServe(const Options& options) {
+int RunServe(Options& options) {
   const std::string kPrefix = "batch:";
   if (options.serve_spec.compare(0, kPrefix.size(), kPrefix) != 0) {
     std::fprintf(stderr, "--serve: expected batch:FILE, got '%s'\n",
@@ -536,74 +450,30 @@ int RunServe(const Options& options) {
     return 1;
   }
   std::vector<std::string> queries;
+  std::vector<ConjunctiveQuery> parsed;
   for (std::string line; std::getline(file, line);) {
     const size_t first = line.find_first_not_of(" \t");
     if (first == std::string::npos || line[first] == '#') continue;
+    auto query = ConjunctiveQuery::Parse(line);
+    if (!query.ok()) {
+      std::fprintf(stderr, "query '%s': %s\n", line.c_str(),
+                   query.status().ToString().c_str());
+      return 1;
+    }
     queries.push_back(line);
+    parsed.push_back(std::move(query).value());
   }
   if (queries.empty()) {
     std::fprintf(stderr, "--serve: no queries in %s\n", path.c_str());
     return 1;
   }
 
-  // Register data for every atom the workload mentions, in first-use
-  // order (which makes generated data reproducible from --seed alone).
   Catalog catalog;
-  Rng rng(options.seed);
-  for (const std::string& text : queries) {
-    const auto query = ConjunctiveQuery::Parse(text);
-    if (!query.ok()) {
-      std::fprintf(stderr, "query '%s': %s\n", text.c_str(),
-                   query.status().ToString().c_str());
-      return 1;
-    }
-    for (int j = 0; j < query->num_atoms(); ++j) {
-      const Atom& atom = query->atom(j);
-      Catalog::Entry existing;
-      if (catalog.Find(atom.name, &existing)) continue;
-      Relation rel(atom.arity());
-      if (const auto it = options.inputs.find(atom.name);
-          it != options.inputs.end()) {
-        auto loaded = ReadCsvFile(it->second, atom.arity());
-        if (!loaded.ok()) {
-          std::fprintf(stderr, "input %s: %s\n", atom.name.c_str(),
-                       loaded.status().ToString().c_str());
-          return 1;
-        }
-        rel = std::move(loaded).value();
-      } else if (const auto git = options.generators.find(atom.name);
-                 git != options.generators.end()) {
-        auto generated = Generate(git->second, atom.arity(), rng);
-        if (!generated.ok()) {
-          std::fprintf(stderr, "gen %s: %s\n", atom.name.c_str(),
-                       generated.status().ToString().c_str());
-          return 1;
-        }
-        rel = std::move(generated).value();
-      } else {
-        std::fprintf(stderr, "no data for atom %s (use --gen or --input)\n",
-                     atom.name.c_str());
-        return 1;
-      }
-      std::printf("  %s: %lld tuples\n", atom.name.c_str(),
-                  static_cast<long long>(rel.size()));
-      catalog.Register(atom.name, std::move(rel));
-    }
+  if (!LoadAtoms(parsed, options, /*allow_missing=*/false, &catalog)) {
+    return 1;
   }
-
-  ServeOptions serve;
-  serve.num_servers = options.servers;
-  serve.num_threads = options.threads;
-  serve.morsel_rows = options.morsel_rows;
-  serve.algorithm = options.algorithm;
-  serve.seed = options.seed;
-  serve.round_cost = options.round_cost;
-  serve.max_inflight = options.max_inflight;
-  serve.max_queued = options.max_queued;
-  serve.mem_budget_bytes = options.mem_budget_mb * (int64_t{1} << 20);
-  serve.enable_result_cache = options.result_cache;
-  serve.enable_plan_cache = options.plan_cache;
-  QueryServer server(&catalog, serve);
+  if (options.calibrate) Calibrate(&options.serve);
+  QueryServer server(&catalog, options.serve);
 
   LoadOptions load;
   load.clients = options.clients;
@@ -613,8 +483,8 @@ int RunServe(const Options& options) {
   std::printf("serving %zu queries: %lld requests, %d clients, "
               "%d servers, %d threads, algorithm %s\n",
               queries.size(), static_cast<long long>(load.requests),
-              load.clients, options.servers, options.threads,
-              options.algorithm.c_str());
+              load.clients, options.serve.num_servers,
+              options.serve.num_threads, options.serve.algorithm.c_str());
   const LoadReport report = RunLoad(server, queries, load);
 
   std::printf(
@@ -650,16 +520,20 @@ int RunServe(const Options& options) {
 int main(int argc, char** argv) {
   mpcqp::Options options;
   const mpcqp::FlagSet flags = mpcqp::BuildFlags(&options);
-  if (const mpcqp::Status parsed = flags.Parse(argc, argv); !parsed.ok()) {
+  std::set<std::string> given;
+  if (const mpcqp::Status parsed = flags.Parse(argc, argv, &given);
+      !parsed.ok()) {
     std::fprintf(stderr, "%s\n", parsed.message().c_str());
     mpcqp::Usage(argv[0], flags);
   }
-  const auto family = mpcqp::ParseAlgorithmName(options.algorithm);
+  const auto family = mpcqp::ParseAlgorithmName(options.serve.algorithm);
   if (!family.ok()) {
     std::fprintf(stderr, "--algorithm: %s\n",
                  family.status().ToString().c_str());
     mpcqp::Usage(argv[0], flags);
   }
+  if (!mpcqp::CheckModeFlags(options, given)) return 2;
+  options.serve.mem_budget_bytes = options.mem_budget_mb << 20;
   if (!options.serve_spec.empty()) {
     return mpcqp::RunServe(options);
   }
