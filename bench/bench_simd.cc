@@ -7,8 +7,8 @@
 // (exit 1) if
 //  - any kernel's output differs from the embedded baseline at t=1 or
 //    t=8 (including a lane-unfriendly tail count), or
-//  - hash / bucket / filter show less than 1.3x speedup over the baseline
-//    at t=8 when AVX2 is dispatched, or
+//  - hash / bucket / grouphash show less than 1.3x speedup over the
+//    baseline at t=8 when AVX2 is dispatched, or
 //  - any kernel loses to its baseline (beyond a 10% noise band) at t=8
 //    when any vector level is dispatched.
 // On a scalar-only dispatch (hardware or MPCQP_SIMD_LEVEL cap) the speed
@@ -19,7 +19,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <functional>
-#include <numeric>
 #include <string>
 #include <vector>
 
@@ -78,40 +77,6 @@ void GroupHashMany(const uint64_t* keys, int64_t count, uint64_t seed,
                    uint64_t mask, uint64_t* out) {
   for (int64_t i = 0; i < count; ++i) {
     out[i] = SplitMix64(seed ^ SplitMix64(keys[i])) & mask;
-  }
-}
-
-int64_t CountInRange(const uint64_t* values, int64_t count, uint64_t lo,
-                     uint64_t hi) {
-  int64_t hits = 0;
-  for (int64_t i = 0; i < count; ++i) {
-    hits += values[i] >= lo && values[i] <= hi;
-  }
-  return hits;
-}
-
-int64_t FillInRange(const uint64_t* values, int64_t count, int64_t index_base,
-                    uint64_t lo, uint64_t hi, int64_t* out) {
-  int64_t written = 0;
-  for (int64_t i = 0; i < count; ++i) {
-    if (values[i] >= lo && values[i] <= hi) {
-      out[written++] = index_base + i;
-    }
-  }
-  return written;
-}
-
-void GatherStride(const uint64_t* base, int64_t stride, int64_t count,
-                  uint64_t* out) {
-  for (int64_t i = 0; i < count; ++i) {
-    out[i] = base[i * stride];
-  }
-}
-
-void GatherIndexed(const uint64_t* base, const int64_t* indices, int64_t count,
-                   int64_t stride, int64_t offset, uint64_t* out) {
-  for (int64_t i = 0; i < count; ++i) {
-    out[i] = base[indices[i] * stride + offset];
   }
 }
 
@@ -243,43 +208,6 @@ void CheckParity(const std::vector<uint64_t>& values) {
       });
       Gate(want == got, "grouphash parity mismatch");
 
-      const uint64_t lo = uint64_t{1} << 62, hi = uint64_t{3} << 62;
-      std::vector<int64_t> want_idx(static_cast<size_t>(n));
-      std::vector<int64_t> got_idx(static_cast<size_t>(n));
-      const int64_t want_hits =
-          baseline::FillInRange(values.data(), n, 0, lo, hi, want_idx.data());
-      Gate(baseline::CountInRange(values.data(), n, lo, hi) == want_hits,
-           "baseline count/fill disagree");
-      Gate(simd::CountInRange(values.data(), n, lo, hi) == want_hits,
-           "filter count parity mismatch");
-      const int64_t got_hits = simd::FillInRange(values.data(), n, 0, lo, hi,
-                                                 got_idx.data(), want_hits);
-      Gate(got_hits == want_hits, "filter fill count mismatch");
-      want_idx.resize(static_cast<size_t>(want_hits));
-      got_idx.resize(static_cast<size_t>(got_hits));
-      Gate(want_idx == got_idx, "filter fill parity mismatch");
-
-      const int64_t stride_rows = n / 8;
-      std::vector<uint64_t> want_g(static_cast<size_t>(stride_rows));
-      std::vector<uint64_t> got_g(static_cast<size_t>(stride_rows));
-      baseline::GatherStride(values.data(), 8, stride_rows, want_g.data());
-      ForChunks(*pool, stride_rows, [&](int64_t b, int64_t e) {
-        simd::GatherStride(values.data() + b * 8, 8, e - b, got_g.data() + b);
-      });
-      Gate(want_g == got_g, "gather parity mismatch");
-
-      std::vector<int64_t> idx(static_cast<size_t>(stride_rows));
-      for (int64_t i = 0; i < stride_rows; ++i) {
-        idx[static_cast<size_t>(i)] = (i * 7) % stride_rows;
-      }
-      baseline::GatherIndexed(values.data(), idx.data(), stride_rows, 8, 3,
-                              want_g.data());
-      ForChunks(*pool, stride_rows, [&](int64_t b, int64_t e) {
-        simd::GatherIndexed(values.data(), idx.data() + b, e - b, 8, 3,
-                            got_g.data() + b);
-      });
-      Gate(want_g == got_g, "gather_indexed parity mismatch");
-
       std::vector<int64_t> want_h(256, 0), got_h(256, 0);
       baseline::HistogramTopBits(values.data(), n, 8, want_h.data());
       simd::HistogramTopBits(values.data(), n, 8, got_h.data());
@@ -308,7 +236,6 @@ int main() {
 
   std::vector<uint64_t> out64(static_cast<size_t>(kRows));
   std::vector<int32_t> out32(static_cast<size_t>(kRows));
-  std::vector<int64_t> out_idx(static_cast<size_t>(kRows));
 
   Report(&table, &json, "hash", /*headline=*/true, /*vectorized=*/true,
          [&](ThreadPool& pool, bool vec) {
@@ -335,49 +262,6 @@ int main() {
                  out64.data() + b);
            });
          });
-
-  // Filter: the SelectRange shape — per-chunk count, serial prefix sum,
-  // per-chunk fill into disjoint output ranges. ~25% selectivity.
-  {
-    const uint64_t lo = uint64_t{1} << 62, hi = uint64_t{3} << 61;
-    Report(&table, &json, "filter", /*headline=*/true, /*vectorized=*/true,
-           [&](ThreadPool& pool, bool vec) {
-             const int64_t chunks = (kRows + kGrain - 1) / kGrain;
-             std::vector<int64_t> counts(static_cast<size_t>(chunks));
-             ForChunks(pool, kRows, [&](int64_t b, int64_t e) {
-               counts[static_cast<size_t>(b / kGrain)] =
-                   vec ? simd::CountInRange(values.data() + b, e - b, lo, hi)
-                       : baseline::CountInRange(values.data() + b, e - b, lo,
-                                                hi);
-             });
-             std::vector<int64_t> offsets(static_cast<size_t>(chunks), 0);
-             std::partial_sum(counts.begin(), counts.end() - 1,
-                              offsets.begin() + 1);
-             ForChunks(pool, kRows, [&](int64_t b, int64_t e) {
-               const auto c = static_cast<size_t>(b / kGrain);
-               if (vec) {
-                 simd::FillInRange(values.data() + b, e - b, b, lo, hi,
-                                   out_idx.data() + offsets[c], counts[c]);
-               } else {
-                 baseline::FillInRange(values.data() + b, e - b, b, lo, hi,
-                                       out_idx.data() + offsets[c]);
-               }
-             });
-           });
-  }
-
-  // Gather: stride-8 key-column extraction (the arity-8 GatherKeyColumn
-  // shape). Don't-lose gate only — gathers are memory-bound.
-  {
-    const int64_t rows = kRows / 8;
-    Report(&table, &json, "gather", /*headline=*/false, /*vectorized=*/true,
-           [&](ThreadPool& pool, bool vec) {
-             ForChunks(pool, rows, [&](int64_t b, int64_t e) {
-               (vec ? simd::GatherStride : baseline::GatherStride)(
-                   values.data() + b * 8, 8, e - b, out64.data() + b);
-             });
-           });
-  }
 
   // Histogram: the radix top-byte count pass. The library implementation
   // is the interleaved scalar loop at every level (scatter-shaped), so no

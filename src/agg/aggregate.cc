@@ -7,6 +7,7 @@
 #include "common/check.h"
 #include "mpc/exchange.h"
 #include "mpc/metrics.h"
+#include "relation/columnar.h"
 #include "relation/relation_ops.h"
 
 namespace mpcqp {

@@ -12,6 +12,7 @@
 #include "common/simd.h"
 #include "common/status.h"
 #include "common/trace.h"
+#include "relation/columnar.h"
 
 namespace mpcqp {
 

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdio>
-#include <cstdlib>
 
 #include "common/check.h"
 #include "common/hash.h"
@@ -22,23 +20,20 @@
 #define MPCQP_SIMD_NEON 0
 #endif
 
-// Compile-time cap (IsaLevel rank): 0 = scalar only, 1 adds SSE4.2,
-// 2 adds NEON, 3 adds AVX2. Set by the CMake cache variable
-// MPCQP_SIMD_LEVEL; defaults to uncapped. Capped sections are compiled
-// out entirely, so a scalar-capped build carries no vector code at all.
+// Compile-time cap (IsaLevel rank): 0 = scalar only, 1 adds NEON, 2 adds
+// AVX2. Set by the CMake cache variable MPCQP_SIMD_LEVEL; defaults to
+// uncapped. Capped sections are compiled out entirely, so a scalar-capped
+// build carries no vector code at all.
 #ifndef MPCQP_SIMD_LEVEL_CAP
-#define MPCQP_SIMD_LEVEL_CAP 3
+#define MPCQP_SIMD_LEVEL_CAP 2
 #endif
 
-// The build intentionally has no global -mavx2/-msse4.2 flags (the binary
-// must run on any x86-64); every vector function instead carries a
-// function-level target attribute, and its helpers are force-inlined into
-// it so the whole kernel compiles under one target.
+// The build intentionally has no global -mavx2 flag (the binary must run
+// on any x86-64); every vector function instead carries a function-level
+// target attribute, and its helpers are force-inlined into it so the whole
+// kernel compiles under one target.
 #if MPCQP_SIMD_X86
-#define MPCQP_TARGET_SSE4 __attribute__((target("sse4.2")))
 #define MPCQP_TARGET_AVX2 __attribute__((target("avx2")))
-#define MPCQP_TARGET_SSE4_INLINE \
-  __attribute__((target("sse4.2"), always_inline)) inline
 #define MPCQP_TARGET_AVX2_INLINE \
   __attribute__((target("avx2"), always_inline)) inline
 #endif
@@ -77,216 +72,20 @@ void GroupHashMany(const uint64_t* keys, int64_t count, uint64_t seed,
   }
 }
 
-int64_t CountInRange(const uint64_t* values, int64_t count, uint64_t lo,
-                     uint64_t hi) {
-  int64_t hits = 0;
-  for (int64_t i = 0; i < count; ++i) {
-    hits += values[i] >= lo && values[i] <= hi;
-  }
-  return hits;
-}
-
-int64_t FillInRange(const uint64_t* values, int64_t count, int64_t index_base,
-                    uint64_t lo, uint64_t hi, int64_t* out, int64_t capacity) {
-  (void)capacity;  // The scalar path only ever writes true matches.
-  int64_t written = 0;
-  for (int64_t i = 0; i < count; ++i) {
-    if (values[i] >= lo && values[i] <= hi) {
-      out[written++] = index_base + i;
-    }
-  }
-  return written;
-}
-
-void GatherStride(const uint64_t* base, int64_t stride, int64_t count,
-                  uint64_t* out) {
-  const uint64_t* src = base;
-  for (int64_t i = 0; i < count; ++i) {
-    out[i] = *src;
-    src += stride;
-  }
-}
-
-void GatherIndexed(const uint64_t* base, const int64_t* indices, int64_t count,
-                   int64_t stride, int64_t offset, uint64_t* out) {
-  for (int64_t i = 0; i < count; ++i) {
-    out[i] = base[indices[i] * stride + offset];
-  }
-}
-
-// Shared by every level: the histogram is scatter-shaped, which SIMD ISAs
-// without scatter can't express directly — the win instead comes from four
-// interleaved sub-histograms that break the store-to-load forwarding stall
-// on repeated buckets (skewed keys hammer one counter otherwise). Integer
-// per-bucket sums commute, so the merged result equals the naive loop.
-void HistogramTopBits(const uint64_t* hashes, int64_t count, int bits,
-                      int64_t* counts) {
-  const int shift = 64 - bits;
-  if (count < 1024) {  // Not worth zeroing 6KB of sub-histograms.
-    for (int64_t i = 0; i < count; ++i) {
-      ++counts[hashes[i] >> shift];
-    }
-    return;
-  }
-  int64_t sub[3][256] = {};
-  int64_t i = 0;
-  for (; i + 4 <= count; i += 4) {
-    ++counts[hashes[i] >> shift];
-    ++sub[0][hashes[i + 1] >> shift];
-    ++sub[1][hashes[i + 2] >> shift];
-    ++sub[2][hashes[i + 3] >> shift];
-  }
-  for (; i < count; ++i) {
-    ++counts[hashes[i] >> shift];
-  }
-  const int num_buckets = 1 << bits;
-  for (int b = 0; b < num_buckets; ++b) {
-    counts[b] += sub[0][b] + sub[1][b] + sub[2][b];
-  }
-}
-
 }  // namespace scalar
-
-// ---------------------------------------------------------------------------
-// SSE4.2 kernels (x86, 128-bit = 2 uint64 lanes).
-// ---------------------------------------------------------------------------
-
-#if MPCQP_SIMD_X86 && MPCQP_SIMD_LEVEL_CAP >= 1
-namespace sse4 {
-
-// 64x64 -> low-64 multiply from 32-bit partial products:
-// lo(a)*lo(b) + ((lo(a)*hi(b) + hi(a)*lo(b)) << 32). _mm_mul_epu32
-// multiplies the low 32 bits of each 64-bit lane into a full 64-bit
-// product; the high-high partial only feeds bits >= 64 and is dropped.
-MPCQP_TARGET_SSE4_INLINE __m128i MulLo64(__m128i a, __m128i b) {
-  const __m128i lo = _mm_mul_epu32(a, b);
-  const __m128i cross = _mm_add_epi64(_mm_mul_epu32(a, _mm_srli_epi64(b, 32)),
-                                      _mm_mul_epu32(_mm_srli_epi64(a, 32), b));
-  return _mm_add_epi64(lo, _mm_slli_epi64(cross, 32));
-}
-
-// splitmix64 over both lanes; bit-identical to SplitMix64 per lane.
-MPCQP_TARGET_SSE4_INLINE __m128i Mix64(__m128i x) {
-  x = _mm_add_epi64(x, _mm_set1_epi64x(0x9e3779b97f4a7c15LL));
-  x = MulLo64(_mm_xor_si128(x, _mm_srli_epi64(x, 30)),
-              _mm_set1_epi64x(0xbf58476d1ce4e5b9LL));
-  x = MulLo64(_mm_xor_si128(x, _mm_srli_epi64(x, 27)),
-              _mm_set1_epi64x(0x94d049bb133111ebLL));
-  return _mm_xor_si128(x, _mm_srli_epi64(x, 31));
-}
-
-// bucket = hi64(hash * p) for p < 2^31, decomposed exactly as
-// (hi32(h)*p + (lo32(h)*p >> 32)) >> 32 — both partials fit 64 bits and
-// the discarded low bits of lo32(h)*p cannot carry into bit 64.
-MPCQP_TARGET_SSE4_INLINE __m128i BucketReduce(__m128i h, __m128i p) {
-  const __m128i hi_prod = _mm_mul_epu32(_mm_srli_epi64(h, 32), p);
-  const __m128i lo_prod = _mm_srli_epi64(_mm_mul_epu32(h, p), 32);
-  return _mm_srli_epi64(_mm_add_epi64(hi_prod, lo_prod), 32);
-}
-
-MPCQP_TARGET_SSE4
-void HashMany(const uint64_t* values, int64_t count, uint64_t whitening,
-              uint64_t* out) {
-  const __m128i w = _mm_set1_epi64x(static_cast<int64_t>(whitening));
-  int64_t i = 0;
-  for (; i + 2 <= count; i += 2) {
-    const __m128i v =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(values + i));
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(out + i),
-                     Mix64(_mm_xor_si128(v, w)));
-  }
-  for (; i < count; ++i) {
-    out[i] = SplitMix64(values[i] ^ whitening);
-  }
-}
-
-MPCQP_TARGET_SSE4
-void BucketMany(const uint64_t* values, int64_t count, uint64_t whitening,
-                int num_buckets, int32_t* out) {
-  const __m128i w = _mm_set1_epi64x(static_cast<int64_t>(whitening));
-  const __m128i p = _mm_set1_epi64x(num_buckets);
-  int64_t i = 0;
-  for (; i + 2 <= count; i += 2) {
-    const __m128i v =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(values + i));
-    const __m128i b = BucketReduce(Mix64(_mm_xor_si128(v, w)), p);
-    // Each lane's bucket is < 2^31 in the low 32 bits; pack lanes {0,2}
-    // of the 32-bit view into one 8-byte store of two int32 buckets.
-    _mm_storel_epi64(reinterpret_cast<__m128i*>(out + i),
-                     _mm_shuffle_epi32(b, _MM_SHUFFLE(3, 1, 2, 0)));
-  }
-  const auto p128 = static_cast<unsigned __int128>(num_buckets);
-  for (; i < count; ++i) {
-    out[i] =
-        static_cast<int32_t>((SplitMix64(values[i] ^ whitening) * p128) >> 64);
-  }
-}
-
-MPCQP_TARGET_SSE4
-void GroupHashMany(const uint64_t* keys, int64_t count, uint64_t seed,
-                   uint64_t mask, uint64_t* out) {
-  const __m128i s = _mm_set1_epi64x(static_cast<int64_t>(seed));
-  const __m128i m = _mm_set1_epi64x(static_cast<int64_t>(mask));
-  int64_t i = 0;
-  for (; i + 2 <= count; i += 2) {
-    const __m128i k =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(keys + i));
-    const __m128i h = Mix64(_mm_xor_si128(s, Mix64(k)));
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(out + i),
-                     _mm_and_si128(h, m));
-  }
-  for (; i < count; ++i) {
-    out[i] = SplitMix64(seed ^ SplitMix64(keys[i])) & mask;
-  }
-}
-
-// All-ones per lane when lo <= v <= hi (unsigned): Value is uint64_t but
-// x86 only compares signed 64-bit, so both sides are sign-bit-flipped
-// first, which is an order-preserving bijection into the signed range.
-MPCQP_TARGET_SSE4_INLINE __m128i InRangeMask(__m128i v, __m128i lo_f,
-                                             __m128i hi_f, __m128i flip,
-                                             __m128i ones) {
-  const __m128i vf = _mm_xor_si128(v, flip);
-  const __m128i lt_lo = _mm_cmpgt_epi64(lo_f, vf);
-  const __m128i gt_hi = _mm_cmpgt_epi64(vf, hi_f);
-  return _mm_andnot_si128(_mm_or_si128(lt_lo, gt_hi), ones);
-}
-
-MPCQP_TARGET_SSE4
-int64_t CountInRange(const uint64_t* values, int64_t count, uint64_t lo,
-                     uint64_t hi) {
-  const __m128i flip = _mm_set1_epi64x(static_cast<int64_t>(1ULL << 63));
-  const __m128i lo_f =
-      _mm_xor_si128(_mm_set1_epi64x(static_cast<int64_t>(lo)), flip);
-  const __m128i hi_f =
-      _mm_xor_si128(_mm_set1_epi64x(static_cast<int64_t>(hi)), flip);
-  const __m128i ones = _mm_set1_epi64x(-1);
-  int64_t hits = 0;
-  int64_t i = 0;
-  for (; i + 2 <= count; i += 2) {
-    const __m128i v =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(values + i));
-    const int mask = _mm_movemask_pd(
-        _mm_castsi128_pd(InRangeMask(v, lo_f, hi_f, flip, ones)));
-    hits += __builtin_popcount(static_cast<unsigned>(mask));
-  }
-  for (; i < count; ++i) {
-    hits += values[i] >= lo && values[i] <= hi;
-  }
-  return hits;
-}
-
-}  // namespace sse4
-#endif  // MPCQP_SIMD_X86 && MPCQP_SIMD_LEVEL_CAP >= 1
 
 // ---------------------------------------------------------------------------
 // AVX2 kernels (x86, 256-bit = 4 uint64 lanes). The performance tier the
 // bench gates hold to >= 1.3x over scalar.
 // ---------------------------------------------------------------------------
 
-#if MPCQP_SIMD_X86 && MPCQP_SIMD_LEVEL_CAP >= 3
+#if MPCQP_SIMD_X86 && MPCQP_SIMD_LEVEL_CAP >= 2
 namespace avx2 {
 
+// 64x64 -> low-64 multiply from 32-bit partial products:
+// lo(a)*lo(b) + ((lo(a)*hi(b) + hi(a)*lo(b)) << 32). _mm256_mul_epu32
+// multiplies the low 32 bits of each 64-bit lane into a full 64-bit
+// product; the high-high partial only feeds bits >= 64 and is dropped.
 MPCQP_TARGET_AVX2_INLINE __m256i MulLo64(__m256i a, __m256i b) {
   const __m256i lo = _mm256_mul_epu32(a, b);
   const __m256i cross =
@@ -295,6 +94,7 @@ MPCQP_TARGET_AVX2_INLINE __m256i MulLo64(__m256i a, __m256i b) {
   return _mm256_add_epi64(lo, _mm256_slli_epi64(cross, 32));
 }
 
+// splitmix64 over every lane; bit-identical to SplitMix64 per lane.
 MPCQP_TARGET_AVX2_INLINE __m256i Mix64(__m256i x) {
   x = _mm256_add_epi64(x, _mm256_set1_epi64x(0x9e3779b97f4a7c15LL));
   x = MulLo64(_mm256_xor_si256(x, _mm256_srli_epi64(x, 30)),
@@ -304,7 +104,9 @@ MPCQP_TARGET_AVX2_INLINE __m256i Mix64(__m256i x) {
   return _mm256_xor_si256(x, _mm256_srli_epi64(x, 31));
 }
 
-// See sse4::BucketReduce for the exactness argument.
+// bucket = hi64(hash * p) for p < 2^31, decomposed exactly as
+// (hi32(h)*p + (lo32(h)*p >> 32)) >> 32 — both partials fit 64 bits and
+// the discarded low bits of lo32(h)*p cannot carry into bit 64.
 MPCQP_TARGET_AVX2_INLINE __m256i BucketReduce(__m256i h, __m256i p) {
   const __m256i hi_prod = _mm256_mul_epu32(_mm256_srli_epi64(h, 32), p);
   const __m256i lo_prod = _mm256_srli_epi64(_mm256_mul_epu32(h, p), 32);
@@ -368,142 +170,19 @@ void GroupHashMany(const uint64_t* keys, int64_t count, uint64_t seed,
   }
 }
 
-// See sse4::InRangeMask: unsigned compare via sign-bit flip.
-MPCQP_TARGET_AVX2_INLINE __m256i InRangeMask(__m256i v, __m256i lo_f,
-                                             __m256i hi_f, __m256i flip,
-                                             __m256i ones) {
-  const __m256i vf = _mm256_xor_si256(v, flip);
-  const __m256i lt_lo = _mm256_cmpgt_epi64(lo_f, vf);
-  const __m256i gt_hi = _mm256_cmpgt_epi64(vf, hi_f);
-  return _mm256_andnot_si256(_mm256_or_si256(lt_lo, gt_hi), ones);
-}
-
-MPCQP_TARGET_AVX2
-int64_t CountInRange(const uint64_t* values, int64_t count, uint64_t lo,
-                     uint64_t hi) {
-  const __m256i flip = _mm256_set1_epi64x(static_cast<int64_t>(1ULL << 63));
-  const __m256i lo_f =
-      _mm256_xor_si256(_mm256_set1_epi64x(static_cast<int64_t>(lo)), flip);
-  const __m256i hi_f =
-      _mm256_xor_si256(_mm256_set1_epi64x(static_cast<int64_t>(hi)), flip);
-  const __m256i ones = _mm256_set1_epi64x(-1);
-  int64_t hits = 0;
-  int64_t i = 0;
-  for (; i + 4 <= count; i += 4) {
-    const __m256i v =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(values + i));
-    const int mask = _mm256_movemask_pd(
-        _mm256_castsi256_pd(InRangeMask(v, lo_f, hi_f, flip, ones)));
-    hits += __builtin_popcount(static_cast<unsigned>(mask));
-  }
-  for (; i < count; ++i) {
-    hits += values[i] >= lo && values[i] <= hi;
-  }
-  return hits;
-}
-
-// For each 4-bit lane mask, the 32-bit-lane permutation that left-packs
-// the selected 64-bit lanes (lane j contributes 32-bit lanes 2j, 2j+1).
-alignas(32) constexpr int32_t kLeftPack[16][8] = {
-    {0, 0, 0, 0, 0, 0, 0, 0}, {0, 1, 0, 0, 0, 0, 0, 0},
-    {2, 3, 0, 0, 0, 0, 0, 0}, {0, 1, 2, 3, 0, 0, 0, 0},
-    {4, 5, 0, 0, 0, 0, 0, 0}, {0, 1, 4, 5, 0, 0, 0, 0},
-    {2, 3, 4, 5, 0, 0, 0, 0}, {0, 1, 2, 3, 4, 5, 0, 0},
-    {6, 7, 0, 0, 0, 0, 0, 0}, {0, 1, 6, 7, 0, 0, 0, 0},
-    {2, 3, 6, 7, 0, 0, 0, 0}, {0, 1, 2, 3, 6, 7, 0, 0},
-    {4, 5, 6, 7, 0, 0, 0, 0}, {0, 1, 4, 5, 6, 7, 0, 0},
-    {2, 3, 4, 5, 6, 7, 0, 0}, {0, 1, 2, 3, 4, 5, 6, 7},
-};
-
-MPCQP_TARGET_AVX2
-int64_t FillInRange(const uint64_t* values, int64_t count, int64_t index_base,
-                    uint64_t lo, uint64_t hi, int64_t* out, int64_t capacity) {
-  const __m256i flip = _mm256_set1_epi64x(static_cast<int64_t>(1ULL << 63));
-  const __m256i lo_f =
-      _mm256_xor_si256(_mm256_set1_epi64x(static_cast<int64_t>(lo)), flip);
-  const __m256i hi_f =
-      _mm256_xor_si256(_mm256_set1_epi64x(static_cast<int64_t>(hi)), flip);
-  const __m256i ones = _mm256_set1_epi64x(-1);
-  const __m256i iota = _mm256_setr_epi64x(0, 1, 2, 3);
-  int64_t written = 0;
-  int64_t i = 0;
-  // Full-width compressed stores write up to 4 slots but advance by the
-  // lane popcount; the `written + 4 <= capacity` guard keeps the overhang
-  // inside the caller's exactly-sized region (per-morsel fill regions are
-  // adjacent and filled concurrently, so overrunning would race).
-  for (; i + 4 <= count && written + 4 <= capacity; i += 4) {
-    const __m256i v =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(values + i));
-    const int mask = _mm256_movemask_pd(
-        _mm256_castsi256_pd(InRangeMask(v, lo_f, hi_f, flip, ones)));
-    if (mask == 0) continue;
-    const __m256i indices =
-        _mm256_add_epi64(_mm256_set1_epi64x(index_base + i), iota);
-    const __m256i pattern = _mm256_load_si256(
-        reinterpret_cast<const __m256i*>(kLeftPack[mask]));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + written),
-                        _mm256_permutevar8x32_epi32(indices, pattern));
-    written += __builtin_popcount(static_cast<unsigned>(mask));
-  }
-  for (; i < count; ++i) {
-    if (values[i] >= lo && values[i] <= hi) {
-      out[written++] = index_base + i;
-    }
-  }
-  return written;
-}
-
-MPCQP_TARGET_AVX2
-void GatherStride(const uint64_t* base, int64_t stride, int64_t count,
-                  uint64_t* out) {
-  const __m256i step = _mm256_set1_epi64x(4 * stride);
-  __m256i vindex = _mm256_setr_epi64x(0, stride, 2 * stride, 3 * stride);
-  int64_t i = 0;
-  for (; i + 4 <= count; i += 4) {
-    const __m256i v = _mm256_i64gather_epi64(
-        reinterpret_cast<const long long*>(base), vindex, 8);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i), v);
-    vindex = _mm256_add_epi64(vindex, step);
-  }
-  const uint64_t* src = base + i * stride;
-  for (; i < count; ++i) {
-    out[i] = *src;
-    src += stride;
-  }
-}
-
-MPCQP_TARGET_AVX2
-void GatherIndexed(const uint64_t* base, const int64_t* indices, int64_t count,
-                   int64_t stride, int64_t offset, uint64_t* out) {
-  const __m256i s = _mm256_set1_epi64x(stride);
-  const __m256i off = _mm256_set1_epi64x(offset);
-  int64_t i = 0;
-  for (; i + 4 <= count; i += 4) {
-    const __m256i idx =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(indices + i));
-    const __m256i vindex = _mm256_add_epi64(MulLo64(idx, s), off);
-    const __m256i v = _mm256_i64gather_epi64(
-        reinterpret_cast<const long long*>(base), vindex, 8);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i), v);
-  }
-  for (; i < count; ++i) {
-    out[i] = base[indices[i] * stride + offset];
-  }
-}
-
 }  // namespace avx2
-#endif  // MPCQP_SIMD_X86 && MPCQP_SIMD_LEVEL_CAP >= 3
+#endif  // MPCQP_SIMD_X86 && MPCQP_SIMD_LEVEL_CAP >= 2
 
 // ---------------------------------------------------------------------------
 // NEON kernels (aarch64, 128-bit = 2 uint64 lanes). NEON is baseline on
 // AArch64, so no function-level target attributes are needed.
 // ---------------------------------------------------------------------------
 
-#if MPCQP_SIMD_NEON && MPCQP_SIMD_LEVEL_CAP >= 2
+#if MPCQP_SIMD_NEON && MPCQP_SIMD_LEVEL_CAP >= 1
 namespace neon {
 
 // 64x64 -> low-64 multiply from 32-bit halves (NEON has no 64-bit mul):
-// vmull_u32 widens 32x32 -> 64 exactly like _mm_mul_epu32.
+// vmull_u32 widens 32x32 -> 64 exactly like _mm256_mul_epu32.
 inline uint64x2_t MulLo64(uint64x2_t a, uint64x2_t b) {
   const uint32x2_t a_lo = vmovn_u64(a);
   const uint32x2_t a_hi = vshrn_n_u64(a, 32);
@@ -570,30 +249,8 @@ inline void GroupHashMany(const uint64_t* keys, int64_t count, uint64_t seed,
   }
 }
 
-inline int64_t CountInRange(const uint64_t* values, int64_t count, uint64_t lo,
-                            uint64_t hi) {
-  const uint64x2_t lo_v = vdupq_n_u64(lo);
-  const uint64x2_t hi_v = vdupq_n_u64(hi);
-  uint64x2_t acc = vdupq_n_u64(0);
-  int64_t i = 0;
-  for (; i + 2 <= count; i += 2) {
-    const uint64x2_t v = vld1q_u64(values + i);
-    // NEON has native unsigned 64-bit compares; each matching lane is
-    // all-ones == -1, so subtracting the mask adds 1 per match.
-    const uint64x2_t in =
-        vandq_u64(vcgeq_u64(v, lo_v), vcleq_u64(v, hi_v));
-    acc = vsubq_u64(acc, in);
-  }
-  int64_t hits = static_cast<int64_t>(vgetq_lane_u64(acc, 0) +
-                                      vgetq_lane_u64(acc, 1));
-  for (; i < count; ++i) {
-    hits += values[i] >= lo && values[i] <= hi;
-  }
-  return hits;
-}
-
 }  // namespace neon
-#endif  // MPCQP_SIMD_NEON && MPCQP_SIMD_LEVEL_CAP >= 2
+#endif  // MPCQP_SIMD_NEON && MPCQP_SIMD_LEVEL_CAP >= 1
 
 // ---------------------------------------------------------------------------
 // Dispatch: one KernelTable per compiled-in level, resolved once.
@@ -605,54 +262,32 @@ struct KernelTable {
   void (*bucket_many)(const uint64_t*, int64_t, uint64_t, int, int32_t*);
   void (*group_hash_many)(const uint64_t*, int64_t, uint64_t, uint64_t,
                           uint64_t*);
-  int64_t (*count_in_range)(const uint64_t*, int64_t, uint64_t, uint64_t);
-  int64_t (*fill_in_range)(const uint64_t*, int64_t, int64_t, uint64_t,
-                           uint64_t, int64_t*, int64_t);
-  void (*gather_stride)(const uint64_t*, int64_t, int64_t, uint64_t*);
-  void (*gather_indexed)(const uint64_t*, const int64_t*, int64_t, int64_t,
-                         int64_t, uint64_t*);
-  void (*histogram_top_bits)(const uint64_t*, int64_t, int, int64_t*);
 };
 
 constexpr KernelTable kScalarTable = {
-    IsaLevel::kScalar,      scalar::HashMany,      scalar::BucketMany,
-    scalar::GroupHashMany,  scalar::CountInRange,  scalar::FillInRange,
-    scalar::GatherStride,   scalar::GatherIndexed, scalar::HistogramTopBits,
+    IsaLevel::kScalar, scalar::HashMany, scalar::BucketMany,
+    scalar::GroupHashMany,
 };
 
-#if MPCQP_SIMD_X86 && MPCQP_SIMD_LEVEL_CAP >= 1
-// SSE4.2 has no cheap 64-bit left-pack or gather; those shapes stay on the
-// scalar reference (still bit-identical, just not faster).
-constexpr KernelTable kSse4Table = {
-    IsaLevel::kSse4,        sse4::HashMany,        sse4::BucketMany,
-    sse4::GroupHashMany,    sse4::CountInRange,    scalar::FillInRange,
-    scalar::GatherStride,   scalar::GatherIndexed, scalar::HistogramTopBits,
-};
-#endif
-
-#if MPCQP_SIMD_X86 && MPCQP_SIMD_LEVEL_CAP >= 3
+#if MPCQP_SIMD_X86 && MPCQP_SIMD_LEVEL_CAP >= 2
 constexpr KernelTable kAvx2Table = {
-    IsaLevel::kAvx2,        avx2::HashMany,        avx2::BucketMany,
-    avx2::GroupHashMany,    avx2::CountInRange,    avx2::FillInRange,
-    avx2::GatherStride,     avx2::GatherIndexed,   scalar::HistogramTopBits,
+    IsaLevel::kAvx2, avx2::HashMany, avx2::BucketMany, avx2::GroupHashMany,
 };
 #endif
 
-#if MPCQP_SIMD_NEON && MPCQP_SIMD_LEVEL_CAP >= 2
+#if MPCQP_SIMD_NEON && MPCQP_SIMD_LEVEL_CAP >= 1
 constexpr KernelTable kNeonTable = {
-    IsaLevel::kNeon,        neon::HashMany,        neon::BucketMany,
-    neon::GroupHashMany,    neon::CountInRange,    scalar::FillInRange,
-    scalar::GatherStride,   scalar::GatherIndexed, scalar::HistogramTopBits,
+    IsaLevel::kNeon, neon::HashMany, neon::BucketMany, neon::GroupHashMany,
 };
 #endif
 
+// x86 without AVX2 dispatches scalar: a 128-bit SSE4.2 tier measured
+// slower than the scalar loops (DESIGN.md "SIMD kernels").
 IsaLevel DetectHardware() {
 #if MPCQP_SIMD_NEON
   return IsaLevel::kNeon;  // NEON is architecturally baseline on AArch64.
 #elif MPCQP_SIMD_X86
-  if (__builtin_cpu_supports("avx2")) return IsaLevel::kAvx2;
-  if (__builtin_cpu_supports("sse4.2")) return IsaLevel::kSse4;
-  return IsaLevel::kScalar;
+  return __builtin_cpu_supports("avx2") ? IsaLevel::kAvx2 : IsaLevel::kScalar;
 #else
   return IsaLevel::kScalar;
 #endif
@@ -660,38 +295,19 @@ IsaLevel DetectHardware() {
 
 // The best table whose level is <= `requested`, further clamped to what
 // the hardware supports and what was compiled in — an over-ask (e.g.
-// ScopedIsaOverride{kAvx2} on a NEON box, or MPCQP_SIMD=avx2 under a
-// scalar-capped build) clamps down instead of faulting.
+// ScopedIsaOverride{kAvx2} on a NEON box or under a scalar-capped build)
+// clamps down instead of faulting.
 const KernelTable* TableFor(IsaLevel requested) {
   const int rank = std::min(static_cast<int>(requested),
                             static_cast<int>(DetectedIsa()));
-#if MPCQP_SIMD_X86 && MPCQP_SIMD_LEVEL_CAP >= 3
+#if MPCQP_SIMD_X86 && MPCQP_SIMD_LEVEL_CAP >= 2
   if (rank >= static_cast<int>(IsaLevel::kAvx2)) return &kAvx2Table;
 #endif
-#if MPCQP_SIMD_NEON && MPCQP_SIMD_LEVEL_CAP >= 2
+#if MPCQP_SIMD_NEON && MPCQP_SIMD_LEVEL_CAP >= 1
   if (rank >= static_cast<int>(IsaLevel::kNeon)) return &kNeonTable;
-#endif
-#if MPCQP_SIMD_X86 && MPCQP_SIMD_LEVEL_CAP >= 1
-  if (rank >= static_cast<int>(IsaLevel::kSse4)) return &kSse4Table;
 #endif
   (void)rank;
   return &kScalarTable;
-}
-
-// The level the MPCQP_SIMD env var caps dispatch to. Read once at first
-// kernel use. An unparsable value gets a loud warning and no cap —
-// silently falling back to best-detected would let a benchmark run the
-// user believes is ISA-pinned float to whatever the box supports.
-IsaLevel EnvRequestedLevel() {
-  const char* env = std::getenv("MPCQP_SIMD");
-  IsaLevel level = IsaLevel::kAvx2;  // Highest rank == "no env cap".
-  if (env != nullptr && *env != '\0' && !ParseIsaLevel(env, &level)) {
-    std::fprintf(stderr,
-                 "mpcqp: invalid MPCQP_SIMD=\"%s\" (expected scalar|sse4|"
-                 "neon|avx2); dispatching at best detected level\n",
-                 env);
-  }
-  return level;
 }
 
 std::atomic<const KernelTable*> g_table{nullptr};
@@ -703,7 +319,7 @@ std::atomic<const KernelTable*> g_table{nullptr};
 const KernelTable* Table() {
   const KernelTable* table = g_table.load(std::memory_order_acquire);
   if (table == nullptr) {
-    const KernelTable* resolved = TableFor(EnvRequestedLevel());
+    const KernelTable* resolved = TableFor(DetectedIsa());
     if (g_table.compare_exchange_strong(table, resolved,
                                         std::memory_order_acq_rel,
                                         std::memory_order_acquire)) {
@@ -719,29 +335,12 @@ const char* IsaLevelName(IsaLevel level) {
   switch (level) {
     case IsaLevel::kScalar:
       return "scalar";
-    case IsaLevel::kSse4:
-      return "sse4";
     case IsaLevel::kNeon:
       return "neon";
     case IsaLevel::kAvx2:
       return "avx2";
   }
   return "unknown";
-}
-
-bool ParseIsaLevel(const std::string& text, IsaLevel* out) {
-  if (text == "scalar") {
-    *out = IsaLevel::kScalar;
-  } else if (text == "sse4") {
-    *out = IsaLevel::kSse4;
-  } else if (text == "neon") {
-    *out = IsaLevel::kNeon;
-  } else if (text == "avx2") {
-    *out = IsaLevel::kAvx2;
-  } else {
-    return false;
-  }
-  return true;
 }
 
 IsaLevel DetectedIsa() {
@@ -767,32 +366,37 @@ void GroupHashMany(const uint64_t* keys, int64_t count, uint64_t seed,
   Table()->group_hash_many(keys, count, seed, mask, out);
 }
 
-int64_t CountInRange(const uint64_t* values, int64_t count, uint64_t lo,
-                     uint64_t hi) {
-  return Table()->count_in_range(values, count, lo, hi);
-}
-
-int64_t FillInRange(const uint64_t* values, int64_t count, int64_t index_base,
-                    uint64_t lo, uint64_t hi, int64_t* out, int64_t capacity) {
-  return Table()->fill_in_range(values, count, index_base, lo, hi, out,
-                                capacity);
-}
-
-void GatherStride(const uint64_t* base, int64_t stride, int64_t count,
-                  uint64_t* out) {
-  Table()->gather_stride(base, stride, count, out);
-}
-
-void GatherIndexed(const uint64_t* base, const int64_t* indices, int64_t count,
-                   int64_t stride, int64_t offset, uint64_t* out) {
-  Table()->gather_indexed(base, indices, count, stride, offset, out);
-}
-
+// The histogram is scatter-shaped, which SIMD ISAs without scatter can't
+// express directly — the win instead comes from four interleaved
+// sub-histograms that break the store-to-load forwarding stall on
+// repeated buckets (skewed keys hammer one counter otherwise). Integer
+// per-bucket sums commute, so the merged result equals the naive loop.
 void HistogramTopBits(const uint64_t* hashes, int64_t count, int bits,
                       int64_t* counts) {
   MPCQP_CHECK_GE(bits, 1);
   MPCQP_CHECK_LE(bits, 8);
-  Table()->histogram_top_bits(hashes, count, bits, counts);
+  const int shift = 64 - bits;
+  if (count < 1024) {  // Not worth zeroing 6KB of sub-histograms.
+    for (int64_t i = 0; i < count; ++i) {
+      ++counts[hashes[i] >> shift];
+    }
+    return;
+  }
+  int64_t sub[3][256] = {};
+  int64_t i = 0;
+  for (; i + 4 <= count; i += 4) {
+    ++counts[hashes[i] >> shift];
+    ++sub[0][hashes[i + 1] >> shift];
+    ++sub[1][hashes[i + 2] >> shift];
+    ++sub[2][hashes[i + 3] >> shift];
+  }
+  for (; i < count; ++i) {
+    ++counts[hashes[i] >> shift];
+  }
+  const int num_buckets = 1 << bits;
+  for (int b = 0; b < num_buckets; ++b) {
+    counts[b] += sub[0][b] + sub[1][b] + sub[2][b];
+  }
 }
 
 ScopedIsaOverride::ScopedIsaOverride(IsaLevel level) {

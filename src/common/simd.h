@@ -2,32 +2,29 @@
 #define MPCQP_COMMON_SIMD_H_
 
 #include <cstdint>
-#include <string>
 
-// Runtime-dispatched SIMD kernels for the columnar hot loops.
+// Runtime-dispatched SIMD kernels for the hash loops of the exchange route
+// pass and the group-by engine.
 //
-// The columnar data plane (PR 9) turned the hottest loops — route hashing,
-// bucket routing, predicate filters, key gathers, group-by scans — into
-// contiguous single-column passes. This library supplies explicitly
-// vectorized implementations of exactly those loop shapes, behind a
-// one-time runtime ISA dispatch:
+// Three kernels (HashMany, BucketMany, GroupHashMany) at three levels
+// (scalar, AVX2, NEON). A vector variant stays only where a paired
+// measurement shows it beats the scalar loop (DESIGN.md "SIMD kernels").
 //
 //   - the instruction-set level is detected once at first use (CPUID via
-//     __builtin_cpu_supports on x86; NEON is baseline on aarch64),
-//   - the `MPCQP_SIMD` environment variable (scalar|sse4|avx2|neon) caps
-//     the dispatched level below what the hardware supports,
+//     __builtin_cpu_supports on x86; NEON is baseline on aarch64); x86
+//     without AVX2 dispatches scalar,
 //   - the CMake cache variable `MPCQP_SIMD_LEVEL` caps it at compile time
 //     (and compiles the higher-ISA code paths out entirely), which is how
-//     CI keeps the portable fallback green on machines without AVX2.
+//     CI keeps the portable fallback green on machines without AVX2,
+//   - ScopedIsaOverride forces a level for tests and benches.
 //
 // Determinism contract: every kernel is BIT-IDENTICAL to its scalar
 // reference for every input. All operations are exact integer arithmetic
-// (splitmix64 mixing is element-wise, filters emit match indices in
-// ascending order, gathers and histograms are pure data movement), so the
-// dispatched level can never change outputs, CostReports, adaptive
-// strategy choices, or plan goldens — only wall time. The determinism
-// suite locks this with a {scalar, best-detected} ISA axis on top of the
-// existing thread-count/morsel/layout sweeps.
+// (splitmix64 mixing is element-wise), so the dispatched level can never
+// change outputs, CostReports, adaptive strategy choices, or plan goldens
+// — only wall time. The determinism suite locks this with a {scalar,
+// best-detected} ISA axis on top of the existing thread-count/morsel
+// sweeps.
 //
 // Adding a kernel (see DESIGN.md "SIMD kernels"): write the scalar
 // reference, add a function pointer to KernelTable, implement per-ISA
@@ -37,29 +34,26 @@
 namespace mpcqp::simd {
 
 // Instruction-set levels. Numeric values are ranks: a level is eligible
-// when its rank is <= the detected hardware's rank, the compile-time
-// MPCQP_SIMD_LEVEL_CAP, and the MPCQP_SIMD env cap. The two architecture
-// families never coexist on one box, so the cross-family ordering only
-// matters for cap semantics (capping at "sse4" on aarch64 yields scalar).
+// when its rank is <= the detected hardware's rank and the compile-time
+// MPCQP_SIMD_LEVEL_CAP. The two architecture families never coexist on
+// one box, so the cross-family ordering only matters for cap semantics
+// (capping at "neon" on x86 yields scalar).
 enum class IsaLevel {
   kScalar = 0,
-  kSse4 = 1,  // x86 SSE4.2 (128-bit lanes).
-  kNeon = 2,  // aarch64 NEON (128-bit lanes; baseline on AArch64).
-  kAvx2 = 3,  // x86 AVX2 (256-bit lanes).
+  kNeon = 1,  // aarch64 NEON (128-bit lanes; baseline on AArch64).
+  kAvx2 = 2,  // x86 AVX2 (256-bit lanes).
 };
 
 const char* IsaLevelName(IsaLevel level);
-// Parses "scalar" / "sse4" / "avx2" / "neon"; returns false otherwise.
-bool ParseIsaLevel(const std::string& text, IsaLevel* out);
 
-// The best level this hardware supports (ignoring every cap). Detected
-// once; constant for the process lifetime.
+// The best level this hardware supports (ignoring the compile cap).
+// Detected once; constant for the process lifetime.
 IsaLevel DetectedIsa();
 
 // The level the kernels below actually run at: DetectedIsa() capped by
-// the compile-time MPCQP_SIMD_LEVEL and the MPCQP_SIMD env var (both read
-// once, at first kernel use). Reported by --stats and BENCH_*.json so
-// measurements are comparable across boxes.
+// the compile-time MPCQP_SIMD_LEVEL (resolved once, at first kernel use).
+// Reported by --stats and BENCH_*.json so measurements are comparable
+// across boxes.
 IsaLevel DispatchedIsa();
 
 // ---- Kernels ----
@@ -84,38 +78,14 @@ void BucketMany(const uint64_t* values, int64_t count, uint64_t whitening,
 void GroupHashMany(const uint64_t* keys, int64_t count, uint64_t seed,
                    uint64_t mask, uint64_t* out);
 
-// Number of i in [0, count) with lo <= values[i] <= hi (unsigned
-// comparisons) — the counting pass of SelectRange.
-int64_t CountInRange(const uint64_t* values, int64_t count, uint64_t lo,
-                     uint64_t hi);
-
-// Writes index_base + i, in ascending i order, for every i in [0, count)
-// with lo <= values[i] <= hi; returns the number written. `capacity` MUST
-// be the exact match count (from CountInRange over the same range): the
-// vector path compresses matches with full-width stores while more than
-// one vector of slack remains and finishes scalar, so it never writes
-// past out + capacity.
-int64_t FillInRange(const uint64_t* values, int64_t count, int64_t index_base,
-                    uint64_t lo, uint64_t hi, int64_t* out, int64_t capacity);
-
-// out[i] = base[i * stride] — the strided key-column gather behind
-// GatherKeyColumn. stride >= 1 (stride 1 is a plain copy).
-void GatherStride(const uint64_t* base, int64_t stride, int64_t count,
-                  uint64_t* out);
-
-// out[i] = base[indices[i] * stride + offset] — the selection-vector
-// gather (GatherKeyColumn over a selection view).
-void GatherIndexed(const uint64_t* base, const int64_t* indices,
-                   int64_t count, int64_t stride, int64_t offset,
-                   uint64_t* out);
-
 // counts[hashes[i] >> (64 - bits)] += 1 for every i — the radix top-byte
 // histogram of the group-by engine (bits = 8) and the KeyIndex partition
 // count (bits = part_bits). bits must be in [1, 8]; counts has (1 << bits)
 // entries and is accumulated into, not overwritten. Interleaved
 // sub-histograms break the store-to-load dependency chain on repeated
 // buckets; the final per-bucket sums are order-independent, so the result
-// equals the naive sequential loop exactly.
+// equals the naive sequential loop exactly. Not dispatched: this one
+// scalar loop serves every level.
 void HistogramTopBits(const uint64_t* hashes, int64_t count, int bits,
                       int64_t* counts);
 

@@ -2,14 +2,14 @@
 
 #include "common/check.h"
 #include "mpc/exchange.h"
+#include "relation/relation_ops.h"
 
 namespace mpcqp {
 
 DistRelation BroadcastJoin(Cluster& cluster, const DistRelation& left,
                            const DistRelation& right,
                            const std::vector<int>& left_keys,
-                           const std::vector<int>& right_keys,
-                           LocalJoinAlgorithm local) {
+                           const std::vector<int>& right_keys) {
   MPCQP_CHECK_EQ(left_keys.size(), right_keys.size());
   const int p = cluster.num_servers();
 
@@ -21,8 +21,8 @@ DistRelation BroadcastJoin(Cluster& cluster, const DistRelation& left,
   // them concurrently is read-only and race-free.
   std::vector<Relation> outputs(p);
   cluster.pool().ParallelFor(p, [&](int64_t s) {
-    outputs[s] = RunLocalJoin(left.fragment(s), replicated.fragment(s),
-                              left_keys, right_keys, local);
+    outputs[s] = HashJoinLocal(left.fragment(s), replicated.fragment(s),
+                               left_keys, right_keys);
   });
   return DistRelation::FromFragments(std::move(outputs));
 }

@@ -3,7 +3,6 @@
 
 #include <vector>
 
-#include "join/hash_join.h"
 #include "mpc/cluster.h"
 #include "mpc/dist_relation.h"
 
@@ -13,12 +12,12 @@ namespace mpcqp {
 // input is much smaller, replicate it to every server and leave the big
 // input in place. One round; load |small| per server, independent of skew.
 //
-// `left` stays in place; `right` is broadcast. Output contract matches
-// ParallelHashJoin.
-DistRelation BroadcastJoin(
-    Cluster& cluster, const DistRelation& left, const DistRelation& right,
-    const std::vector<int>& left_keys, const std::vector<int>& right_keys,
-    LocalJoinAlgorithm local = LocalJoinAlgorithm::kHash);
+// `left` stays in place; `right` is broadcast, and each server runs a
+// local hash join. Output contract matches ParallelHashJoin.
+DistRelation BroadcastJoin(Cluster& cluster, const DistRelation& left,
+                           const DistRelation& right,
+                           const std::vector<int>& left_keys,
+                           const std::vector<int>& right_keys);
 
 }  // namespace mpcqp
 

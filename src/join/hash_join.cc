@@ -8,27 +8,10 @@
 
 namespace mpcqp {
 
-Relation RunLocalJoin(RelationView left, RelationView right,
-                      const std::vector<int>& left_keys,
-                      const std::vector<int>& right_keys,
-                      LocalJoinAlgorithm local) {
-  switch (local) {
-    case LocalJoinAlgorithm::kHash:
-      return HashJoinLocal(left, right, left_keys, right_keys);
-    case LocalJoinAlgorithm::kSortMerge:
-      return SortMergeJoinLocal(left, right, left_keys, right_keys);
-    case LocalJoinAlgorithm::kNestedLoop:
-      return NestedLoopJoinLocal(left, right, left_keys, right_keys);
-  }
-  MPCQP_CHECK(false) << "unknown local join algorithm";
-  return Relation(0);
-}
-
 DistRelation ParallelHashJoin(Cluster& cluster, const DistRelation& left,
                               const DistRelation& right,
                               const std::vector<int>& left_keys,
-                              const std::vector<int>& right_keys,
-                              LocalJoinAlgorithm local) {
+                              const std::vector<int>& right_keys) {
   MPCQP_CHECK_EQ(left_keys.size(), right_keys.size());
   MPCQP_CHECK(!left_keys.empty());
   MPCQP_TRACE_SCOPE("hash_join", "algorithm");
@@ -49,9 +32,8 @@ DistRelation ParallelHashJoin(Cluster& cluster, const DistRelation& left,
   ScopedPhaseTimer local_phase(cluster.metrics(), Phase::kLocalCompute);
   cluster.pool().ParallelFor(p, [&](int64_t s) {
     MPCQP_TRACE_SCOPE_ARG("local join", "compute", s);
-    outputs[s] = RunLocalJoin(left_parts.fragment(s),
-                              right_parts.fragment(s), left_keys,
-                              right_keys, local);
+    outputs[s] = HashJoinLocal(left_parts.fragment(s),
+                               right_parts.fragment(s), left_keys, right_keys);
   });
   return DistRelation::FromFragments(std::move(outputs));
 }

@@ -5,21 +5,12 @@
 
 #include "mpc/cluster.h"
 #include "mpc/dist_relation.h"
-#include "relation/relation_view.h"
 
 namespace mpcqp {
 
-// Which single-node algorithm computes the per-server join after the
-// shuffle. Orthogonal to the parallel algorithm (deck slide 32).
-enum class LocalJoinAlgorithm {
-  kHash,
-  kSortMerge,
-  kNestedLoop,
-};
-
 // The parallel (partitioned) hash join of deck slide 23: one round that
 // sends every tuple of both inputs to server h(join key), then a local
-// join per server.
+// hash join (HashJoinLocal) per server.
 //
 // Output contract (shared by every two-way join in the library): columns of
 // `left`, then the non-key columns of `right`; fragments live where the
@@ -27,17 +18,10 @@ enum class LocalJoinAlgorithm {
 //
 // Load: O(IN/p) w.h.p. on skew-free inputs; degrades to Θ(d) when a join
 // value has degree d >> IN/p (slides 24-26).
-DistRelation ParallelHashJoin(
-    Cluster& cluster, const DistRelation& left, const DistRelation& right,
-    const std::vector<int>& left_keys, const std::vector<int>& right_keys,
-    LocalJoinAlgorithm local = LocalJoinAlgorithm::kHash);
-
-// Runs `local` on one server's fragments (shared helper). Takes views:
-// callers pass fragments (or spans of them) without materializing.
-Relation RunLocalJoin(RelationView left, RelationView right,
-                      const std::vector<int>& left_keys,
-                      const std::vector<int>& right_keys,
-                      LocalJoinAlgorithm local);
+DistRelation ParallelHashJoin(Cluster& cluster, const DistRelation& left,
+                              const DistRelation& right,
+                              const std::vector<int>& left_keys,
+                              const std::vector<int>& right_keys);
 
 }  // namespace mpcqp
 

@@ -6,10 +6,10 @@
 
 #include "common/check.h"
 #include "join/cartesian.h"
-#include "join/hash_join.h"
 #include "join/heavy_hitters.h"
 #include "mpc/stats.h"
 #include "mpc/exchange.h"
+#include "relation/relation_ops.h"
 
 namespace mpcqp {
 
@@ -154,9 +154,9 @@ DistRelation SkewAwareJoin(Cluster& cluster, const DistRelation& left,
 
   std::vector<Relation> outputs(p);
   cluster.pool().ParallelFor(p, [&](int64_t s) {
-    outputs[s] = RunLocalJoin(left_parts.fragment(s),
-                              right_parts.fragment(s), {left_key},
-                              {right_key}, LocalJoinAlgorithm::kHash);
+    outputs[s] = HashJoinLocal(left_parts.fragment(s),
+                               right_parts.fragment(s), {left_key},
+                               {right_key});
   });
   return DistRelation::FromFragments(std::move(outputs));
 }

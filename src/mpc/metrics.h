@@ -188,7 +188,7 @@ struct StatsReport {
   int64_t cow_detaches = 0;
   int64_t peak_fragment_rows = 0;
   // The SIMD level the hot-loop kernels dispatched to (simd::DispatchedIsa
-  // at report-build time): "scalar", "sse4", "neon", or "avx2". Recorded
+  // at report-build time): "scalar", "neon", or "avx2". Recorded
   // so wall-time trajectories are comparable across boxes — a kernel can
   // only be judged against runs at the same level.
   std::string simd_isa;

@@ -25,6 +25,11 @@ namespace mpcqp {
 //   round with the heavy plan's first round, giving the slide's r = 2.
 //   The simulator executes them sequentially (3 metered rounds) and
 //   reports both counts.
+//
+// A bench-only driver: bench_multiround_plans, multiway_test and
+// cost_golden_test call it directly. It is not a planner family, and
+// ParseAlgorithmName has no name for it, so no query text or CLI flag
+// reaches it.
 struct TriangleHlOptions {
   // Heavy threshold factor over IN/p^{1/3}.
   double threshold_factor = 1.0;

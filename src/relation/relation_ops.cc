@@ -7,9 +7,8 @@
 #include "common/check.h"
 #include "common/flat_counter.h"
 #include "common/parallel_sort.h"
-#include "common/simd.h"
-#include "common/thread_pool.h"
 #include "common/trace.h"
+#include "relation/columnar.h"
 #include "relation/key_index.h"
 
 namespace mpcqp {
@@ -129,114 +128,6 @@ Relation Filter(RelationView rel,
     if (pred(row)) out.AppendRow(row);
   }
   return out;
-}
-
-namespace {
-
-// Shared two-pass driver for the SelectRange overloads: `count` returns
-// the number of matches in a row range, `fill` writes their (ascending)
-// row indices at a given cursor, never more than `capacity` of them (the
-// exact match count from the counting pass — the SIMD fill kernel needs
-// it because its compressed stores are full-width, and morsel output
-// regions are adjacent and filled concurrently). Morsels cover disjoint
-// ranges and land at exact prefix-summed offsets, so the output is the
-// ascending match list for every (pool, morsel_rows).
-std::vector<int64_t> SelectByRange(
-    int64_t rows, ThreadPool* pool, int64_t morsel_rows,
-    const std::function<int64_t(int64_t, int64_t)>& count,
-    const std::function<void(int64_t, int64_t, int64_t*, int64_t)>& fill) {
-  const bool parallel =
-      pool != nullptr && morsel_rows > 0 && rows > morsel_rows;
-  if (!parallel) {
-    const int64_t total = count(0, rows);
-    std::vector<int64_t> out(static_cast<size_t>(total));
-    fill(0, rows, out.data(), total);
-    return out;
-  }
-  const int64_t morsels = (rows + morsel_rows - 1) / morsel_rows;
-  std::vector<int64_t> counts(static_cast<size_t>(morsels), 0);
-  pool->ParallelForGrained(rows, morsel_rows,
-                           [&](int64_t begin, int64_t end) {
-                             counts[begin / morsel_rows] = count(begin, end);
-                           });
-  std::vector<int64_t> offsets(static_cast<size_t>(morsels) + 1, 0);
-  for (int64_t m = 0; m < morsels; ++m) {
-    offsets[m + 1] = offsets[m] + counts[m];
-  }
-  std::vector<int64_t> out(static_cast<size_t>(offsets[morsels]));
-  pool->ParallelForGrained(
-      rows, morsel_rows, [&](int64_t begin, int64_t end) {
-        const int64_t m = begin / morsel_rows;
-        fill(begin, end, out.data() + offsets[m], counts[m]);
-      });
-  return out;
-}
-
-}  // namespace
-
-std::vector<int64_t> SelectRange(RelationView rel, int col, Value lo,
-                                 Value hi, ThreadPool* pool,
-                                 int64_t morsel_rows) {
-  MPCQP_CHECK_GE(col, 0);
-  MPCQP_CHECK_LT(col, rel.arity());
-  MPCQP_TRACE_SCOPE_ARG("select range", "compute", rel.size());
-  if (UseColumnarScan(rel.arity(), 1) || rel.selection() != nullptr) {
-    // Compact the column out of the wide rows (the shared gather kernel),
-    // then run the unit-stride SIMD predicate: 1.2-2.1x over the stride
-    // loop below on 16-wide rows (EXPERIMENTS.md E22). Selection views
-    // always take this path: their rows are not contiguous to begin with.
-    const auto count = [&](int64_t begin, int64_t end) {
-      std::vector<Value> keys(static_cast<size_t>(end - begin));
-      GatherKeyColumn(rel, col, begin, end, keys.data());
-      return simd::CountInRange(keys.data(), end - begin, lo, hi);
-    };
-    const auto fill = [&](int64_t begin, int64_t end, int64_t* out,
-                          int64_t capacity) {
-      std::vector<Value> keys(static_cast<size_t>(end - begin));
-      GatherKeyColumn(rel, col, begin, end, keys.data());
-      simd::FillInRange(keys.data(), end - begin, begin, lo, hi, out,
-                        capacity);
-    };
-    return SelectByRange(rel.size(), pool, morsel_rows, count, fill);
-  }
-  const Value* base = rel.base();
-  const int arity = rel.arity();
-  const auto count = [&](int64_t begin, int64_t end) {
-    int64_t hits = 0;
-    const Value* p = base + static_cast<size_t>(begin) * arity + col;
-    for (int64_t r = begin; r < end; ++r, p += arity) {
-      hits += *p >= lo && *p <= hi;
-    }
-    return hits;
-  };
-  const auto fill = [&](int64_t begin, int64_t end, int64_t* out,
-                        int64_t capacity) {
-    (void)capacity;
-    const Value* p = base + static_cast<size_t>(begin) * arity + col;
-    for (int64_t r = begin; r < end; ++r, p += arity) {
-      if (*p >= lo && *p <= hi) *out++ = r;
-    }
-  };
-  return SelectByRange(rel.size(), pool, morsel_rows, count, fill);
-}
-
-std::vector<int64_t> SelectRange(const ColumnarRelation& rel, int col,
-                                 Value lo, Value hi, ThreadPool* pool,
-                                 int64_t morsel_rows) {
-  MPCQP_CHECK_GE(col, 0);
-  MPCQP_CHECK_LT(col, rel.arity());
-  MPCQP_TRACE_SCOPE_ARG("select range columnar", "compute", rel.size());
-  if (rel.empty()) return {};
-  const Value* column = rel.column(col);
-  const auto count = [&](int64_t begin, int64_t end) {
-    return simd::CountInRange(column + begin, end - begin, lo, hi);
-  };
-  const auto fill = [&](int64_t begin, int64_t end, int64_t* out,
-                        int64_t capacity) {
-    simd::FillInRange(column + begin, end - begin, begin, lo, hi, out,
-                      capacity);
-  };
-  return SelectByRange(rel.size(), pool, morsel_rows, count, fill);
 }
 
 Relation UnionAll(RelationView a, RelationView b) {

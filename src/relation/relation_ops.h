@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "common/statusor.h"
-#include "relation/columnar.h"
 #include "relation/relation.h"
 #include "relation/relation_view.h"
 
@@ -33,26 +32,6 @@ Relation Dedup(RelationView rel, ThreadPool* pool = nullptr);
 // Rows for which `pred` returns true.
 Relation Filter(RelationView rel,
                 const std::function<bool(const Value*)>& pred);
-
-// Single-column range selection: the indices (ascending) of rows whose
-// column `col` lies in [lo, hi]. The result is a selection vector —
-// compose it with RelationView(rel, selection) to run further operators
-// over the matches without materializing them. With a pool the scan is
-// morsel-parallel (count -> prefix -> fill over disjoint ranges), and the
-// index list is bit-identical for every (pool, morsel_rows). Wide rows
-// (UseColumnarScan(arity, 1)) and selection views gather the column into
-// a contiguous buffer for the SIMD predicate; narrow rows stride directly.
-std::vector<int64_t> SelectRange(RelationView rel, int col, Value lo,
-                                 Value hi, ThreadPool* pool = nullptr,
-                                 int64_t morsel_rows = 0);
-
-// The same predicate over a column-major relation: a tight unit-stride
-// loop over column(col). Produces exactly the index list of the row-major
-// overload on the transposed data.
-std::vector<int64_t> SelectRange(const ColumnarRelation& rel, int col,
-                                 Value lo, Value hi,
-                                 ThreadPool* pool = nullptr,
-                                 int64_t morsel_rows = 0);
 
 // Appends all rows of `b` to a materialization of `a`. Arities must match.
 Relation UnionAll(RelationView a, RelationView b);

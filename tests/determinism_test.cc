@@ -38,6 +38,7 @@
 #include "multiway/hypercube.h"
 #include "query/ghd.h"
 #include "query/query.h"
+#include "relation/columnar.h"
 #include "relation/relation_ops.h"
 #include "sort/multi_round_sort.h"
 #include "sort/psrs.h"
@@ -750,12 +751,11 @@ TEST(ColumnarScanInvariance, WideGroupByMatchesSortedMap) {
 //
 // The fourth axis of the contract: the dispatched SIMD level (scalar vs
 // the best this hardware offers) selects the instruction sequence of the
-// hot kernels — route hashing, range filters, gathers, group hashes,
-// radix histograms — and every kernel is bit-identical to its scalar
-// reference by construction. These sweeps prove it end to end: outputs
-// and CostReports from MPCQP_SIMD=scalar-equivalent runs must match the
-// best-ISA runs across exchange, SelectRange, group-by, and semijoin
-// paths x thread counts x morsel sizes.
+// hot kernels — route hashing, bucket routing, group hashes — and every
+// kernel is bit-identical to its scalar reference by construction. These
+// sweeps prove it end to end: outputs and CostReports from forced-scalar
+// runs must match the best-ISA runs across exchange, group-by, and
+// semijoin paths x thread counts x morsel sizes.
 
 // Both interesting levels: the scalar reference and whatever the box
 // actually dispatches (deduped — on a scalar-only box the sweep still
@@ -806,8 +806,8 @@ TEST(SimdInvariance, ExchangeAllRouters) {
   });
 }
 
-// Semijoin probes: batched KeyIndex hashing (HashMany), the partition
-// histogram, and the block gathers all sit under DistributedSemijoin.
+// Semijoin probes: batched KeyIndex hashing (HashMany) sits under
+// DistributedSemijoin.
 TEST(SimdInvariance, Semijoin) {
   Relation left, right;
   MakeJoinInputs(&left, &right);
@@ -819,9 +819,8 @@ TEST(SimdInvariance, Semijoin) {
 }
 
 // Group-by reading 2 of 6 columns, so the input rule compacts the scans:
-// they batch their hashes through GroupHashMany and the radix count pass
-// through HistogramTopBits; both pinned strategies plus the adaptive
-// chooser must reproduce the scalar run bit for bit.
+// they batch their hashes through GroupHashMany; both pinned strategies
+// plus the adaptive chooser must reproduce the scalar run bit for bit.
 TEST(SimdInvariance, GroupByColumnarScans) {
   Rng rng(kSeed + 11);
   const Relation wide = GenerateZipf(rng, 12000, 6, 200, 1, 1.1);
@@ -842,55 +841,6 @@ TEST(SimdInvariance, GroupByColumnarScans) {
                                        {1}, 3, AggregateOp::kSum)
         .value();
   });
-}
-
-// SelectRange is a local kernel, so the ISA sweep compares it directly:
-// every entry point (wide row view with the gather, narrow row view with
-// the stride loop, a non-contiguous selection view, and a true
-// ColumnarRelation column) against the forced-scalar result, across
-// threads x morsel sizes.
-TEST(SimdInvariance, SelectRangeAllOverloads) {
-  Rng rng(kSeed + 12);
-  const Relation wide = GenerateUniform(rng, 30000, 5, 2000);
-  const Relation narrow = Project(wide, {1, 2});
-  const Value lo = 150, hi = 1200;
-  const ColumnarRelation columnar = ColumnarRelation::FromRowMajor(wide);
-  // A non-contiguous selection over the wide rows (every third row).
-  std::vector<int64_t> sel;
-  for (int64_t i = 0; i < wide.size(); i += 3) sel.push_back(i);
-  const RelationView sel_view(wide, sel);
-
-  const auto run_all = [&](ThreadPool* pool, int64_t morsel) {
-    std::vector<std::vector<int64_t>> outs;
-    outs.push_back(SelectRange(wide, 2, lo, hi, pool, morsel));
-    outs.push_back(SelectRange(narrow, 1, lo, hi, pool, morsel));
-    outs.push_back(SelectRange(sel_view, 2, lo, hi, pool, morsel));
-    outs.push_back(SelectRange(columnar, 2, lo, hi, pool, morsel));
-    return outs;
-  };
-
-  const std::vector<std::vector<int64_t>> base = [&] {
-    simd::ScopedIsaOverride over(simd::IsaLevel::kScalar);
-    return run_all(nullptr, ClusterOptions{}.morsel_rows);
-  }();
-  ASSERT_FALSE(base[0].empty());
-  EXPECT_EQ(base[0], base[1]);  // Gather and stride loops agree.
-  EXPECT_EQ(base[0], base[3]);
-  for (const simd::IsaLevel level : IsaAxis()) {
-    simd::ScopedIsaOverride over(level);
-    for (const int threads : kThreadCounts) {
-      ThreadPool pool(threads);
-      for (const int64_t morsel : kMorselSizes) {
-        const auto got = run_all(&pool, morsel);
-        for (size_t k = 0; k < base.size(); ++k) {
-          EXPECT_EQ(base[k], got[k])
-              << "overload " << k << " differs at isa="
-              << simd::IsaLevelName(level) << " threads=" << threads
-              << " morsel=" << morsel;
-        }
-      }
-    }
-  }
 }
 
 }  // namespace

@@ -8,7 +8,6 @@
 
 #include <cstdlib>
 
-#include "join/hash_join.h"
 #include "join/semi_join.h"
 #include "join/skew_join.h"
 #include "join/sort_join.h"
@@ -170,14 +169,6 @@ TEST_P(TwoWayDifferentialTest, JoinAndSemijoinPathsAgreeWithLocalReference) {
     cluster_options.num_threads = (GetParam() % 2 == 1) ? 2 : 1;
     const DistRelation dl = DistRelation::Scatter(left, p);
     const DistRelation dr = DistRelation::Scatter(right, p);
-    {
-      Cluster cluster(p, 5, cluster_options);
-      const DistRelation result =
-          ParallelHashJoin(cluster, dl, dr, {left_key}, {right_key},
-                           LocalJoinAlgorithm::kSortMerge);
-      EXPECT_TRUE(MultisetEqual(result.Collect(), expected))
-          << "hash join (sort-merge local) p=" << p;
-    }
     {
       Cluster cluster(p, 5, cluster_options);
       Rng join_rng(GetParam() + 11000);
