@@ -255,6 +255,60 @@ TEST(CostGoldenTest, GymStarOptimized) {
                       kGymStarOptimized);
 }
 
+// ---------- GYM with a two-variable parent/child key ----------
+
+// R(x,y) and S(y,x,z) share the key (x,y), so the co-partition hashes two
+// columns in bag order. S's distinct variables are not ascending and T
+// repeats w, so bag materialization filters and reorders its atoms.
+const GoldenRound kGymTwoVariableKey[] = {
+    {"gym: upward semijoin", 71, 262, 0xd8e7bcb1d617f64bULL},
+    {"gym: upward semijoin", 53, 325, 0xc968bbdc88c225ebULL},
+    {"gym: downward semijoin", 49, 306, 0x7b1e76c498d74f41ULL},
+    {"gym: downward semijoin", 69, 178, 0x1bc52e0cd2e543f7ULL},
+    {"gym: join step", 89, 178, 0xf779d377b6f68907ULL},
+    {"gym: join step", 312, 1687, 0x8d6b566779250361ULL},
+};
+
+const GoldenRound kGymTwoVariableKeyOptimized[] = {
+    {"gym: upward semijoin level", 71, 262, 0x77cc1a57edb31e5fULL},
+    {"gym: upward semijoin level", 53, 325, 0x610d5187e6f54055ULL},
+    {"gym: downward semijoin level", 49, 306, 0x7b1e76c498d74f41ULL},
+    {"gym: downward semijoin level", 69, 178, 0x1bc52e0cd2e543f7ULL},
+    {"skew-hc: multicast residual classes", 156, 726, 0x6be250b712b250c7ULL},
+};
+
+void RunGymTwoVariableKey(bool optimized, CostReport* report) {
+  const auto q = ConjunctiveQuery::Parse("R(x,y), S(y,x,z), T(z,w,w)");
+  ASSERT_TRUE(q.ok());
+  Rng data_rng(27);
+  Rng rng(28);
+  std::vector<DistRelation> atoms;
+  atoms.push_back(DistRelation::Scatter(
+      GenerateUniform(data_rng, 200, 2, 8), kServers));
+  atoms.push_back(DistRelation::Scatter(
+      GenerateUniform(data_rng, 200, 3, 8), kServers));
+  atoms.push_back(DistRelation::Scatter(
+      GenerateUniform(data_rng, 300, 3, 5), kServers));
+  Cluster cluster(kServers, kSeed);
+  GymOptions options;
+  options.optimized = optimized;
+  GymJoin(cluster, *q, ChainGhd(*q), atoms, rng, options);
+  *report = cluster.cost_report();
+}
+
+TEST(CostGoldenTest, GymTwoVariableKey) {
+  CostReport report;
+  RunGymTwoVariableKey(/*optimized=*/false, &report);
+  ExpectMatchesGolden("GymTwoVariableKey", report, kGymTwoVariableKey);
+}
+
+TEST(CostGoldenTest, GymTwoVariableKeyOptimized) {
+  CostReport report;
+  RunGymTwoVariableKey(/*optimized=*/true, &report);
+  ExpectMatchesGolden("GymTwoVariableKeyOptimized", report,
+                      kGymTwoVariableKeyOptimized);
+}
+
 // ---------- Iterative binary join: skew-aware, multi-key and product steps ----------
 
 const GoldenRound kIterativeBinaryJoin[] = {

@@ -115,6 +115,20 @@ TEST_P(DifferentialTest, AllAlgorithmsAgreeWithSerialReference) {
       EXPECT_TRUE(MultisetEqual(result.output.Collect(), expected))
           << "binary p=" << p;
     }
+    if (IsAcyclic(q)) {
+      const StatusOr<Ghd> ghd = BuildJoinTree(q);
+      ASSERT_TRUE(ghd.ok()) << ghd.status();
+      for (const bool optimized : {false, true}) {
+        Cluster cluster(p, 5, cluster_options);
+        Rng rng(GetParam() + 8000);
+        GymOptions options;
+        options.optimized = optimized;
+        const GymResult result =
+            GymJoin(cluster, q, *ghd, Scatter(atoms, p), rng, options);
+        EXPECT_TRUE(MultisetEqual(result.output.Collect(), expected))
+            << (optimized ? "gym-optimized" : "gym") << " p=" << p;
+      }
+    }
   }
 
   // Set-semantics family on deduplicated inputs.
