@@ -1,7 +1,5 @@
 #include "acyclic/yannakakis.h"
 
-#include <algorithm>
-
 #include "common/check.h"
 #include "query/local_eval.h"
 #include "relation/relation_ops.h"
@@ -29,26 +27,6 @@ Relation MaterializeBag(const ConjunctiveQuery& q, const GhdNode& node,
   const ConjunctiveQuery sub = ConjunctiveQuery::Make(names, sub_atoms);
   return EvalJoinLocal(sub, sub_rels);
 }
-
-namespace {
-
-// Key columns of the shared variables between two var lists.
-void SharedKeyCols(const std::vector<int>& left_vars,
-                   const std::vector<int>& right_vars,
-                   std::vector<int>* left_keys, std::vector<int>* right_keys) {
-  left_keys->clear();
-  right_keys->clear();
-  for (size_t i = 0; i < left_vars.size(); ++i) {
-    const auto it =
-        std::find(right_vars.begin(), right_vars.end(), left_vars[i]);
-    if (it != right_vars.end()) {
-      left_keys->push_back(static_cast<int>(i));
-      right_keys->push_back(static_cast<int>(it - right_vars.begin()));
-    }
-  }
-}
-
-}  // namespace
 
 Relation YannakakisSerial(const ConjunctiveQuery& q, const Ghd& ghd,
                           const std::vector<Relation>& atoms) {
@@ -97,27 +75,15 @@ Relation YannakakisSerial(const ConjunctiveQuery& q, const Ghd& ghd,
       if (parent < 0) continue;
       SharedKeyCols(result_vars[parent], result_vars[n], &lk, &rk);
       results[parent] = HashJoinLocal(results[parent], results[n], lk, rk);
-      // Output: parent vars then child's non-key vars.
-      for (size_t c = 0; c < result_vars[n].size(); ++c) {
-        if (std::find(rk.begin(), rk.end(), static_cast<int>(c)) ==
-            rk.end()) {
-          result_vars[parent].push_back(result_vars[n][c]);
-        }
-      }
+      result_vars[parent] =
+          JoinOutputVars(result_vars[parent], result_vars[n], rk);
     }
   }
 
   // Project the root result to variable-id order.
   const int root = ghd.root();
-  MPCQP_CHECK_EQ(static_cast<int>(result_vars[root].size()), q.num_vars());
-  std::vector<int> cols(q.num_vars());
-  for (int v = 0; v < q.num_vars(); ++v) {
-    const auto it =
-        std::find(result_vars[root].begin(), result_vars[root].end(), v);
-    MPCQP_CHECK(it != result_vars[root].end());
-    cols[v] = static_cast<int>(it - result_vars[root].begin());
-  }
-  return Project(results[root], cols);
+  return Project(results[root],
+                 IdOrderColumns(result_vars[root], q.num_vars()));
 }
 
 }  // namespace mpcqp

@@ -124,4 +124,19 @@ Relation DistRelation::Collect(ThreadPool* pool) const {
   return out;
 }
 
+DistRelation AppendRowIds(const DistRelation& rel) {
+  DistRelation out(rel.arity() + 1, rel.num_servers());
+  Value id = 0;
+  std::vector<Value> row(rel.arity() + 1);
+  for (int s = 0; s < rel.num_servers(); ++s) {
+    const Relation& frag = rel.fragment(s);
+    for (int64_t i = 0; i < frag.size(); ++i) {
+      std::copy(frag.row(i), frag.row(i) + rel.arity(), row.begin());
+      row[rel.arity()] = id++;
+      out.fragment(s).AppendRow(row.data());
+    }
+  }
+  return out;
+}
+
 }  // namespace mpcqp

@@ -51,6 +51,11 @@ class DistRelation {
   std::vector<Relation> fragments_;
 };
 
+// `rel` with one more, trailing column: a row id unique across servers,
+// assigned serially in (server, row) order starting at 0 (local compute,
+// no communication). Drivers use it to match a row's filtered copies.
+DistRelation AppendRowIds(const DistRelation& rel);
+
 }  // namespace mpcqp
 
 #endif  // MPCQP_MPC_DIST_RELATION_H_

@@ -9,6 +9,7 @@
 #include "join/semi_join.h"
 #include "mpc/exchange.h"
 #include "mpc/metrics.h"
+#include "query/local_eval.h"
 #include "relation/key_index.h"
 #include "relation/relation_ops.h"
 
@@ -16,66 +17,11 @@ namespace mpcqp {
 
 namespace {
 
-// Locally normalizes an atom: intra-atom repeats filtered, one column per
-// distinct variable, deduplicated. Returns fragments + the variable list.
-std::pair<DistRelation, std::vector<int>> NormalizeAtom(
-    ThreadPool& pool, const Atom& atom, const DistRelation& rel) {
-  std::vector<int> vars;
-  std::vector<int> cols;
-  for (int c = 0; c < atom.arity(); ++c) {
-    const int v = atom.vars[c];
-    if (std::find(vars.begin(), vars.end(), v) == vars.end()) {
-      vars.push_back(v);
-      cols.push_back(c);
-    }
-  }
-  const bool repeats = static_cast<int>(vars.size()) != atom.arity();
-  DistRelation out(static_cast<int>(vars.size()), rel.num_servers());
-  pool.ParallelFor(rel.num_servers(), [&](int64_t s) {
-    Relation frag = rel.fragment(s);  // COW handle; no bytes move.
-    if (repeats) {
-      frag = Filter(frag, [&](const Value* row) {
-        for (int c = 0; c < atom.arity(); ++c) {
-          for (int d = c + 1; d < atom.arity(); ++d) {
-            if (atom.vars[c] == atom.vars[d] && row[c] != row[d]) {
-              return false;
-            }
-          }
-        }
-        return true;
-      });
-    }
-    out.fragment(s) = Dedup(Project(frag, cols));
-  });
-  return {std::move(out), std::move(vars)};
-}
-
-// Column positions in `haystack` of each entry of `needles`.
-std::vector<int> PositionsOf(const std::vector<int>& needles,
-                             const std::vector<int>& haystack) {
-  std::vector<int> positions;
-  for (int n : needles) {
-    const auto it = std::find(haystack.begin(), haystack.end(), n);
-    MPCQP_CHECK(it != haystack.end());
-    positions.push_back(static_cast<int>(it - haystack.begin()));
-  }
-  return positions;
-}
-
-// Appends a globally-unique id column (local compute).
-DistRelation AppendIds(const DistRelation& rel) {
-  DistRelation out(rel.arity() + 1, rel.num_servers());
-  Value id = 0;
-  std::vector<Value> row(rel.arity() + 1);
-  for (int s = 0; s < rel.num_servers(); ++s) {
-    const Relation& frag = rel.fragment(s);
-    for (int64_t i = 0; i < frag.size(); ++i) {
-      std::copy(frag.row(i), frag.row(i) + rel.arity(), row.begin());
-      row[rel.arity()] = id++;
-      out.fragment(s).AppendRow(row.data());
-    }
-  }
-  return out;
+// Columns 0..n-1: a proposer projection's key columns.
+std::vector<int> LeadingCols(size_t n) {
+  std::vector<int> cols(n);
+  for (size_t c = 0; c < n; ++c) cols[c] = static_cast<int>(c);
+  return cols;
 }
 
 // One involved atom's role in an extension step.
@@ -110,9 +56,13 @@ BigJoinResult BigJoin(Cluster& cluster, const ConjunctiveQuery& q,
   std::vector<DistRelation> rels;
   std::vector<std::vector<int>> rel_vars;
   for (int j = 0; j < q.num_atoms(); ++j) {
-    auto [rel, vars] = NormalizeAtom(cluster.pool(), q.atom(j), atoms[j]);
-    rels.push_back(std::move(rel));
-    rel_vars.push_back(std::move(vars));
+    // Set semantics: each normalized atom fragment is deduplicated.
+    rel_vars.push_back(DistinctVars(q.atom(j)));
+    rels.emplace_back(static_cast<int>(rel_vars.back().size()), p);
+    cluster.pool().ParallelFor(p, [&](int64_t s) {
+      rels[j].fragment(s) =
+          Dedup(NormalizeAtom(q.atom(j), atoms[j].fragment(s)));
+    });
   }
 
   DistRelation prefixes(0, p);
@@ -139,9 +89,9 @@ BigJoinResult BigJoin(Cluster& cluster, const ConjunctiveQuery& q,
           proposer.shared_vars.push_back(v);
         }
       }
-      proposer.prefix_keys = PositionsOf(proposer.shared_vars, bound);
-      std::vector<int> cols = PositionsOf(proposer.shared_vars, rel_vars[j]);
-      cols.push_back(PositionsOf({var}, rel_vars[j]).front());
+      proposer.prefix_keys = ColumnsOf(proposer.shared_vars, bound);
+      std::vector<int> cols = ColumnsOf(proposer.shared_vars, rel_vars[j]);
+      cols.push_back(ColumnsOf({var}, rel_vars[j]).front());
       proposer.projection =
           DistRelation(static_cast<int>(cols.size()), p);
       cluster.pool().ParallelFor(p, [&](int64_t s) {
@@ -191,7 +141,7 @@ BigJoinResult BigJoin(Cluster& cluster, const ConjunctiveQuery& q,
     // ---- Count round: annotate each prefix with every proposer's
     // candidate count. Prefixes carry an id; all co-partitions share one
     // MPC round. ----
-    const DistRelation prefixes_with_id = AppendIds(prefixes);
+    const DistRelation prefixes_with_id = AppendRowIds(prefixes);
     const int id_col = prefixes_with_id.arity() - 1;
 
     struct CountParts {
@@ -203,15 +153,11 @@ BigJoinResult BigJoin(Cluster& cluster, const ConjunctiveQuery& q,
     for (size_t i = 0; i < proposers.size(); ++i) {
       if (proposers[i].shared_vars.empty()) continue;
       const HashFunction hash = cluster.NewHashFunction();
-      std::vector<int> proj_keys(proposers[i].shared_vars.size());
-      for (size_t c = 0; c < proj_keys.size(); ++c) {
-        proj_keys[c] = static_cast<int>(c);
-      }
       count_parts[i].prefix_parts = HashPartition(
           cluster, prefixes_with_id, proposers[i].prefix_keys, hash, "");
-      count_parts[i].proj_parts =
-          HashPartition(cluster, proposers[i].projection, proj_keys, hash,
-                        "");
+      count_parts[i].proj_parts = HashPartition(
+          cluster, proposers[i].projection,
+          LeadingCols(proposers[i].shared_vars.size()), hash, "");
     }
     cluster.EndRound();
 
@@ -220,10 +166,8 @@ BigJoinResult BigJoin(Cluster& cluster, const ConjunctiveQuery& q,
     DistRelation count_tuples(3, p);  // (prefix id, proposer idx, count).
     for (size_t i = 0; i < proposers.size(); ++i) {
       if (proposers[i].shared_vars.empty()) continue;
-      std::vector<int> proj_keys(proposers[i].shared_vars.size());
-      for (size_t c = 0; c < proj_keys.size(); ++c) {
-        proj_keys[c] = static_cast<int>(c);
-      }
+      const std::vector<int> proj_keys =
+          LeadingCols(proposers[i].shared_vars.size());
       ScopedPhaseTimer local_phase(cluster.metrics(), Phase::kLocalCompute);
       cluster.pool().ParallelFor(p, [&](int64_t s) {
         MPCQP_TRACE_SCOPE_ARG("local count", "compute", s);
@@ -322,14 +266,11 @@ BigJoinResult BigJoin(Cluster& cluster, const ConjunctiveQuery& q,
             Broadcast(cluster, proposers[i].projection, "");
       } else {
         const HashFunction hash = cluster.NewHashFunction();
-        std::vector<int> proj_keys(proposers[i].shared_vars.size());
-        for (size_t c = 0; c < proj_keys.size(); ++c) {
-          proj_keys[c] = static_cast<int>(c);
-        }
         extend_parts[i].prefix_parts = HashPartition(
             cluster, mine, proposers[i].prefix_keys, hash, "");
         extend_parts[i].proj_parts = HashPartition(
-            cluster, proposers[i].projection, proj_keys, hash, "");
+            cluster, proposers[i].projection,
+            LeadingCols(proposers[i].shared_vars.size()), hash, "");
       }
     }
     cluster.EndRound();
@@ -337,10 +278,8 @@ BigJoinResult BigJoin(Cluster& cluster, const ConjunctiveQuery& q,
     DistRelation extended(static_cast<int>(bound.size()) + 1, p);
     for (size_t i = 0; i < proposers.size(); ++i) {
       if (extend_parts[i].prefix_parts.arity() == 0) continue;
-      std::vector<int> proj_keys(proposers[i].shared_vars.size());
-      for (size_t c = 0; c < proj_keys.size(); ++c) {
-        proj_keys[c] = static_cast<int>(c);
-      }
+      const std::vector<int> proj_keys =
+          LeadingCols(proposers[i].shared_vars.size());
       ScopedPhaseTimer local_phase(cluster.metrics(), Phase::kLocalCompute);
       cluster.pool().ParallelFor(p, [&](int64_t s) {
         MPCQP_TRACE_SCOPE_ARG("local extend", "compute", s);
@@ -351,10 +290,7 @@ BigJoinResult BigJoin(Cluster& cluster, const ConjunctiveQuery& q,
         const Relation joined = HashJoinLocal(
             extend_parts[i].prefix_parts.fragment(s), proj,
             proposers[i].prefix_keys, proj_keys);
-        std::vector<int> keep;
-        for (int c = 0; c < static_cast<int>(bound.size()); ++c) {
-          keep.push_back(c);
-        }
+        std::vector<int> keep = LeadingCols(bound.size());
         keep.push_back(joined.arity() - 1);  // The new value.
         const Relation stripped = Project(joined, keep);
         extended.fragment(s).Append(stripped);
@@ -369,21 +305,14 @@ BigJoinResult BigJoin(Cluster& cluster, const ConjunctiveQuery& q,
     for (size_t i = 0; i < proposers.size(); ++i) {
       std::vector<int> filter_vars = proposers[i].shared_vars;
       filter_vars.push_back(var);
-      std::vector<int> proj_keys(filter_vars.size());
-      for (size_t c = 0; c < proj_keys.size(); ++c) {
-        proj_keys[c] = static_cast<int>(c);
-      }
       prefixes = DistributedSemijoin(cluster, prefixes,
                                      proposers[i].projection,
-                                     PositionsOf(filter_vars, bound),
-                                     proj_keys);
+                                     ColumnsOf(filter_vars, bound),
+                                     LeadingCols(filter_vars.size()));
     }
   }
 
-  std::vector<int> cols(q.num_vars());
-  for (int v = 0; v < q.num_vars(); ++v) {
-    cols[v] = PositionsOf({v}, bound).front();
-  }
+  const std::vector<int> cols = IdOrderColumns(bound, q.num_vars());
   BigJoinResult result{DistRelation(q.num_vars(), p), 0};
   {
     ScopedPhaseTimer local_phase(cluster.metrics(), Phase::kLocalCompute);

@@ -1,40 +1,12 @@
 #include "multiway/hypercube.h"
 
-#include <algorithm>
-
 #include "common/check.h"
 #include "common/trace.h"
 #include "mpc/exchange.h"
 #include "mpc/metrics.h"
 #include "query/local_eval.h"
-#include "relation/relation_ops.h"
 
 namespace mpcqp {
-
-namespace {
-
-// Drops rows of an atom instance that violate intra-atom repeated
-// variables (they can never join; filtering locally is free and saves
-// communication).
-Relation PrefilterRepeats(const Atom& atom, const Relation& rel) {
-  bool has_repeats = false;
-  for (int c = 0; c < atom.arity(); ++c) {
-    for (int d = c + 1; d < atom.arity(); ++d) {
-      if (atom.vars[c] == atom.vars[d]) has_repeats = true;
-    }
-  }
-  if (!has_repeats) return rel;
-  return Filter(rel, [&](const Value* row) {
-    for (int c = 0; c < atom.arity(); ++c) {
-      for (int d = c + 1; d < atom.arity(); ++d) {
-        if (atom.vars[c] == atom.vars[d] && row[c] != row[d]) return false;
-      }
-    }
-    return true;
-  });
-}
-
-}  // namespace
 
 HyperCubeResult HyperCubeJoin(Cluster& cluster, const ConjunctiveQuery& q,
                               const std::vector<DistRelation>& atoms,
@@ -83,15 +55,7 @@ HyperCubeResult HyperCubeJoin(Cluster& cluster, const ConjunctiveQuery& q,
   for (int j = 0; j < q.num_atoms(); ++j) {
     const Atom& atom = q.atom(j);
     // Fixed dimensions: first-occurrence column per distinct variable.
-    std::vector<std::pair<int, int>> var_cols;  // (var, column).
-    for (int c = 0; c < atom.arity(); ++c) {
-      const int v = atom.vars[c];
-      bool first = true;
-      for (int d = 0; d < c; ++d) {
-        if (atom.vars[d] == v) first = false;
-      }
-      if (first) var_cols.push_back({v, c});
-    }
+    const std::vector<std::pair<int, int>> var_cols = DistinctVarCols(atom);
     std::vector<bool> is_fixed(k, false);
     for (const auto& [v, c] : var_cols) is_fixed[v] = true;
     std::vector<int> free_vars;
@@ -99,9 +63,13 @@ HyperCubeResult HyperCubeJoin(Cluster& cluster, const ConjunctiveQuery& q,
       if (!is_fixed[v]) free_vars.push_back(v);
     }
 
+    // Rows violating a repeated variable can never join: dropping them
+    // locally is free and saves communication. Rows keep full arity,
+    // because the multicast meters every column.
     DistRelation prefiltered(atoms[j].arity(), p);
     cluster.pool().ParallelFor(p, [&](int64_t s) {
-      prefiltered.fragment(s) = PrefilterRepeats(atom, atoms[j].fragment(s));
+      prefiltered.fragment(s) =
+          FilterRepeatedVars(atom, atoms[j].fragment(s));
     });
 
     routed.push_back(Route(

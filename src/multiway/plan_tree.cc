@@ -1,43 +1,17 @@
 #include "multiway/plan_tree.h"
 
-#include <algorithm>
 #include <cstdio>
 
 #include "common/check.h"
 #include "join/cartesian.h"
 #include "join/hash_join.h"
 #include "join/skew_join.h"
+#include "query/local_eval.h"
 #include "relation/relation_ops.h"
 
 namespace mpcqp {
 
 namespace {
-
-// Locally normalizes one atom instance: drops rows violating intra-atom
-// repeated variables and projects to one column per distinct variable.
-DistRelation NormalizeAtomDist(const Atom& atom, const DistRelation& rel) {
-  std::vector<int> keep_cols;
-  for (const auto& [v, c] : DistinctVarCols(atom)) keep_cols.push_back(c);
-  const bool has_repeats = static_cast<int>(keep_cols.size()) != atom.arity();
-  DistRelation out(static_cast<int>(keep_cols.size()), rel.num_servers());
-  for (int s = 0; s < rel.num_servers(); ++s) {
-    const Relation& frag = rel.fragment(s);
-    if (!has_repeats) {
-      out.fragment(s) = frag;
-      continue;
-    }
-    const Relation filtered = Filter(frag, [&](const Value* row) {
-      for (int c = 0; c < atom.arity(); ++c) {
-        for (int d = c + 1; d < atom.arity(); ++d) {
-          if (atom.vars[c] == atom.vars[d] && row[c] != row[d]) return false;
-        }
-      }
-      return true;
-    });
-    out.fragment(s) = Project(filtered, keep_cols);
-  }
-  return out;
-}
 
 std::string VarList(const ConjunctiveQuery& q, const std::vector<int>& vars) {
   std::string out = "[";
@@ -116,14 +90,12 @@ PlanTree BuildJoinOrderTree(const ConjunctiveQuery& q,
     return static_cast<int>(tree.nodes.size()) - 1;
   };
 
-  // A scan outputs the atom's distinct variables (NormalizeAtomDist).
+  // A scan outputs the atom's distinct variables (NormalizeAtom).
   auto scan = [&](int j) {
     PlanNode node;
     node.op = PlanOp::kScan;
     node.atom = j;
-    for (const auto& [v, c] : DistinctVarCols(q.atom(j))) {
-      node.vars.push_back(v);
-    }
+    node.vars = DistinctVars(q.atom(j));
     return node;
   };
 
@@ -137,23 +109,16 @@ PlanTree BuildJoinOrderTree(const ConjunctiveQuery& q,
     const int scan_index = add(std::move(rel));
 
     // Key columns: every variable of the new atom already bound by the
-    // accumulated join, as (left column, right column) pairs.
+    // accumulated join, as (left column, right column) pairs in the new
+    // atom's column order.
     std::vector<int> left_keys;
     std::vector<int> right_keys;
-    for (size_t c = 0; c < rel_vars.size(); ++c) {
-      const auto it =
-          std::find(acc_vars.begin(), acc_vars.end(), rel_vars[c]);
-      if (it != acc_vars.end()) {
-        left_keys.push_back(static_cast<int>(it - acc_vars.begin()));
-        right_keys.push_back(static_cast<int>(c));
-      }
-    }
+    SharedKeyCols(rel_vars, acc_vars, &right_keys, &left_keys);
 
     PlanNode parent;
     if (left_keys.empty()) {
       parent.op = PlanOp::kProduct;
       parent.children = {acc, scan_index};
-      for (int v : rel_vars) acc_vars.push_back(v);
     } else {
       PlanNode exchange_left;
       exchange_left.op = PlanOp::kExchange;
@@ -172,13 +137,8 @@ PlanTree BuildJoinOrderTree(const ConjunctiveQuery& q,
       parent.op = PlanOp::kShuffleJoin;
       parent.children = {left_index, right_index};
       parent.skew_aware = skew_aware && left_keys.size() == 1;
-      for (size_t c = 0; c < rel_vars.size(); ++c) {
-        if (std::find(right_keys.begin(), right_keys.end(),
-                      static_cast<int>(c)) == right_keys.end()) {
-          acc_vars.push_back(rel_vars[c]);
-        }
-      }
     }
+    acc_vars = JoinOutputVars(acc_vars, rel_vars, right_keys);
     parent.vars = acc_vars;
     if (step - 1 < est_rows.size()) parent.est_rows = est_rows[step - 1];
     acc = add(std::move(parent));
@@ -234,8 +194,14 @@ DistRelation EvalNode(Cluster& cluster, const ConjunctiveQuery& q,
                     step_sizes);
   };
   switch (node.op) {
-    case PlanOp::kScan:
-      return NormalizeAtomDist(q.atom(node.atom), atoms[node.atom]);
+    case PlanOp::kScan: {
+      const DistRelation& rel = atoms[node.atom];
+      DistRelation out(static_cast<int>(node.vars.size()), rel.num_servers());
+      for (int s = 0; s < rel.num_servers(); ++s) {
+        out.fragment(s) = NormalizeAtom(q.atom(node.atom), rel.fragment(s));
+      }
+      return out;
+    }
     case PlanOp::kExchange:
       // The repartition itself runs inside the parent join driver (which
       // brackets both sides' shuffles into one metered round); this node
@@ -254,13 +220,7 @@ DistRelation EvalNode(Cluster& cluster, const ConjunctiveQuery& q,
       DistRelation acc = eval_child(0);
       const std::vector<int>& acc_vars = tree.nodes[node.children[0]].vars;
       MPCQP_CHECK_EQ(acc_vars.size(), node.vars.size());
-      std::vector<int> cols(node.vars.size());
-      for (size_t v = 0; v < node.vars.size(); ++v) {
-        const auto it =
-            std::find(acc_vars.begin(), acc_vars.end(), node.vars[v]);
-        MPCQP_CHECK(it != acc_vars.end());
-        cols[v] = static_cast<int>(it - acc_vars.begin());
-      }
+      const std::vector<int> cols = ColumnsOf(node.vars, acc_vars);
       DistRelation out(static_cast<int>(cols.size()), acc.num_servers());
       for (int s = 0; s < acc.num_servers(); ++s) {
         out.fragment(s) = Project(acc.fragment(s), cols);

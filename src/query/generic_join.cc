@@ -4,7 +4,7 @@
 #include <map>
 
 #include "common/check.h"
-#include "relation/relation_ops.h"
+#include "query/local_eval.h"
 
 namespace mpcqp {
 
@@ -26,52 +26,22 @@ struct AtomTrie {
   TrieNode* Current() const { return path.back(); }
 };
 
-// Normalizes an atom instance (intra-atom repeats filtered, one column
-// per distinct variable) and builds its trie with levels ordered by
-// `order_pos` (global position of each variable).
+// Builds the trie of an atom instance from its NormalizeAtom form (one
+// column per distinct variable), levels ordered by `order_pos` (global
+// position of each variable).
 AtomTrie BuildTrie(const Atom& atom, const Relation& rel,
                    const std::vector<int>& order_pos) {
-  // Distinct vars with their first columns.
-  std::vector<int> vars;
-  std::vector<int> cols;
-  for (int c = 0; c < atom.arity(); ++c) {
-    const int v = atom.vars[c];
-    if (std::find(vars.begin(), vars.end(), v) == vars.end()) {
-      vars.push_back(v);
-      cols.push_back(c);
-    }
-  }
-  // Sort (var, col) pairs by elimination-order position.
-  std::vector<int> perm(vars.size());
-  for (size_t i = 0; i < perm.size(); ++i) perm[i] = static_cast<int>(i);
-  std::sort(perm.begin(), perm.end(), [&](int x, int y) {
-    return order_pos[vars[x]] < order_pos[vars[y]];
-  });
-
+  const std::vector<int> vars = DistinctVars(atom);
   AtomTrie trie;
-  std::vector<int> ordered_cols;
-  for (int i : perm) {
-    trie.vars.push_back(vars[i]);
-    ordered_cols.push_back(cols[i]);
-  }
-
-  const bool has_repeats = static_cast<int>(vars.size()) != atom.arity();
-  for (int64_t r = 0; r < rel.size(); ++r) {
-    const Value* row = rel.row(r);
-    if (has_repeats) {
-      bool ok = true;
-      for (int c = 0; c < atom.arity() && ok; ++c) {
-        for (int d = c + 1; d < atom.arity(); ++d) {
-          if (atom.vars[c] == atom.vars[d] && row[c] != row[d]) {
-            ok = false;
-            break;
-          }
-        }
-      }
-      if (!ok) continue;
-    }
+  trie.vars = vars;
+  std::sort(trie.vars.begin(), trie.vars.end(),
+            [&](int x, int y) { return order_pos[x] < order_pos[y]; });
+  const std::vector<int> cols = ColumnsOf(trie.vars, vars);
+  const Relation normalized = NormalizeAtom(atom, rel);
+  for (int64_t r = 0; r < normalized.size(); ++r) {
+    const Value* row = normalized.row(r);
     TrieNode* node = &trie.root;
-    for (int c : ordered_cols) node = &node->children[row[c]];
+    for (int c : cols) node = &node->children[row[c]];
   }
   // NOTE: path is initialized by the caller once the trie has its final
   // address (a pointer taken here would dangle after the move).

@@ -1,46 +1,39 @@
 #include "query/local_eval.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/check.h"
 #include "relation/relation_ops.h"
 
 namespace mpcqp {
 
-namespace {
-
-// Rewrites an atom instance so each variable appears in one column:
-// rows where repeated-variable columns disagree are dropped, duplicate
-// columns projected away. Returns the relation and its variable list.
-std::pair<Relation, std::vector<int>> NormalizeAtom(const Atom& atom,
-                                                    const Relation& rel) {
+Relation FilterRepeatedVars(const Atom& atom, const Relation& rel) {
   MPCQP_CHECK_EQ(rel.arity(), atom.arity());
-  std::vector<int> vars;
-  std::vector<int> keep_cols;
-  bool has_repeats = false;
+  // (column, first column of its variable) for every repeated occurrence.
+  std::vector<std::pair<int, int>> repeats;
   for (int c = 0; c < atom.arity(); ++c) {
-    const int v = atom.vars[c];
-    if (std::find(vars.begin(), vars.end(), v) == vars.end()) {
-      vars.push_back(v);
-      keep_cols.push_back(c);
-    } else {
-      has_repeats = true;
-    }
+    const int first = static_cast<int>(
+        std::find(atom.vars.begin(), atom.vars.end(), atom.vars[c]) -
+        atom.vars.begin());
+    if (first != c) repeats.push_back({c, first});
   }
-  if (!has_repeats) return {rel, vars};
-
-  Relation filtered = Filter(rel, [&](const Value* row) {
-    for (int c = 0; c < atom.arity(); ++c) {
-      for (int d = c + 1; d < atom.arity(); ++d) {
-        if (atom.vars[c] == atom.vars[d] && row[c] != row[d]) return false;
-      }
+  if (repeats.empty()) return rel;
+  return Filter(rel, [&](const Value* row) {
+    for (const auto& [c, d] : repeats) {
+      if (row[c] != row[d]) return false;
     }
     return true;
   });
-  return {Project(filtered, keep_cols), vars};
 }
 
-}  // namespace
+Relation NormalizeAtom(const Atom& atom, const Relation& rel) {
+  std::vector<int> cols;
+  for (const auto& [v, c] : DistinctVarCols(atom)) cols.push_back(c);
+  const Relation filtered = FilterRepeatedVars(atom, rel);
+  if (static_cast<int>(cols.size()) == atom.arity()) return filtered;
+  return Project(filtered, cols);
+}
 
 Relation EvalJoinLocal(const ConjunctiveQuery& q,
                        const std::vector<Relation>& atoms) {
@@ -50,9 +43,8 @@ Relation EvalJoinLocal(const ConjunctiveQuery& q,
   std::vector<Relation> rels;
   std::vector<std::vector<int>> rel_vars;
   for (int j = 0; j < q.num_atoms(); ++j) {
-    auto [rel, vars] = NormalizeAtom(q.atom(j), atoms[j]);
-    rels.push_back(std::move(rel));
-    rel_vars.push_back(std::move(vars));
+    rels.push_back(NormalizeAtom(q.atom(j), atoms[j]));
+    rel_vars.push_back(DistinctVars(q.atom(j)));
   }
 
   // Greedy join order: start from atom 0; repeatedly join an unused atom
@@ -83,36 +75,15 @@ Relation EvalJoinLocal(const ConjunctiveQuery& q,
     }
     used[pick] = true;
 
-    // Key columns: shared variables.
+    // Key columns: shared variables, in the picked atom's column order.
     std::vector<int> left_keys;
     std::vector<int> right_keys;
-    for (size_t c = 0; c < rel_vars[pick].size(); ++c) {
-      const auto it = std::find(acc_vars.begin(), acc_vars.end(),
-                                rel_vars[pick][c]);
-      if (it != acc_vars.end()) {
-        left_keys.push_back(static_cast<int>(it - acc_vars.begin()));
-        right_keys.push_back(static_cast<int>(c));
-      }
-    }
+    SharedKeyCols(rel_vars[pick], acc_vars, &right_keys, &left_keys);
     acc = HashJoinLocal(acc, rels[pick], left_keys, right_keys);
-    // HashJoinLocal output: acc columns, then non-key columns of pick.
-    for (size_t c = 0; c < rel_vars[pick].size(); ++c) {
-      if (std::find(right_keys.begin(), right_keys.end(),
-                    static_cast<int>(c)) == right_keys.end()) {
-        acc_vars.push_back(rel_vars[pick][c]);
-      }
-    }
+    acc_vars = JoinOutputVars(acc_vars, rel_vars[pick], right_keys);
   }
 
-  // Project to variable-id order.
-  MPCQP_CHECK_EQ(static_cast<int>(acc_vars.size()), q.num_vars());
-  std::vector<int> cols(q.num_vars());
-  for (int v = 0; v < q.num_vars(); ++v) {
-    const auto it = std::find(acc_vars.begin(), acc_vars.end(), v);
-    MPCQP_CHECK(it != acc_vars.end());
-    cols[v] = static_cast<int>(it - acc_vars.begin());
-  }
-  return Project(acc, cols);
+  return Project(acc, IdOrderColumns(acc_vars, q.num_vars()));
 }
 
 }  // namespace mpcqp

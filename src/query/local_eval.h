@@ -22,6 +22,20 @@ namespace mpcqp {
 Relation EvalJoinLocal(const ConjunctiveQuery& q,
                        const std::vector<Relation>& atoms);
 
+// Atom normalization, shared by every driver: an atom instance whose atom
+// repeats a variable, e.g. R(x,x,y), is turned into one column per
+// distinct variable before it joins.
+
+// The rows of `rel`, an instance of `atom`, whose repeated-variable
+// columns agree. When `atom` repeats no variable this returns `rel`
+// itself: a handle sharing its payload, no copy.
+Relation FilterRepeatedVars(const Atom& atom, const Relation& rel);
+
+// FilterRepeatedVars, then a projection onto one column per distinct
+// variable in DistinctVarCols order. Also returns `rel` itself, with no
+// copy, when `atom` repeats no variable.
+Relation NormalizeAtom(const Atom& atom, const Relation& rel);
+
 }  // namespace mpcqp
 
 #endif  // MPCQP_QUERY_LOCAL_EVAL_H_

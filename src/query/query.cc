@@ -24,6 +24,58 @@ std::vector<std::pair<int, int>> DistinctVarCols(const Atom& atom) {
   return var_cols;
 }
 
+std::vector<int> DistinctVars(const Atom& atom) {
+  std::vector<int> vars;
+  for (const auto& [v, c] : DistinctVarCols(atom)) vars.push_back(v);
+  return vars;
+}
+
+void SharedKeyCols(const std::vector<int>& a_vars,
+                   const std::vector<int>& b_vars, std::vector<int>* a_keys,
+                   std::vector<int>* b_keys) {
+  a_keys->clear();
+  b_keys->clear();
+  for (size_t i = 0; i < a_vars.size(); ++i) {
+    const auto it = std::find(b_vars.begin(), b_vars.end(), a_vars[i]);
+    if (it != b_vars.end()) {
+      a_keys->push_back(static_cast<int>(i));
+      b_keys->push_back(static_cast<int>(it - b_vars.begin()));
+    }
+  }
+}
+
+std::vector<int> ColumnsOf(const std::vector<int>& vars,
+                           const std::vector<int>& in_vars) {
+  std::vector<int> cols;
+  cols.reserve(vars.size());
+  for (int v : vars) {
+    const auto it = std::find(in_vars.begin(), in_vars.end(), v);
+    MPCQP_CHECK(it != in_vars.end()) << "variable " << v << " not held";
+    cols.push_back(static_cast<int>(it - in_vars.begin()));
+  }
+  return cols;
+}
+
+std::vector<int> IdOrderColumns(const std::vector<int>& vars, int num_vars) {
+  MPCQP_CHECK_EQ(static_cast<int>(vars.size()), num_vars);
+  std::vector<int> ids(num_vars);
+  for (int v = 0; v < num_vars; ++v) ids[v] = v;
+  return ColumnsOf(ids, vars);
+}
+
+std::vector<int> JoinOutputVars(const std::vector<int>& left_vars,
+                                const std::vector<int>& right_vars,
+                                const std::vector<int>& right_keys) {
+  std::vector<int> out = left_vars;
+  for (size_t c = 0; c < right_vars.size(); ++c) {
+    if (std::find(right_keys.begin(), right_keys.end(),
+                  static_cast<int>(c)) == right_keys.end()) {
+      out.push_back(right_vars[c]);
+    }
+  }
+  return out;
+}
+
 ConjunctiveQuery ConjunctiveQuery::Make(std::vector<std::string> var_names,
                                         std::vector<Atom> atoms) {
   const int k = static_cast<int>(var_names.size());

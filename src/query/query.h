@@ -25,6 +25,38 @@ struct Atom {
 // atom's schema once repeated variables are filtered and projected away.
 std::vector<std::pair<int, int>> DistinctVarCols(const Atom& atom);
 
+// The variables of DistinctVarCols(atom): the column variables of
+// NormalizeAtom's output (query/local_eval.h).
+std::vector<int> DistinctVars(const Atom& atom);
+
+// --- Variable-to-column bookkeeping shared by every join driver. A
+// relation's schema is a variable list: column c holds variable vars[c].
+
+// Join keys between relations whose columns hold `a_vars` and `b_vars`:
+// for each variable of `a_vars`, in `a_vars` order, that `b_vars` also
+// holds, its column in a goes to `a_keys` and its column in b to `b_keys`.
+// The order is observable: HashPartition hashes key columns in order.
+void SharedKeyCols(const std::vector<int>& a_vars,
+                   const std::vector<int>& b_vars, std::vector<int>* a_keys,
+                   std::vector<int>* b_keys);
+
+// The column in `in_vars` of each variable of `vars`. CHECK-fails when
+// `in_vars` lacks one of them.
+std::vector<int> ColumnsOf(const std::vector<int>& vars,
+                           const std::vector<int>& in_vars);
+
+// The columns that put a result whose columns hold `vars` into
+// variable-id order 0..num_vars-1 (a query's output order). CHECK-fails
+// unless `vars` is a permutation of those ids.
+std::vector<int> IdOrderColumns(const std::vector<int>& vars, int num_vars);
+
+// The schema of HashJoinLocal(left, right, left_keys, right_keys)'s
+// output: `left_vars`, then the variables of `right_vars` whose columns
+// are not in `right_keys` (all of them for a cross product).
+std::vector<int> JoinOutputVars(const std::vector<int>& left_vars,
+                                const std::vector<int>& right_vars,
+                                const std::vector<int>& right_keys);
+
 // A full conjunctive query Q(x1..xk) :- S1(...), ..., Sl(...), i.e. the
 // output contains every variable (the setting of the tutorial; slides
 // 34-51). Output column order is variable-id order.

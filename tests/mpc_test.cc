@@ -42,6 +42,17 @@ TEST(DistRelationTest, FromFragmentsChecksArity) {
   EXPECT_EQ(dist.arity(), 2);
 }
 
+TEST(DistRelationTest, AppendRowIdsNumbersRowsInServerOrder) {
+  const DistRelation rel = DistRelation::FromFragments(
+      {Relation::FromRows({{5, 6}, {7, 8}}), Relation(2),
+       Relation::FromRows({{9, 9}})});
+  const DistRelation with_ids = AppendRowIds(rel);
+  ASSERT_EQ(with_ids.arity(), 3);
+  EXPECT_EQ(with_ids.fragment(0), Relation::FromRows({{5, 6, 0}, {7, 8, 1}}));
+  EXPECT_TRUE(with_ids.fragment(1).empty());
+  EXPECT_EQ(with_ids.fragment(2), Relation::FromRows({{9, 9, 2}}));
+}
+
 // ---------- Cluster metering ----------
 
 TEST(ClusterTest, RoundBookkeeping) {

@@ -313,6 +313,85 @@ TEST(LocalEvalTest, EmptyAtomMeansEmptyResult) {
   EXPECT_TRUE(EvalJoinLocal(q, {full, Relation(2), full}).empty());
 }
 
+// ---------- Atom normalization and variable bookkeeping ----------
+
+TEST(NormalizeAtomTest, RepeatedVariableKeepsDiagonalRowsAsDistinctVars) {
+  const auto q = ConjunctiveQuery::Parse("Q(x,y) :- R(x,x,y)");
+  ASSERT_TRUE(q.ok());
+  const Relation r =
+      Relation::FromRows({{1, 1, 5}, {1, 2, 6}, {3, 3, 7}, {4, 3, 8}});
+  EXPECT_EQ(DistinctVars(q->atom(0)), (std::vector<int>{0, 1}));
+  EXPECT_EQ(NormalizeAtom(q->atom(0), r),
+            Relation::FromRows({{1, 5}, {3, 7}}));
+  // The filter alone keeps every column.
+  EXPECT_EQ(FilterRepeatedVars(q->atom(0), r),
+            Relation::FromRows({{1, 1, 5}, {3, 3, 7}}));
+}
+
+TEST(NormalizeAtomTest, AllColumnsOneVariableYieldsOneColumn) {
+  const auto q = ConjunctiveQuery::Parse("Q(x) :- R(x,x)");
+  ASSERT_TRUE(q.ok());
+  const Relation r = Relation::FromRows({{2, 2}, {2, 3}, {4, 4}});
+  EXPECT_EQ(NormalizeAtom(q->atom(0), r), Relation::FromRows({{2}, {4}}));
+}
+
+TEST(NormalizeAtomTest, NoRepeatedVariableReturnsInputWithoutCopy) {
+  const auto q = ConjunctiveQuery::Parse("Q(x,y,z) :- R(z,x,y)");
+  ASSERT_TRUE(q.ok());
+  Rng rng(5);
+  const Relation r = GenerateUniform(rng, 40, 3, 6);
+  const Relation normalized = NormalizeAtom(q->atom(0), r);
+  EXPECT_TRUE(normalized.SharesPayloadWith(r));
+  EXPECT_TRUE(FilterRepeatedVars(q->atom(0), r).SharesPayloadWith(r));
+  EXPECT_EQ(DistinctVars(q->atom(0)), (std::vector<int>{2, 0, 1}));
+}
+
+TEST(VarColumnsTest, SharedKeyColsFollowsFirstArgumentOrder) {
+  const std::vector<int> a = {3, 1, 0};
+  const std::vector<int> b = {0, 2, 1, 3};
+  std::vector<int> a_keys;
+  std::vector<int> b_keys;
+  SharedKeyCols(a, b, &a_keys, &b_keys);
+  EXPECT_EQ(a_keys, (std::vector<int>{0, 1, 2}));
+  EXPECT_EQ(b_keys, (std::vector<int>{3, 2, 0}));
+  // Swapped arguments: the same pairs, in b's variable order.
+  SharedKeyCols(b, a, &b_keys, &a_keys);
+  EXPECT_EQ(b_keys, (std::vector<int>{0, 2, 3}));
+  EXPECT_EQ(a_keys, (std::vector<int>{2, 1, 0}));
+  // Disjoint schemas share nothing (a cross product).
+  SharedKeyCols({4}, a, &a_keys, &b_keys);
+  EXPECT_TRUE(a_keys.empty());
+  EXPECT_TRUE(b_keys.empty());
+}
+
+TEST(VarColumnsTest, ColumnsOfPermutationAndIdOrder) {
+  const std::vector<int> vars = {2, 0, 3, 1};
+  EXPECT_EQ(ColumnsOf({0, 1, 2, 3}, vars), (std::vector<int>{1, 3, 0, 2}));
+  EXPECT_EQ(ColumnsOf({3, 2}, vars), (std::vector<int>{2, 0}));
+  EXPECT_EQ(IdOrderColumns(vars, 4), (std::vector<int>{1, 3, 0, 2}));
+  // Projecting by the id-order columns sorts the schema.
+  std::vector<int> projected;
+  for (int c : IdOrderColumns(vars, 4)) projected.push_back(vars[c]);
+  EXPECT_EQ(projected, (std::vector<int>{0, 1, 2, 3}));
+}
+
+TEST(VarColumnsTest, JoinOutputVarsMatchesHashJoinLocalColumns) {
+  // R(x,y) ⋈ S(z,y,w) on y: output columns x, y, z, w.
+  const std::vector<int> left_vars = {0, 1};
+  const std::vector<int> right_vars = {2, 1, 3};
+  std::vector<int> left_keys;
+  std::vector<int> right_keys;
+  SharedKeyCols(left_vars, right_vars, &left_keys, &right_keys);
+  EXPECT_EQ(JoinOutputVars(left_vars, right_vars, right_keys),
+            (std::vector<int>{0, 1, 2, 3}));
+  const Relation joined =
+      HashJoinLocal(Relation::FromRows({{1, 2}}),
+                    Relation::FromRows({{7, 2, 9}}), left_keys, right_keys);
+  EXPECT_EQ(joined, Relation::FromRows({{1, 2, 7, 9}}));
+  // With no keys every right variable is appended.
+  EXPECT_EQ(JoinOutputVars(left_vars, {4}, {}), (std::vector<int>{0, 1, 4}));
+}
+
 // ---------- Canonical query shapes ----------
 
 TEST(QueryTest, CanonicalShapeInvariantUnderIsomorphism) {
