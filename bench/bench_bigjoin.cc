@@ -13,7 +13,7 @@
 #include "multiway/bigjoin.h"
 #include "multiway/binary_plan.h"
 #include "multiway/hypercube.h"
-#include "query/generic_join.h"
+#include "query/trie_join.h"
 #include "relation/relation_ops.h"
 #include "workload/generator.h"
 
@@ -33,7 +33,9 @@ std::vector<DistRelation> Scatter(const std::vector<Relation>& atoms, int p) {
 void RunInstance(const char* label, const std::vector<Relation>& atoms,
                  int p) {
   const ConjunctiveQuery q = ConjunctiveQuery::Triangle();
-  const Relation expected = EvalJoinWcoj(q, atoms);
+  std::vector<Relation> deduped;
+  for (const Relation& r : atoms) deduped.push_back(Dedup(r));
+  const Relation expected = Dedup(TrieJoin(q, deduped));
   bench::Banner(std::string("E18 (slide 97): triangle, ") + label +
                 ", p=" + std::to_string(p) + ", |OUT|=" +
                 std::to_string(expected.size()));

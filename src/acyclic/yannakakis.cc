@@ -25,7 +25,7 @@ Relation MaterializeBag(const ConjunctiveQuery& q, const GhdNode& node,
     sub_rels.push_back(atoms[a]);
   }
   const ConjunctiveQuery sub = ConjunctiveQuery::Make(names, sub_atoms);
-  return EvalJoinLocal(sub, sub_rels);
+  return LocalJoin(sub, sub_rels);
 }
 
 Relation YannakakisSerial(const ConjunctiveQuery& q, const Ghd& ghd,

@@ -29,8 +29,9 @@ namespace mpcqp {
 // with one-round HyperCube: more rounds, but no multicast replication and
 // robustness to skew without residual-query machinery.
 //
-// SET semantics (like EvalJoinWcoj): duplicates in the inputs do not
-// multiply. Output columns = query variables in id order.
+// SET semantics: duplicates in the inputs do not multiply (the same
+// result as Dedup(TrieJoin) over deduplicated inputs). Output columns =
+// query variables in id order.
 struct BigJoinOptions {
   // Variable binding order; empty = variable id order.
   std::vector<int> var_order;

@@ -109,7 +109,7 @@ HyperCubeResult HyperCubeJoin(Cluster& cluster, const ConjunctiveQuery& q,
       local_atoms[j] = routed[j].fragment(s);
       if (!local_atoms[j].empty()) any = true;
     }
-    outputs[s] = any ? EvalJoinLocal(q, local_atoms) : Relation(k);
+    outputs[s] = any ? LocalJoin(q, local_atoms) : Relation(k);
   });
   return HyperCubeResult{DistRelation::FromFragments(std::move(outputs)),
                          std::move(shares)};

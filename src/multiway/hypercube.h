@@ -22,8 +22,9 @@ namespace mpcqp {
 // Skew-free load: IN / p^{1/τ*} for equal-size atoms (τ* = fractional edge
 // packing number); N/p^{2/3} for the triangle. Degrades under skew — use
 // SkewHcJoin then.
-// Each server evaluates its fragments with pairwise hash joins
-// (EvalJoinLocal): SQL bag semantics.
+// Each server evaluates its fragments with LocalJoin (query/local_eval.h):
+// a trie join for cyclic queries, pairwise hash joins for acyclic ones;
+// SQL bag semantics.
 struct HyperCubeOptions {
   // If non-empty, overrides the share computation (one entry per query
   // variable, product <= p). Used by benches reproducing specific rows of

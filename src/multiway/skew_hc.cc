@@ -244,12 +244,29 @@ SkewHcResult SkewHcJoin(Cluster& cluster, const ConjunctiveQuery& q,
   }
   cluster.EndRound();
 
-  // Local evaluation: per combo per server (classes stay separated so a
-  // tuple multicast under two combos never double-counts).
+  // Local evaluation: one pool task per server, combos in order (classes
+  // stay separated so a tuple multicast under two combos never
+  // double-counts). A task writes only its own fragment and its own entry
+  // of each combo's row counts.
   SkewHcResult result{DistRelation(k, p), {}};
-  std::vector<Relation> local_atoms(q.num_atoms());
+  std::vector<std::vector<int64_t>> output_rows(plans.size(),
+                                                std::vector<int64_t>(p, 0));
   ScopedPhaseTimer local_phase(cluster.metrics(), Phase::kLocalCompute);
-  MPCQP_TRACE_SCOPE("local eval", "compute");
+  cluster.pool().ParallelFor(p, [&](int64_t s) {
+    MPCQP_TRACE_SCOPE_ARG("local eval", "compute", s);
+    std::vector<Relation> local_atoms(q.num_atoms());
+    for (size_t ci = 0; ci < plans.size(); ++ci) {
+      bool all_nonempty = true;
+      for (int j = 0; j < q.num_atoms(); ++j) {
+        local_atoms[j] = routed[ci][j].fragment(s);
+        if (local_atoms[j].empty()) all_nonempty = false;
+      }
+      if (!all_nonempty) continue;
+      const Relation out = LocalJoin(q, local_atoms);
+      output_rows[ci][s] = out.size();
+      result.output.fragment(s).Append(out);
+    }
+  });
   for (size_t ci = 0; ci < plans.size(); ++ci) {
     ResidualInfo info;
     for (int v = 0; v < k; ++v) {
@@ -257,17 +274,7 @@ SkewHcResult SkewHcJoin(Cluster& cluster, const ConjunctiveQuery& q,
     }
     info.shares = plans[ci].shares;
     info.class_sizes = plans[ci].sizes;
-    for (int s = 0; s < p; ++s) {
-      bool all_nonempty = true;
-      for (int j = 0; j < q.num_atoms(); ++j) {
-        local_atoms[j] = routed[ci][j].fragment(s);
-        if (local_atoms[j].empty()) all_nonempty = false;
-      }
-      if (!all_nonempty) continue;
-      const Relation out = EvalJoinLocal(q, local_atoms);
-      info.output_size += out.size();
-      result.output.fragment(s).Append(out);
-    }
+    for (int64_t rows : output_rows[ci]) info.output_size += rows;
     result.residuals.push_back(std::move(info));
   }
   return result;

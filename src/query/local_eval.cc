@@ -4,6 +4,8 @@
 #include <utility>
 
 #include "common/check.h"
+#include "query/ghd.h"
+#include "query/trie_join.h"
 #include "relation/relation_ops.h"
 
 namespace mpcqp {
@@ -84,6 +86,11 @@ Relation EvalJoinLocal(const ConjunctiveQuery& q,
   }
 
   return Project(acc, IdOrderColumns(acc_vars, q.num_vars()));
+}
+
+Relation LocalJoin(const ConjunctiveQuery& q,
+                   const std::vector<Relation>& atoms) {
+  return IsAcyclic(q) ? EvalJoinLocal(q, atoms) : TrieJoin(q, atoms);
 }
 
 }  // namespace mpcqp

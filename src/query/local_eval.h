@@ -22,6 +22,14 @@ namespace mpcqp {
 Relation EvalJoinLocal(const ConjunctiveQuery& q,
                        const std::vector<Relation>& atoms);
 
+// The per-server local join of every multiway driver (HyperCube, SkewHC's
+// residual joins, bag materialization): TrieJoin (query/trie_join.h) when
+// `q` is cyclic, where a binary plan builds IN²/D intermediates, and
+// EvalJoinLocal when it is acyclic, where one hash build and probe per
+// atom beats sorting every atom. Same bag-semantics multiset either way.
+Relation LocalJoin(const ConjunctiveQuery& q,
+                   const std::vector<Relation>& atoms);
+
 // Atom normalization, shared by every driver: an atom instance whose atom
 // repeats a variable, e.g. R(x,x,y), is turned into one column per
 // distinct variable before it joins.

@@ -4,7 +4,7 @@
 
 #include "mpc/cluster.h"
 #include "multiway/bigjoin.h"
-#include "query/generic_join.h"
+#include "query/trie_join.h"
 #include "relation/relation_ops.h"
 #include "workload/generator.h"
 
@@ -17,10 +17,12 @@ std::vector<DistRelation> Scatter(const std::vector<Relation>& atoms, int p) {
   return out;
 }
 
-// Set-semantics reference.
+// Set-semantics reference: the trie join over deduplicated inputs.
 Relation Reference(const ConjunctiveQuery& q,
                    const std::vector<Relation>& atoms) {
-  return EvalJoinWcoj(q, atoms);
+  std::vector<Relation> deduped;
+  for (const Relation& r : atoms) deduped.push_back(Dedup(r));
+  return Dedup(TrieJoin(q, deduped));
 }
 
 struct BigJoinCase {

@@ -36,6 +36,7 @@
 #include "mpc/stats.h"
 #include "multiway/bigjoin.h"
 #include "multiway/hypercube.h"
+#include "multiway/skew_hc.h"
 #include "query/ghd.h"
 #include "query/query.h"
 #include "relation/columnar.h"
@@ -314,6 +315,39 @@ TEST(DeterminismTest, HyperCubeTriangle) {
     std::vector<DistRelation> atoms(3, DistRelation::Scatter(edges, kServers));
     return HyperCubeJoin(cluster, q, atoms).output;
   });
+}
+
+// SkewHC joins its residual queries one pool task per server, each
+// appending its combos in order. A heavy z gives several residuals whose
+// outputs land on the same servers.
+TEST(DeterminismTest, SkewHcSkewedTriangle) {
+  Rng rng(31);
+  const ConjunctiveQuery q = ConjunctiveQuery::Triangle();
+  Relation s = GenerateUniform(rng, 300, 2, 30);
+  s.Append(GenerateConstantColumn(300, 1, 7));
+  Relation t = GenerateUniform(rng, 300, 2, 30);
+  t.Append(GenerateConstantColumn(300, 0, 7));
+  const std::vector<Relation> atoms = {GenerateUniform(rng, 600, 2, 30), s,
+                                       t};
+  size_t residuals = 0;
+  int64_t rows = 0;
+  ExpectThreadCountInvariant([&](Cluster& cluster) {
+    std::vector<DistRelation> scattered;
+    for (const Relation& atom : atoms) {
+      scattered.push_back(DistRelation::Scatter(atom, kServers));
+    }
+    const SkewHcResult result = SkewHcJoin(cluster, q, scattered);
+    int64_t residual_rows = 0;
+    for (const ResidualInfo& info : result.residuals) {
+      residual_rows += info.output_size;
+    }
+    EXPECT_EQ(residual_rows, result.output.TotalSize());
+    residuals = result.residuals.size();
+    rows = residual_rows;
+    return result.output;
+  });
+  EXPECT_GE(residuals, 2u);
+  EXPECT_GT(rows, 0);
 }
 
 TEST(DeterminismTest, BigJoinTriangle) {

@@ -19,9 +19,9 @@
 #include "multiway/skew_hc.h"
 #include "planner/plan_cache.h"
 #include "planner/planner.h"
-#include "query/generic_join.h"
 #include "query/ghd.h"
 #include "query/local_eval.h"
+#include "query/trie_join.h"
 #include "relation/relation_ops.h"
 #include "workload/generator.h"
 
@@ -89,6 +89,11 @@ TEST_P(DifferentialTest, AllAlgorithmsAgreeWithSerialReference) {
   // Guard against pathological blowups keeping the test fast.
   if (expected.size() > 2000000) GTEST_SKIP() << "output too large";
 
+  // The serial kernels: the trie join on every query, and the per-server
+  // selector (trie join when cyclic, the binary plan when acyclic).
+  EXPECT_TRUE(MultisetEqual(TrieJoin(q, atoms), expected)) << "trie join";
+  EXPECT_TRUE(MultisetEqual(LocalJoin(q, atoms), expected)) << "local join";
+
   for (const int p : {4, 9}) {
     // Odd seeds run the cluster with two OS threads, so this suite also
     // differentially tests the parallel executor against the reference.
@@ -135,8 +140,8 @@ TEST_P(DifferentialTest, AllAlgorithmsAgreeWithSerialReference) {
   std::vector<Relation> deduped;
   for (const Relation& r : atoms) deduped.push_back(Dedup(r));
   const Relation set_expected = Dedup(EvalJoinLocal(q, deduped));
-  EXPECT_TRUE(MultisetEqual(EvalJoinWcoj(q, deduped), set_expected))
-      << "wcoj";
+  EXPECT_TRUE(MultisetEqual(Dedup(TrieJoin(q, deduped)), set_expected))
+      << "trie join, set semantics";
   {
     Cluster cluster(9, 5);
     const BigJoinResult result = BigJoin(cluster, q, Scatter(deduped, 9));

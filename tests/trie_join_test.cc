@@ -1,0 +1,355 @@
+#include <gtest/gtest.h>
+
+#include <string>
+#include <tuple>
+#include <utility>
+
+#include "query/local_eval.h"
+#include "query/trie_join.h"
+#include "relation/relation_ops.h"
+#include "workload/generator.h"
+
+namespace mpcqp {
+namespace {
+
+std::vector<Relation> DedupAll(const std::vector<Relation>& atoms) {
+  std::vector<Relation> deduped;
+  for (const Relation& r : atoms) deduped.push_back(Dedup(r));
+  return deduped;
+}
+
+// Reference: set-semantics result via the binary evaluator + dedup of
+// deduplicated inputs.
+Relation SetSemanticsReference(const ConjunctiveQuery& q,
+                               const std::vector<Relation>& atoms) {
+  return Dedup(EvalJoinLocal(q, DedupAll(atoms)));
+}
+
+// The trie join's set-semantics answer, the way set-semantics callers
+// (BigJoin's reference, bench A3) use it.
+Relation SetTrieJoin(const ConjunctiveQuery& q,
+                     const std::vector<Relation>& atoms) {
+  return Dedup(TrieJoin(q, DedupAll(atoms)));
+}
+
+std::vector<Relation> UniformAtoms(const ConjunctiveQuery& q, uint64_t seed,
+                                   int64_t rows, uint64_t domain) {
+  Rng rng(seed);
+  std::vector<Relation> atoms;
+  for (int j = 0; j < q.num_atoms(); ++j) {
+    atoms.push_back(GenerateUniform(rng, rows, q.atom(j).arity(), domain));
+  }
+  return atoms;
+}
+
+ConjunctiveQuery ParseOrDie(const std::string& text) {
+  StatusOr<ConjunctiveQuery> q = ConjunctiveQuery::Parse(text);
+  EXPECT_TRUE(q.ok()) << text;
+  return std::move(q).value();
+}
+
+struct WcojCase {
+  const char* query;
+  int64_t rows;
+  uint64_t domain;
+};
+
+class TrieJoinTest
+    : public ::testing::TestWithParam<std::tuple<WcojCase, uint64_t>> {};
+
+TEST_P(TrieJoinTest, MatchesSetSemanticsReference) {
+  const auto [spec, seed] = GetParam();
+  const ConjunctiveQuery q = ParseOrDie(spec.query);
+  const std::vector<Relation> atoms =
+      UniformAtoms(q, seed, spec.rows, spec.domain);
+  EXPECT_TRUE(MultisetEqual(SetTrieJoin(q, atoms),
+                            SetSemanticsReference(q, atoms)));
+}
+
+// The same sweep under bag semantics: small domains make duplicate rows,
+// whose multiplicities must multiply exactly as in the binary evaluator.
+TEST_P(TrieJoinTest, MatchesBagSemanticsReference) {
+  const auto [spec, seed] = GetParam();
+  const ConjunctiveQuery q = ParseOrDie(spec.query);
+  const std::vector<Relation> atoms =
+      UniformAtoms(q, seed, spec.rows, spec.domain);
+  EXPECT_TRUE(MultisetEqual(TrieJoin(q, atoms), EvalJoinLocal(q, atoms)));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Sweep, TrieJoinTest,
+    ::testing::Combine(
+        ::testing::Values(WcojCase{"R(x,y), S(y,z), T(z,x)", 200, 15},
+                          WcojCase{"R(x,y), S(y,z)", 150, 12},
+                          WcojCase{"R(x), S(y)", 20, 30},
+                          WcojCase{"A(x,y), B(y,z), C(z,w), D(w,x)", 100, 8},
+                          WcojCase{"R(x,y), S(x,z), T(x,w)", 120, 10}),
+        ::testing::Values(1u, 2u, 3u)));
+
+TEST(TrieJoinTest, TriangleByHand) {
+  const ConjunctiveQuery q = ConjunctiveQuery::Triangle();
+  const Relation r = Relation::FromRows({{1, 2}, {4, 5}});
+  const Relation s = Relation::FromRows({{2, 3}, {5, 6}});
+  const Relation t = Relation::FromRows({{3, 1}, {6, 9}});
+  const Relation out = SetTrieJoin(q, {r, s, t});
+  ASSERT_EQ(out.size(), 1);
+  EXPECT_EQ(out.at(0, 0), 1u);
+  EXPECT_EQ(out.at(0, 1), 2u);
+  EXPECT_EQ(out.at(0, 2), 3u);
+}
+
+TEST(TrieJoinTest, DuplicatesDoNotMultiply) {
+  const ConjunctiveQuery q = ConjunctiveQuery::TwoWayJoin();
+  const Relation r = Relation::FromRows({{1, 5}, {1, 5}});
+  const Relation s = Relation::FromRows({{5, 2}, {5, 2}});
+  EXPECT_EQ(SetTrieJoin(q, {r, s}).size(), 1);    // Set semantics.
+  EXPECT_EQ(EvalJoinLocal(q, {r, s}).size(), 4);  // Bag semantics.
+  EXPECT_EQ(TrieJoin(q, {r, s}).size(), 4);
+}
+
+// The kernel fixes its variable order from the query (atom counts, then
+// variable ids), so renumbering the variables changes the order it binds
+// them in. The answer, reordered to common columns, must not move.
+TEST(TrieJoinTest, VariableOrderDoesNotChangeResult) {
+  const ConjunctiveQuery q = ConjunctiveQuery::Triangle();
+  Rng rng(7);
+  std::vector<Relation> atoms;
+  for (int j = 0; j < 3; ++j) {
+    atoms.push_back(GenerateUniform(rng, 150, 2, 10));
+  }
+  const Relation base = SetTrieJoin(q, atoms);
+  // Head order = variable ids; `cols` maps the output back to (x, y, z).
+  for (const auto& [head, cols] :
+       {std::pair<std::string, std::vector<int>>{"Q(z,y,x)", {2, 1, 0}},
+        std::pair<std::string, std::vector<int>>{"Q(y,z,x)", {2, 0, 1}},
+        std::pair<std::string, std::vector<int>>{"Q(z,x,y)", {1, 2, 0}}}) {
+    const ConjunctiveQuery renamed =
+        ParseOrDie(head + " :- R(x,y), S(y,z), T(z,x)");
+    EXPECT_TRUE(
+        MultisetEqual(Project(SetTrieJoin(renamed, atoms), cols), base))
+        << head;
+  }
+}
+
+TEST(TrieJoinTest, RepeatedVariableAtom) {
+  const ConjunctiveQuery q = ParseOrDie("Q(x,y) :- R(x,x), S(x,y)");
+  const Relation r = Relation::FromRows({{1, 1}, {1, 2}, {3, 3}});
+  const Relation s = Relation::FromRows({{1, 7}, {3, 8}, {2, 9}});
+  const Relation out = SetTrieJoin(q, {r, s});
+  EXPECT_EQ(out.size(), 2);
+}
+
+TEST(TrieJoinTest, EmptyAtomShortCircuits) {
+  const ConjunctiveQuery q = ConjunctiveQuery::Triangle();
+  Rng rng(8);
+  const Relation full = GenerateUniform(rng, 50, 2, 5);
+  EXPECT_TRUE(SetTrieJoin(q, {full, Relation(2), full}).empty());
+  EXPECT_TRUE(TrieJoin(q, {full, full, Relation(2)}).empty());
+  EXPECT_TRUE(EvalJoinLocal(q, {full, full, Relation(2)}).empty());
+}
+
+TEST(TrieJoinTest, AvoidsBinaryPlanBlowup) {
+  // The slide-63 adversarial instance: R1 ⋈ R2 is huge, the output is
+  // empty. The trie join never materializes the blow-up, so this finishes
+  // instantly even at sizes where the binary intermediate has ~10^6 rows.
+  const ConjunctiveQuery q = ConjunctiveQuery::Path(3);
+  Rng rng(9);
+  const Relation r1 = GenerateUniform(rng, 4000, 2, 8);
+  const Relation r2 = GenerateUniform(rng, 4000, 2, 8);
+  Relation r3(2);
+  for (int i = 0; i < 4000; ++i) {
+    r3.AppendRow({1000000 + static_cast<Value>(i), 0});
+  }
+  EXPECT_TRUE(SetTrieJoin(q, {r1, r2, r3}).empty());
+  EXPECT_TRUE(TrieJoin(q, {r1, r2, r3}).empty());
+}
+
+// --- Bag semantics and the build path. Each compares against the binary
+// evaluator by multiset.
+
+TEST(TrieJoinTest, LeafMultiplicitiesMultiply) {
+  const ConjunctiveQuery q = ConjunctiveQuery::TwoWayJoin();
+  const Relation r = Relation::FromRows({{1, 5}, {1, 5}, {2, 6}});
+  const Relation s = Relation::FromRows({{5, 2}, {5, 2}, {5, 2}, {7, 1}});
+  const Relation out = TrieJoin(q, {r, s});
+  EXPECT_EQ(out.size(), 6);
+  for (int64_t i = 0; i < out.size(); ++i) {
+    EXPECT_EQ(out.at(i, 0), 1u);
+    EXPECT_EQ(out.at(i, 1), 5u);
+    EXPECT_EQ(out.at(i, 2), 2u);
+  }
+  EXPECT_TRUE(MultisetEqual(out, EvalJoinLocal(q, {r, s})));
+}
+
+TEST(TrieJoinTest, MultiplicitiesMultiplyAcrossThreeAtoms) {
+  const ConjunctiveQuery q = ConjunctiveQuery::Triangle();
+  const Relation r = Relation::FromRows({{1, 2}, {1, 2}});
+  const Relation s = Relation::FromRows({{2, 3}, {2, 3}, {2, 3}});
+  const Relation t = Relation::FromRows({{3, 1}, {3, 1}, {3, 4}});
+  const Relation out = TrieJoin(q, {r, s, t});
+  EXPECT_EQ(out.size(), 12);
+  EXPECT_TRUE(MultisetEqual(out, EvalJoinLocal(q, {r, s, t})));
+}
+
+TEST(TrieJoinTest, RepeatedVariablesInCyclicQuery) {
+  const ConjunctiveQuery q =
+      ParseOrDie("Q(x,y,z) :- R(x,x,y), S(y,z,z), T(z,x)");
+  for (uint64_t seed : {1u, 2u, 3u}) {
+    const std::vector<Relation> atoms = UniformAtoms(q, seed, 400, 5);
+    const Relation expected = EvalJoinLocal(q, atoms);
+    EXPECT_FALSE(expected.empty()) << seed;
+    EXPECT_TRUE(MultisetEqual(TrieJoin(q, atoms), expected)) << seed;
+  }
+}
+
+TEST(TrieJoinTest, AllColumnsOneVariable) {
+  const ConjunctiveQuery q = ParseOrDie("Q(x,y) :- R(x,x,x), S(x,y), T(y,x)");
+  const std::vector<Relation> atoms = UniformAtoms(q, 4, 600, 4);
+  const Relation expected = EvalJoinLocal(q, atoms);
+  EXPECT_FALSE(expected.empty());
+  EXPECT_TRUE(MultisetEqual(TrieJoin(q, atoms), expected));
+}
+
+TEST(TrieJoinTest, ArityThreeAtoms) {
+  for (const char* text :
+       {"Q(x,y,z,w) :- R(x,y,z), S(y,z,w), T(w,x)",
+        "Q(x,y,z,w) :- R(x,y,z), S(z,w,x), T(w,y,x)",
+        "Q(a,b,c,d,e) :- R(a,b,c), S(c,d,e), T(e,a,b)"}) {
+    const ConjunctiveQuery q = ParseOrDie(text);
+    const std::vector<Relation> atoms = UniformAtoms(q, 11, 300, 6);
+    const Relation expected = EvalJoinLocal(q, atoms);
+    EXPECT_FALSE(expected.empty()) << text;
+    EXPECT_TRUE(MultisetEqual(TrieJoin(q, atoms), expected)) << text;
+  }
+}
+
+// Wider domains than the sweep, so every intersection strategy runs:
+// lopsided ranges (a node's few children against a whole root) gallop,
+// comparable ones merge, and a variable in three atoms leapfrogs. A hub
+// value in the first atom skews one side.
+TEST(TrieJoinTest, GallopMergeAndLeapfrogMatchBinaryPlan) {
+  for (const char* text :
+       {"Q(x,y,z) :- R(x,y), S(y,z), T(z,x)",
+        "Q(x,y,z,w) :- R(x,y), S(x,z), T(x,w), U(y,z)"}) {
+    const ConjunctiveQuery q = ParseOrDie(text);
+    std::vector<Relation> atoms = UniformAtoms(q, 18, 3000, 400);
+    for (Value v = 0; v < 300; ++v) atoms[0].AppendRow({7, v});
+    const Relation expected = EvalJoinLocal(q, atoms);
+    EXPECT_FALSE(expected.empty()) << text;
+    EXPECT_TRUE(MultisetEqual(TrieJoin(q, atoms), expected)) << text;
+  }
+  // A variable in three atoms whose roots overlap only in part: the
+  // leapfrog must skip every value one of them lacks.
+  const ConjunctiveQuery q = ParseOrDie("Q(x,y,z) :- R(x,y), S(x,z), T(x)");
+  Rng rng(19);
+  const std::vector<Relation> atoms = {GenerateUniform(rng, 3000, 2, 400),
+                                       GenerateUniform(rng, 3000, 2, 400),
+                                       GenerateUniform(rng, 60, 1, 400)};
+  const Relation expected = EvalJoinLocal(q, atoms);
+  EXPECT_FALSE(expected.empty());
+  EXPECT_TRUE(MultisetEqual(TrieJoin(q, atoms), expected));
+}
+
+TEST(TrieJoinTest, SelfJoinSharesOneHandle) {
+  Rng rng(12);
+  const Relation edges = GenerateUniform(rng, 500, 2, 20);
+  const ConjunctiveQuery triangle = ConjunctiveQuery::Triangle();
+  const std::vector<Relation> three = {edges, edges, edges};
+  EXPECT_TRUE(
+      MultisetEqual(TrieJoin(triangle, three), EvalJoinLocal(triangle, three)));
+  const ConjunctiveQuery mutual = ParseOrDie("Q(x,y) :- R(x,y), R(y,x)");
+  EXPECT_TRUE(MultisetEqual(TrieJoin(mutual, {edges, edges}),
+                            EvalJoinLocal(mutual, {edges, edges})));
+}
+
+// A query can have no nullary atom: ConjunctiveQuery rejects one, so the
+// kernel never sees an atom without a trie level.
+TEST(TrieJoinDeathTest, NullaryAtomIsRejectedBeforeTheKernel) {
+  EXPECT_DEATH(ConjunctiveQuery::Make({"x"}, {Atom{"R", {}}, Atom{"S", {0}}}),
+               "nullary");
+}
+
+// The radix build sorts only the bits that vary. Values at and above
+// 2^56 exercise the top byte; values that differ only there make it the
+// one digit that decides the order.
+TEST(TrieJoinTest, ValuesInTheTopByte) {
+  const ConjunctiveQuery q = ConjunctiveQuery::Triangle();
+  Rng rng(13);
+  auto top = [](uint64_t high, uint64_t low) {
+    return (high << 56) | low;
+  };
+  std::vector<Relation> atoms;
+  std::vector<Relation> top_only;
+  for (int j = 0; j < 3; ++j) {
+    Relation wide(2);
+    Relation narrow(2);
+    for (int i = 0; i < 300; ++i) {
+      wide.AppendRow({top(1 + rng.Uniform(255), rng.Uniform(4)),
+                      top(1 + rng.Uniform(255), rng.Uniform(4))});
+      narrow.AppendRow(
+          {top(rng.Uniform(6), 0x1234), top(rng.Uniform(6), 0x1234)});
+    }
+    // A few rows that every atom shares, so the outputs are non-empty.
+    wide.AppendRow({top(0xFF, 3), top(0xFF, 3)});
+    wide.AppendRow({top(0x80, 1), top(0x80, 1)});
+    atoms.push_back(std::move(wide));
+    top_only.push_back(std::move(narrow));
+  }
+  atoms[0].AppendRow({~Value{0}, ~Value{0}});
+  atoms[1].AppendRow({~Value{0}, ~Value{0}});
+  atoms[2].AppendRow({~Value{0}, ~Value{0}});
+  for (const std::vector<Relation>* instance : {&atoms, &top_only}) {
+    const Relation expected = EvalJoinLocal(q, *instance);
+    EXPECT_FALSE(expected.empty());
+    EXPECT_TRUE(MultisetEqual(TrieJoin(q, *instance), expected));
+  }
+}
+
+// Rows come out in trie order, a function of the atoms' contents only:
+// shuffling every input gives a byte-identical answer.
+TEST(TrieJoinTest, OutputIsByteIdenticalUnderInputPermutation) {
+  for (const char* text :
+       {"Q(x,y,z) :- R(x,y), S(y,z), T(z,x)",
+        "Q(x,y,z) :- R(x,x,y), S(y,z,z), T(z,x)",
+        "Q(x,y,z,w) :- A(x,y), B(y,z), C(z,w), D(w,x)"}) {
+    const ConjunctiveQuery q = ParseOrDie(text);
+    const std::vector<Relation> atoms = UniformAtoms(q, 14, 300, 6);
+    Rng rng(15);
+    std::vector<Relation> shuffled;
+    for (const Relation& atom : atoms) {
+      std::vector<int64_t> perm(atom.size());
+      for (int64_t i = 0; i < atom.size(); ++i) perm[i] = i;
+      for (int64_t i = atom.size() - 1; i > 0; --i) {
+        std::swap(perm[i], perm[rng.Uniform(i + 1)]);
+      }
+      Relation copy(atom.arity());
+      for (int64_t i : perm) copy.AppendRowFrom(atom, i);
+      shuffled.push_back(std::move(copy));
+    }
+    const Relation out = TrieJoin(q, atoms);
+    EXPECT_FALSE(out.empty()) << text;
+    EXPECT_TRUE(out == TrieJoin(q, shuffled)) << text;
+  }
+}
+
+// LocalJoin picks the kernel by IsAcyclic: the trie join (byte-identical
+// output) for cyclic queries, the binary evaluator for acyclic ones.
+TEST(LocalJoinTest, CyclicQueriesRunTheTrieJoin) {
+  const ConjunctiveQuery q = ConjunctiveQuery::Triangle();
+  const std::vector<Relation> atoms = UniformAtoms(q, 16, 300, 12);
+  const Relation out = LocalJoin(q, atoms);
+  EXPECT_TRUE(out == TrieJoin(q, atoms));
+  EXPECT_TRUE(MultisetEqual(out, EvalJoinLocal(q, atoms)));
+}
+
+TEST(LocalJoinTest, AcyclicQueriesRunTheBinaryPlan) {
+  for (const ConjunctiveQuery& q :
+       {ConjunctiveQuery::Path(3), ConjunctiveQuery::Star(3)}) {
+    const std::vector<Relation> atoms = UniformAtoms(q, 17, 200, 12);
+    EXPECT_TRUE(LocalJoin(q, atoms) == EvalJoinLocal(q, atoms))
+        << q.ToString();
+  }
+}
+
+}  // namespace
+}  // namespace mpcqp
