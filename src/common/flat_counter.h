@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <utility>
 #include <vector>
 
@@ -72,13 +73,15 @@ class FlatCounter {
     return best;
   }
 
-  // All (key, count) pairs sorted by key — the iteration order of the
-  // std::map-based counters this class replaces.
-  std::vector<std::pair<uint64_t, int64_t>> SortedEntries() const {
+  // The (key, count) pairs sorted by key — the iteration order of the
+  // std::map-based counters this class replaces. A `threshold` keeps only
+  // counts STRICTLY greater than it (the heavy-hitter cut), so only the
+  // survivors are sorted.
+  std::vector<std::pair<uint64_t, int64_t>> SortedEntries(
+      int64_t threshold = std::numeric_limits<int64_t>::min()) const {
     std::vector<std::pair<uint64_t, int64_t>> entries;
-    entries.reserve(static_cast<size_t>(num_keys_));
     for (const SlotEntry& s : slots_) {
-      if (s.used) entries.push_back({s.key, s.count});
+      if (s.used && s.count > threshold) entries.push_back({s.key, s.count});
     }
     std::sort(entries.begin(), entries.end());
     return entries;

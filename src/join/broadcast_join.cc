@@ -1,7 +1,9 @@
 #include "join/broadcast_join.h"
 
 #include "common/check.h"
+#include "common/trace.h"
 #include "mpc/exchange.h"
+#include "mpc/metrics.h"
 #include "relation/relation_ops.h"
 
 namespace mpcqp {
@@ -20,7 +22,9 @@ DistRelation BroadcastJoin(Cluster& cluster, const DistRelation& left,
   // replicated fragments are COW handles to one shared payload; probing
   // them concurrently is read-only and race-free.
   std::vector<Relation> outputs(p);
+  ScopedPhaseTimer local_phase(cluster.metrics(), Phase::kLocalCompute);
   cluster.pool().ParallelFor(p, [&](int64_t s) {
+    MPCQP_TRACE_SCOPE_ARG("local join", "compute", s);
     outputs[s] = HashJoinLocal(left.fragment(s), replicated.fragment(s),
                                left_keys, right_keys);
   });

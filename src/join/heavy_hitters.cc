@@ -3,52 +3,36 @@
 #include <utility>
 #include <vector>
 
-#include "agg/groupby_engine.h"
 #include "common/check.h"
 
 namespace mpcqp {
 
-std::vector<HeavyHitter> FindHeavyHitters(const DistRelation& rel, int col,
-                                          int64_t threshold,
-                                          ThreadPool* pool) {
+FlatCounter CountColumn(const DistRelation& rel, int col) {
   MPCQP_CHECK_GE(col, 0);
   MPCQP_CHECK_LT(col, rel.arity());
-  // COUNT(*) GROUP BY col over all fragments at once — the engine output
-  // is (value, count) sorted by value, exactly the order the old serial
-  // FlatCounter scan produced.
-  std::vector<RelationView> inputs;
-  inputs.reserve(static_cast<size_t>(rel.num_servers()));
+  const size_t arity = static_cast<size_t>(rel.arity());
+  FlatCounter counts;
   for (int s = 0; s < rel.num_servers(); ++s) {
-    inputs.push_back(rel.fragment(s));
-  }
-  GroupByEngineOptions options;
-  options.pool = pool;
-  StatusOr<Relation> counts = GroupByAggregateParallel(
-      inputs, {col}, /*value_col=*/-1, AggregateOp::kCount, options);
-  // COUNT cannot overflow here: the total is bounded by the row count.
-  MPCQP_CHECK(counts.ok()) << counts.status();
-  const Relation& table = counts.value();
-  std::vector<HeavyHitter> result;
-  for (int64_t i = 0; i < table.size(); ++i) {
-    const int64_t count = static_cast<int64_t>(table.at(i, 1));
-    if (count > threshold) {
-      result.push_back({table.at(i, 0), count});
+    const std::vector<Value>& data = rel.fragment(s).data();
+    for (size_t i = static_cast<size_t>(col); i < data.size(); i += arity) {
+      counts.Add(data[i]);
     }
   }
-  return result;
+  return counts;
 }
 
-int64_t CountValue(const DistRelation& rel, int col, Value value) {
-  MPCQP_CHECK_GE(col, 0);
-  MPCQP_CHECK_LT(col, rel.arity());
-  int64_t count = 0;
-  for (int s = 0; s < rel.num_servers(); ++s) {
-    const Relation& frag = rel.fragment(s);
-    for (int64_t i = 0; i < frag.size(); ++i) {
-      if (frag.at(i, col) == value) ++count;
-    }
+std::vector<HeavyHitter> FindHeavyHitters(const DistRelation& rel, int col,
+                                          int64_t threshold) {
+  return FindHeavyHitters(CountColumn(rel, col), threshold);
+}
+
+std::vector<HeavyHitter> FindHeavyHitters(const FlatCounter& counts,
+                                          int64_t threshold) {
+  std::vector<HeavyHitter> result;
+  for (const auto& [value, count] : counts.SortedEntries(threshold)) {
+    result.push_back({value, count});
   }
-  return count;
+  return result;
 }
 
 }  // namespace mpcqp

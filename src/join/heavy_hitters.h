@@ -4,11 +4,10 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/flat_counter.h"
 #include "mpc/dist_relation.h"
 
 namespace mpcqp {
-
-class ThreadPool;
 
 // A join value and its frequency in a relation column.
 struct HeavyHitter {
@@ -20,6 +19,11 @@ struct HeavyHitter {
   }
 };
 
+// Per-value counts of column `col` over every fragment of `rel`: one
+// serial FlatCounter pass that reads the fragments in place. The exact
+// degree of any value is one Get away.
+FlatCounter CountColumn(const DistRelation& rel, int col);
+
 // Values of column `col` with frequency STRICTLY greater than `threshold`,
 // sorted by value. The deck's threshold is IN/p (slide 29).
 //
@@ -29,15 +33,14 @@ struct HeavyHitter {
 // it directly and the algorithms treat it as free statistics, matching the
 // theory's assumption that degrees are known.
 //
-// Counting runs through the adaptive group-by engine over all fragments
-// at once; a non-null `pool` morsel-parallelizes the scan (the result is
-// identical — same determinism contract as the engine).
+// Counting is one CountColumn pass; only the survivors are sorted.
 std::vector<HeavyHitter> FindHeavyHitters(const DistRelation& rel, int col,
-                                          int64_t threshold,
-                                          ThreadPool* pool = nullptr);
+                                          int64_t threshold);
 
-// Frequency of one value in a column (exact, across all fragments).
-int64_t CountValue(const DistRelation& rel, int col, Value value);
+// The same cut over counts already taken, for callers that also read other
+// values' degrees from `counts`.
+std::vector<HeavyHitter> FindHeavyHitters(const FlatCounter& counts,
+                                          int64_t threshold);
 
 }  // namespace mpcqp
 

@@ -5,22 +5,28 @@
 #include <unordered_map>
 
 #include "common/check.h"
+#include "common/flat_counter.h"
+#include "common/trace.h"
 #include "join/cartesian.h"
 #include "join/heavy_hitters.h"
-#include "mpc/stats.h"
 #include "mpc/exchange.h"
+#include "mpc/metrics.h"
+#include "mpc/stats.h"
 #include "relation/relation_ops.h"
 
 namespace mpcqp {
 
 namespace {
 
-// Placement of one heavy hitter's exclusive Cartesian grid: servers
-// (start + i) mod p for i in [0, rows*cols).
+// Placement of one heavy value's rows: its exclusive Cartesian grid on
+// servers (start + i) mod p for i in [0, rows*cols), or, when rows == 0,
+// nowhere — a value heavy on one side with no partner on the other yields
+// no output, so its rows are dropped. Values absent from the route table
+// are light and hash-partitioned.
 struct HeavyGrid {
   int start = 0;
-  int rows = 1;
-  int cols = 1;
+  int rows = 0;
+  int cols = 0;
 };
 
 }  // namespace
@@ -40,40 +46,39 @@ DistRelation SkewAwareJoin(Cluster& cluster, const DistRelation& left,
       1, static_cast<int64_t>(options.threshold_factor *
                               static_cast<double>(in) / p));
 
-  // Degrees of every value that is heavy on either side.
-  std::unordered_map<Value, std::pair<int64_t, int64_t>> heavy_degrees;
+  // One count per side: the hitters come from it (or from the metered
+  // protocol, which finds the same ones), and a hitter's partner degree is
+  // read from the other side's counter.
+  const FlatCounter left_counts = CountColumn(left, left_key);
+  const FlatCounter right_counts = CountColumn(right, right_key);
+  std::vector<HeavyHitter> left_heavy;
+  std::vector<HeavyHitter> right_heavy;
   if (options.metered_statistics) {
     for (const DistributedHeavyHitter& h :
          DetectHeavyHittersDistributed(cluster, left, left_key, threshold)) {
-      heavy_degrees[h.value].first = h.count;
+      left_heavy.push_back({h.value, h.count});
     }
     for (const DistributedHeavyHitter& h : DetectHeavyHittersDistributed(
              cluster, right, right_key, threshold)) {
-      heavy_degrees[h.value].second = h.count;
+      right_heavy.push_back({h.value, h.count});
     }
   } else {
-    for (const HeavyHitter& h :
-         FindHeavyHitters(left, left_key, threshold, &cluster.pool())) {
-      heavy_degrees[h.value].first = h.count;
-    }
-    for (const HeavyHitter& h : FindHeavyHitters(right, right_key, threshold,
-                                                 &cluster.pool())) {
-      heavy_degrees[h.value].second = h.count;
-    }
+    left_heavy = FindHeavyHitters(left_counts, threshold);
+    right_heavy = FindHeavyHitters(right_counts, threshold);
   }
-  for (auto& [value, degrees] : heavy_degrees) {
-    if (degrees.first == 0) {
-      degrees.first = CountValue(left, left_key, value);
-    }
-    if (degrees.second == 0) {
-      degrees.second = CountValue(right, right_key, value);
-    }
+  // (left, right) degrees of every value that is heavy on either side.
+  std::unordered_map<Value, std::pair<int64_t, int64_t>> heavy_degrees;
+  for (const HeavyHitter& h : left_heavy) {
+    heavy_degrees[h.value] = {h.count, right_counts.Get(h.value)};
+  }
+  for (const HeavyHitter& h : right_heavy) {
+    heavy_degrees[h.value] = {left_counts.Get(h.value), h.count};
   }
 
   // Allocate exclusive server slices proportional to each hitter's share
   // of the output, sqrt(dL * dR). Hitters with no partner side produce no
   // output; the degree statistics let us drop their tuples outright.
-  std::unordered_map<Value, HeavyGrid> grids;
+  std::unordered_map<Value, HeavyGrid> routes;
   {
     double total_weight = 0.0;
     for (const auto& [value, degrees] : heavy_degrees) {
@@ -83,18 +88,17 @@ DistRelation SkewAwareJoin(Cluster& cluster, const DistRelation& left,
     int cursor = 0;
     for (const auto& [value, degrees] : heavy_degrees) {
       const auto [dl, dr] = degrees;
-      if (dl == 0 || dr == 0) continue;
+      HeavyGrid& grid = routes[value];
+      if (dl == 0 || dr == 0) continue;  // rows == 0: dropped.
       const double weight =
           std::sqrt(static_cast<double>(dl) * static_cast<double>(dr));
       int budget = total_weight > 0
                        ? static_cast<int>(p * weight / total_weight)
                        : 1;
       budget = std::max(1, std::min(budget, p));
-      HeavyGrid grid;
       grid.start = cursor;
       std::tie(grid.rows, grid.cols) = OptimalGridShape(dl, dr, budget);
       cursor = (cursor + grid.rows * grid.cols) % p;
-      grids[value] = grid;
     }
   }
 
@@ -120,13 +124,13 @@ DistRelation SkewAwareJoin(Cluster& cluster, const DistRelation& left,
       [&](const RouteContext& ctx, const Value* row,
           std::vector<int>& dests) {
         const Value key = row[left_key];
-        const auto it = grids.find(key);
-        if (it == grids.end()) {
-          if (heavy_degrees.count(key) == 0) dests.push_back(light_dest(key));
-          // Heavy but partnerless: dropped (cannot contribute output).
+        const auto it = routes.find(key);
+        if (it == routes.end()) {
+          dests.push_back(light_dest(key));
           return;
         }
         const HeavyGrid& g = it->second;
+        if (g.rows == 0) return;
         const int r = left_place.Bucket(place_key(ctx), g.rows);
         for (int c = 0; c < g.cols; ++c) {
           dests.push_back((g.start + r * g.cols + c) % p);
@@ -138,12 +142,13 @@ DistRelation SkewAwareJoin(Cluster& cluster, const DistRelation& left,
       [&](const RouteContext& ctx, const Value* row,
           std::vector<int>& dests) {
         const Value key = row[right_key];
-        const auto it = grids.find(key);
-        if (it == grids.end()) {
-          if (heavy_degrees.count(key) == 0) dests.push_back(light_dest(key));
+        const auto it = routes.find(key);
+        if (it == routes.end()) {
+          dests.push_back(light_dest(key));
           return;
         }
         const HeavyGrid& g = it->second;
+        if (g.rows == 0) return;
         const int c = right_place.Bucket(place_key(ctx), g.cols);
         for (int r = 0; r < g.rows; ++r) {
           dests.push_back((g.start + r * g.cols + c) % p);
@@ -153,7 +158,9 @@ DistRelation SkewAwareJoin(Cluster& cluster, const DistRelation& left,
   cluster.EndRound();
 
   std::vector<Relation> outputs(p);
+  ScopedPhaseTimer local_phase(cluster.metrics(), Phase::kLocalCompute);
   cluster.pool().ParallelFor(p, [&](int64_t s) {
+    MPCQP_TRACE_SCOPE_ARG("local join", "compute", s);
     outputs[s] = HashJoinLocal(left_parts.fragment(s),
                                right_parts.fragment(s), {left_key},
                                {right_key});

@@ -222,9 +222,9 @@ DistRelation EvalNode(Cluster& cluster, const ConjunctiveQuery& q,
       MPCQP_CHECK_EQ(acc_vars.size(), node.vars.size());
       const std::vector<int> cols = ColumnsOf(node.vars, acc_vars);
       DistRelation out(static_cast<int>(cols.size()), acc.num_servers());
-      for (int s = 0; s < acc.num_servers(); ++s) {
+      cluster.pool().ParallelFor(acc.num_servers(), [&](int64_t s) {
         out.fragment(s) = Project(acc.fragment(s), cols);
-      }
+      });
       return out;
     }
     case PlanOp::kAlgorithm:

@@ -5,8 +5,8 @@
 #include <unordered_set>
 
 #include "common/check.h"
-#include "common/flat_counter.h"
 #include "common/trace.h"
+#include "join/heavy_hitters.h"
 #include "mpc/exchange.h"
 #include "mpc/metrics.h"
 #include "query/hypergraph_lp.h"
@@ -54,13 +54,8 @@ SkewHcResult SkewHcJoin(Cluster& cluster, const ConjunctiveQuery& q,
   std::vector<std::unordered_set<Value>> heavy(k);
   for (int j = 0; j < q.num_atoms(); ++j) {
     for (const auto& [v, c] : DistinctVarCols(q.atom(j))) {
-      FlatCounter counts;
-      for (int s = 0; s < p; ++s) {
-        const Relation& frag = atoms[j].fragment(s);
-        for (int64_t i = 0; i < frag.size(); ++i) counts.Add(frag.at(i, c));
-      }
-      for (const auto& [value, count] : counts.SortedEntries()) {
-        if (count > threshold) heavy[v].insert(value);
+      for (const HeavyHitter& h : FindHeavyHitters(atoms[j], c, threshold)) {
+        heavy[v].insert(h.value);
       }
     }
   }

@@ -36,12 +36,10 @@ TriangleHlResult TriangleHeavyLightJoin(Cluster& cluster,
   // Heavy z values: degree above IN/p^{1/3} in S.z (column 1) or T.z
   // (column 0). Free statistics, per the model.
   std::unordered_set<Value> heavy;
-  for (const HeavyHitter& h :
-       FindHeavyHitters(s, 1, threshold, &cluster.pool())) {
+  for (const HeavyHitter& h : FindHeavyHitters(s, 1, threshold)) {
     heavy.insert(h.value);
   }
-  for (const HeavyHitter& h :
-       FindHeavyHitters(t, 0, threshold, &cluster.pool())) {
+  for (const HeavyHitter& h : FindHeavyHitters(t, 0, threshold)) {
     heavy.insert(h.value);
   }
 

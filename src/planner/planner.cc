@@ -60,21 +60,6 @@ StatusOr<std::optional<PlanAlgorithm>> ParseAlgorithmName(
 
 namespace {
 
-// Per-value counts of column `col` over every fragment of `rel`, read in
-// place.
-FlatCounter CountColumn(const DistRelation& rel, int col) {
-  MPCQP_CHECK_LT(col, rel.arity());
-  const size_t arity = static_cast<size_t>(rel.arity());
-  FlatCounter counts;
-  for (int s = 0; s < rel.num_servers(); ++s) {
-    const std::vector<Value>& data = rel.fragment(s).data();
-    for (size_t i = static_cast<size_t>(col); i < data.size(); i += arity) {
-      counts.Add(data[i]);
-    }
-  }
-  return counts;
-}
-
 // True when some row of `rel` occurs twice, whether both copies sit on one
 // server or on two. Exact: an open-addressing set of (row hash, row
 // pointer) slots over all fragments compares the full row on every hash

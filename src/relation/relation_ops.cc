@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <map>
 #include <numeric>
+#include <span>
+#include <utility>
 
 #include "common/check.h"
 #include "common/flat_counter.h"
@@ -43,16 +45,35 @@ void CheckJoinArgs(RelationView left, RelationView right,
   }
 }
 
-void EmitJoinRow(RelationView left, int64_t lrow, RelationView right,
-                 int64_t rrow, const std::vector<int>& right_out_cols,
-                 std::vector<Value>& scratch, Relation& out) {
-  scratch.clear();
-  const Value* l = left.row(lrow);
-  scratch.insert(scratch.end(), l, l + left.arity());
-  const Value* r = right.row(rrow);
-  for (int c : right_out_cols) scratch.push_back(r[c]);
-  out.AppendRow(scratch.data());
+// Row `i` of `view`, honouring its selection vector, without
+// RelationView::row's per-call CHECKs: the pre-sized writers below only
+// index rows their counting pass produced.
+const Value* RowPtr(const RelationView& view, int64_t i) {
+  const int64_t r = view.selection() != nullptr ? view.selection()[i] : i;
+  return view.base() + static_cast<size_t>(r) * view.arity();
 }
+
+// The pre-sized output of the local join family. A kernel first counts its
+// output rows, then calls Write exactly that many times: the left row,
+// then the right row's non-key columns, straight into the output buffer.
+class JoinWriter {
+ public:
+  JoinWriter(int left_arity, const std::vector<int>& right_out_cols,
+             int64_t rows, Relation& out)
+      : left_arity_(left_arity), right_out_cols_(right_out_cols) {
+    if (rows > 0) dst_ = out.ResizeRowsForOverwrite(rows);
+  }
+
+  void Write(const Value* lrow, const Value* rrow) {
+    dst_ = std::copy_n(lrow, left_arity_, dst_);
+    for (int c : right_out_cols_) *dst_++ = rrow[c];
+  }
+
+ private:
+  const int left_arity_;
+  const std::vector<int>& right_out_cols_;
+  Value* dst_ = nullptr;
+};
 
 // Row indices of `rel` sorted by `key_cols` then all columns — the
 // comparator Relation::SortRowsBy uses, applied to a permutation instead
@@ -78,24 +99,60 @@ std::vector<int64_t> SortedOrder(RelationView rel,
   return order;
 }
 
+// The probe loop of the index-backed kernels: calls visit(i, hits) for
+// every row i of `left` in ascending order, `hits` being the ascending
+// index rows whose key equals row i's. Single-column keys run the columnar
+// probe: per block, gather the key column (shared kernel), hash it in one
+// vectorized HashKeys pass, then walk the directory per key. The hits are
+// identical to the per-row path; only the memory access pattern differs.
+template <typename Visit>
+void ProbeRows(RelationView left, const std::vector<int>& left_keys,
+               const KeyIndex& index, Visit&& visit) {
+  MPCQP_TRACE_SCOPE_ARG("key_index probe", "compute", left.size());
+  if (left_keys.size() == 1) {
+    constexpr int64_t kBlockRows = 8192;
+    std::vector<Value> keys(static_cast<size_t>(
+        std::min<int64_t>(kBlockRows, left.size())));
+    std::vector<uint64_t> hashes(keys.size());
+    for (int64_t begin = 0; begin < left.size(); begin += kBlockRows) {
+      const int64_t end = std::min<int64_t>(begin + kBlockRows, left.size());
+      GatherKeyColumn(left, left_keys[0], begin, end, keys.data());
+      index.HashKeys(keys.data(), end - begin, hashes.data());
+      for (int64_t i = begin; i < end; ++i) {
+        visit(i, index.LookupWithHash(hashes[i - begin], &keys[i - begin]));
+      }
+    }
+    return;
+  }
+  std::vector<Value> key(left_keys.size());
+  for (int64_t i = 0; i < left.size(); ++i) {
+    const Value* lrow = RowPtr(left, i);
+    for (size_t k = 0; k < left_keys.size(); ++k) key[k] = lrow[left_keys[k]];
+    visit(i, index.Lookup(key.data()));
+  }
+}
+
 }  // namespace
 
 Relation Project(RelationView rel, const std::vector<int>& cols) {
-  for (int c : cols) {
-    MPCQP_CHECK_GE(c, 0);
-    MPCQP_CHECK_LT(c, rel.arity());
+  bool identity = static_cast<int>(cols.size()) == rel.arity();
+  for (size_t j = 0; j < cols.size(); ++j) {
+    MPCQP_CHECK_GE(cols[j], 0);
+    MPCQP_CHECK_LT(cols[j], rel.arity());
+    identity = identity && cols[j] == static_cast<int>(j);
   }
+  // A whole-relation view shares its payload (COW); no byte moves.
+  if (identity) return rel.ToRelation();
   Relation out(static_cast<int>(cols.size()));
   if (cols.empty()) {
     for (int64_t i = 0; i < rel.size(); ++i) out.AppendNullaryRow();
     return out;
   }
-  out.Reserve(rel.size());
-  std::vector<Value> scratch(cols.size());
+  if (rel.empty()) return out;
+  Value* dst = out.ResizeRowsForOverwrite(rel.size());
   for (int64_t i = 0; i < rel.size(); ++i) {
-    const Value* row = rel.row(i);
-    for (size_t j = 0; j < cols.size(); ++j) scratch[j] = row[cols[j]];
-    out.AppendRow(scratch.data());
+    const Value* row = RowPtr(rel, i);
+    for (int c : cols) *dst++ = row[c];
   }
   return out;
 }
@@ -153,15 +210,20 @@ Relation HashJoinLocal(RelationView left, RelationView right,
   // Build on the smaller side conceptually; for simplicity always build on
   // `right` (callers pass the smaller side right in hot paths).
   KeyIndex index(right, right_keys);
-  MPCQP_TRACE_SCOPE_ARG("key_index probe", "compute", left.size());
-  std::vector<Value> key(left_keys.size());
-  std::vector<Value> scratch;
+  // Pass 1 keeps every left row's matches (a span into the index arena)
+  // and counts the output; pass 2 writes it into one pre-sized buffer.
+  std::vector<std::span<const int64_t>> matches(
+      static_cast<size_t>(left.size()));
+  int64_t rows = 0;
+  ProbeRows(left, left_keys, index,
+            [&](int64_t i, std::span<const int64_t> hits) {
+              matches[i] = hits;
+              rows += static_cast<int64_t>(hits.size());
+            });
+  JoinWriter writer(left.arity(), right_out_cols, rows, out);
   for (int64_t i = 0; i < left.size(); ++i) {
-    const Value* lrow = left.row(i);
-    for (size_t k = 0; k < left_keys.size(); ++k) key[k] = lrow[left_keys[k]];
-    for (int64_t rrow : index.Lookup(key.data())) {
-      EmitJoinRow(left, i, right, rrow, right_out_cols, scratch, out);
-    }
+    const Value* lrow = RowPtr(left, i);
+    for (int64_t rrow : matches[i]) writer.Write(lrow, RowPtr(right, rrow));
   }
   return out;
 }
@@ -179,8 +241,8 @@ Relation SortMergeJoinLocal(RelationView left, RelationView right,
   const std::vector<int64_t> rorder = SortedOrder(right, right_keys);
 
   auto compare_keys = [&](int64_t li, int64_t ri) {
-    const Value* l = left.row(lorder[li]);
-    const Value* r = right.row(rorder[ri]);
+    const Value* l = RowPtr(left, lorder[li]);
+    const Value* r = RowPtr(right, rorder[ri]);
     for (size_t k = 0; k < left_keys.size(); ++k) {
       const Value lv = l[left_keys[k]];
       const Value rv = r[right_keys[k]];
@@ -189,23 +251,29 @@ Relation SortMergeJoinLocal(RelationView left, RelationView right,
     return 0;
   };
   auto same_left_key = [&](int64_t a, int64_t b) {
-    const Value* ra = left.row(lorder[a]);
-    const Value* rb = left.row(lorder[b]);
+    const Value* ra = RowPtr(left, lorder[a]);
+    const Value* rb = RowPtr(left, lorder[b]);
     for (int k : left_keys) {
       if (ra[k] != rb[k]) return false;
     }
     return true;
   };
   auto same_right_key = [&](int64_t a, int64_t b) {
-    const Value* ra = right.row(rorder[a]);
-    const Value* rb = right.row(rorder[b]);
+    const Value* ra = RowPtr(right, rorder[a]);
+    const Value* rb = RowPtr(right, rorder[b]);
     for (int k : right_keys) {
       if (ra[k] != rb[k]) return false;
     }
     return true;
   };
 
-  std::vector<Value> scratch;
+  // Pass 1: the runs of equal keys on both sides and the output size (the
+  // sum of the runs' cross products).
+  struct Run {
+    int64_t l_begin, l_end, r_begin, r_end;
+  };
+  std::vector<Run> runs;
+  int64_t rows = 0;
   int64_t li = 0;
   int64_t ri = 0;
   while (li < static_cast<int64_t>(lorder.size()) &&
@@ -216,7 +284,6 @@ Relation SortMergeJoinLocal(RelationView left, RelationView right,
     } else if (cmp > 0) {
       ++ri;
     } else {
-      // Find the run of equal keys on each side, emit the cross product.
       int64_t lend = li + 1;
       while (lend < static_cast<int64_t>(lorder.size()) &&
              same_left_key(lend, li)) {
@@ -227,14 +294,20 @@ Relation SortMergeJoinLocal(RelationView left, RelationView right,
              same_right_key(rend, ri)) {
         ++rend;
       }
-      for (int64_t a = li; a < lend; ++a) {
-        for (int64_t b = ri; b < rend; ++b) {
-          EmitJoinRow(left, lorder[a], right, rorder[b], right_out_cols,
-                      scratch, out);
-        }
-      }
+      runs.push_back({li, lend, ri, rend});
+      rows += (lend - li) * (rend - ri);
       li = lend;
       ri = rend;
+    }
+  }
+  // Pass 2: each run's cross product.
+  JoinWriter writer(left.arity(), right_out_cols, rows, out);
+  for (const Run& run : runs) {
+    for (int64_t a = run.l_begin; a < run.l_end; ++a) {
+      const Value* lrow = RowPtr(left, lorder[a]);
+      for (int64_t b = run.r_begin; b < run.r_end; ++b) {
+        writer.Write(lrow, RowPtr(right, rorder[b]));
+      }
     }
   }
   return out;
@@ -246,7 +319,7 @@ Relation NestedLoopJoinLocal(RelationView left, RelationView right,
   CheckJoinArgs(left, right, left_keys, right_keys);
   const std::vector<int> right_out_cols = NonKeyRightCols(right, right_keys);
   Relation out(left.arity() + static_cast<int>(right_out_cols.size()));
-  std::vector<Value> scratch;
+  std::vector<std::pair<int64_t, int64_t>> pairs;
   for (int64_t i = 0; i < left.size(); ++i) {
     for (int64_t j = 0; j < right.size(); ++j) {
       bool match = true;
@@ -256,48 +329,29 @@ Relation NestedLoopJoinLocal(RelationView left, RelationView right,
           break;
         }
       }
-      if (match) EmitJoinRow(left, i, right, j, right_out_cols, scratch, out);
+      if (match) pairs.push_back({i, j});
     }
+  }
+  JoinWriter writer(left.arity(), right_out_cols,
+                    static_cast<int64_t>(pairs.size()), out);
+  for (const auto& [i, j] : pairs) {
+    writer.Write(RowPtr(left, i), RowPtr(right, j));
   }
   return out;
 }
 
 namespace {
 
-// Shared probe loop of the (anti)semijoin pair: appends every left row
-// whose membership in the index equals `want_match`, in ascending row
-// order. Single-column keys run the columnar probe: per block, gather the
-// key column (shared kernel), hash it in one vectorized HashKeys pass,
-// then walk the directory per key — identical hits and output order to
-// the per-row path, only the memory access pattern differs.
+// The (anti)semijoin pair: appends every left row whose membership in the
+// index equals `want_match`, in ascending row order.
 Relation FilterByIndex(RelationView left, const std::vector<int>& left_keys,
                        const KeyIndex& index, bool want_match) {
   Relation out(left.arity());
-  MPCQP_TRACE_SCOPE_ARG("key_index probe", "compute", left.size());
-  if (left_keys.size() == 1) {
-    constexpr int64_t kBlockRows = 8192;
-    std::vector<Value> keys(static_cast<size_t>(
-        std::min<int64_t>(kBlockRows, left.size())));
-    std::vector<uint64_t> hashes(keys.size());
-    for (int64_t begin = 0; begin < left.size(); begin += kBlockRows) {
-      const int64_t end = std::min<int64_t>(begin + kBlockRows, left.size());
-      GatherKeyColumn(left, left_keys[0], begin, end, keys.data());
-      index.HashKeys(keys.data(), end - begin, hashes.data());
-      for (int64_t i = begin; i < end; ++i) {
-        const bool hit =
-            !index.LookupWithHash(hashes[i - begin], &keys[i - begin])
-                 .empty();
-        if (hit == want_match) out.AppendRow(left.row(i));
-      }
-    }
-    return out;
-  }
-  std::vector<Value> key(left_keys.size());
-  for (int64_t i = 0; i < left.size(); ++i) {
-    const Value* lrow = left.row(i);
-    for (size_t k = 0; k < left_keys.size(); ++k) key[k] = lrow[left_keys[k]];
-    if (index.Contains(key.data()) == want_match) out.AppendRow(lrow);
-  }
+  ProbeRows(left, left_keys, index,
+            [&](int64_t i, std::span<const int64_t> hits) {
+              const bool hit = !hits.empty();
+              if (hit == want_match) out.AppendRow(RowPtr(left, i));
+            });
   return out;
 }
 

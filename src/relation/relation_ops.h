@@ -21,7 +21,8 @@ namespace mpcqp {
 // borrowed only for the duration of the call.
 
 // Projection onto `cols` (columns may repeat or reorder). Multiset
-// semantics: duplicates are kept.
+// semantics: duplicates are kept. The identity projection of a whole
+// relation returns a handle sharing its payload (no copy).
 Relation Project(RelationView rel, const std::vector<int>& cols);
 
 // Removes duplicate rows (sorts an index permutation internally — the
@@ -38,7 +39,9 @@ Relation UnionAll(RelationView a, RelationView b);
 
 // Equi-join of `left` and `right` on left_keys[i] == right_keys[i].
 // Output columns: all of left, then the columns of right that are not join
-// keys (in their original order). Hash-based.
+// keys (in their original order). Hash-based; rows come in left order, each
+// left row's matches in right order. Like the two kernels below, it counts
+// its output first and writes it into one pre-sized buffer.
 Relation HashJoinLocal(RelationView left, RelationView right,
                        const std::vector<int>& left_keys,
                        const std::vector<int>& right_keys);

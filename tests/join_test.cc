@@ -1,9 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <map>
+#include <set>
 #include <string>
 #include <tuple>
+#include <vector>
 
+#include "common/flat_counter.h"
 #include "join/broadcast_join.h"
 #include "join/cartesian.h"
 #include "join/hash_join.h"
@@ -257,7 +262,6 @@ TEST(HeavyHitterTest, FindsExactlyTheFrequentValues) {
   EXPECT_EQ(hitters[0].value, 1u);
   EXPECT_EQ(hitters[0].count, 100);
   EXPECT_EQ(hitters[1].value, 2u);
-  EXPECT_EQ(CountValue(dist, 1, 3), 5);
 }
 
 TEST(HeavyHitterTest, ThresholdIsStrict) {
@@ -268,7 +272,120 @@ TEST(HeavyHitterTest, ThresholdIsStrict) {
   EXPECT_EQ(FindHeavyHitters(dist, 0, 9).size(), 1u);
 }
 
+// FindHeavyHitters against a std::map count over fragments that include
+// empty ones and the values 0, 2^63 and UINT64_MAX. Every distinct count
+// is tried as the threshold, so a count equal to it is always excluded.
+TEST(HeavyHitterTest, MatchesMapReference) {
+  const std::vector<Value> domain = {
+      0, 1, 2, Value{1} << 63, UINT64_MAX - 1, UINT64_MAX};
+  const int p = 6;
+  DistRelation dist(2, p);
+  std::map<Value, int64_t> reference;
+  Rng rng(17);
+  for (int i = 0; i < 300; ++i) {
+    // Skewed picks: the low-index values repeat the most.
+    const size_t pick = std::min(rng.Next() % domain.size(),
+                                 rng.Next() % domain.size());
+    const Value value = domain[pick];
+    // Servers 0, 2 and 3 stay empty.
+    const int server = (i % 2 == 0) ? 1 : (i % 3 == 0 ? 4 : 5);
+    dist.fragment(server).AppendRow({static_cast<Value>(i), value});
+    ++reference[value];
+  }
+  ASSERT_TRUE(dist.fragment(0).empty());
+  std::set<int64_t> thresholds = {-1, 0};
+  for (const auto& [value, count] : reference) {
+    thresholds.insert(count);
+    thresholds.insert(count - 1);
+  }
+  const FlatCounter counts = CountColumn(dist, 1);
+  for (int64_t threshold : thresholds) {
+    std::vector<HeavyHitter> expected;
+    for (const auto& [value, count] : reference) {
+      if (count > threshold) expected.push_back({value, count});
+    }
+    EXPECT_EQ(FindHeavyHitters(dist, 1, threshold), expected)
+        << "threshold " << threshold;
+    EXPECT_EQ(FindHeavyHitters(counts, threshold), expected)
+        << "threshold " << threshold;
+  }
+  for (const auto& [value, count] : reference) {
+    EXPECT_EQ(counts.Get(value), count);
+  }
+  EXPECT_TRUE(FindHeavyHitters(DistRelation(2, 3), 0, 0).empty());
+}
+
 // ---------- Skew-aware join ----------
+
+// A value heavy on one side only still joins with its few partner rows:
+// its grid is shaped from the partner degree read off the other side's
+// count. Value 7 is heavy in `left` only and value 9 in `right` only;
+// value 11 is heavy in `left` and absent from `right`, so its rows are
+// dropped rather than shuffled.
+TEST(SkewJoinTest, OneSidedHitterTakesPartnerDegreeFromOtherCount) {
+  const int p = 8;
+  Relation left(2);
+  Relation right(2);
+  for (Value i = 0; i < 600; ++i) left.AppendRow({i, 7});
+  for (Value i = 0; i < 5; ++i) right.AppendRow({7, i});
+  for (Value i = 0; i < 5; ++i) left.AppendRow({i, 9});
+  for (Value i = 0; i < 600; ++i) right.AppendRow({9, i});
+  for (Value i = 0; i < 400; ++i) left.AppendRow({i, 11});
+  for (Value v = 100; v < 400; ++v) {
+    left.AppendRow({v, v});
+    right.AppendRow({v, v});
+  }
+  const DistRelation left_dist = DistRelation::Scatter(left, p);
+  const DistRelation right_dist = DistRelation::Scatter(right, p);
+  // Threshold IN/p = 2210 / 8 = 276: 7, 9 and 11 are heavy on one side.
+  const FlatCounter left_counts = CountColumn(left_dist, 1);
+  const FlatCounter right_counts = CountColumn(right_dist, 0);
+  EXPECT_EQ(right_counts.Get(7), 5);
+  EXPECT_EQ(left_counts.Get(9), 5);
+  EXPECT_EQ(right_counts.Get(11), 0);
+  ASSERT_EQ(FindHeavyHitters(left_counts, 276),
+            (std::vector<HeavyHitter>{{7, 600}, {11, 400}}));
+  ASSERT_EQ(FindHeavyHitters(right_counts, 276),
+            (std::vector<HeavyHitter>{{9, 600}}));
+
+  Cluster hash_cluster(p, 5);
+  const Relation expected =
+      ParallelHashJoin(hash_cluster, left_dist, right_dist, {1}, {0})
+          .Collect();
+  ASSERT_EQ(expected.size(), 2 * 600 * 5 + 300);
+
+  // Equal weights sqrt(600 * 5) and sqrt(5 * 600): each grid gets p / 2
+  // servers. Light rows travel once; a left row of a grid goes to each of
+  // its columns, a right row to each of its rows; value 11 travels nowhere.
+  const auto [rows7, cols7] = OptimalGridShape(600, 5, p / 2);
+  const auto [rows9, cols9] = OptimalGridShape(5, 600, p / 2);
+  const int64_t expected_comm =
+      600 + 600 * cols7 + 5 * rows7 + 5 * cols9 + 600 * rows9;
+
+  std::vector<RoundCost> first_rounds;
+  for (int threads : {1, 2, 8}) {
+    ClusterOptions options;
+    options.num_threads = threads;
+    Cluster cluster(p, 5, options);
+    Rng rng(33);
+    const DistRelation out =
+        SkewAwareJoin(cluster, left_dist, right_dist, 1, 0, rng);
+    EXPECT_TRUE(MultisetEqual(out.Collect(), expected))
+        << "threads=" << threads;
+    EXPECT_EQ(cluster.cost_report().TotalCommTuples(), expected_comm)
+        << "threads=" << threads;
+    const std::vector<RoundCost>& rounds = cluster.cost_report().rounds();
+    ASSERT_EQ(rounds.size(), 1u);
+    if (first_rounds.empty()) {
+      first_rounds = rounds;
+      continue;
+    }
+    EXPECT_EQ(rounds[0].tuples_received, first_rounds[0].tuples_received)
+        << "threads=" << threads;
+    EXPECT_EQ(rounds[0].tuples_sent, first_rounds[0].tuples_sent)
+        << "threads=" << threads;
+  }
+}
 
 class SkewJoinCorrectnessTest
     : public ::testing::TestWithParam<std::tuple<int, double, uint64_t>> {};
