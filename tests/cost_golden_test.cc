@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "acyclic/gym.h"
+#include "agg/aggregate.h"
 #include "join/hash_join.h"
 #include "join/skew_join.h"
 #include "matmul/block_mm.h"
@@ -390,6 +391,54 @@ TEST(CostGoldenTest, BlockMm) {
   Cluster cluster(kServers, kSeed);
   SquareBlockMm(cluster, a, b, /*block_dim=*/4);
   ExpectMatchesGolden("BlockMm", cluster.cost_report(), kBlockMm);
+}
+
+// ---------- Distributed group-by ----------
+
+// Four group-by rounds on one cluster: SUM and COUNT over a two-column
+// Zipf key, each with combiners on and then off.
+const GoldenRound kDistributedGroupByAggregate[] = {
+    {"group-by shuffle", 233, 1723, 0x1d37af241d164299ULL},
+    {"group-by shuffle", 473, 3000, 0x0394035beda7e58dULL},
+    {"group-by shuffle", 252, 1723, 0xa5199a131b9e993dULL},
+    {"group-by shuffle", 508, 3000, 0x29210904409339abULL},
+};
+
+TEST(CostGoldenTest, DistributedGroupByAggregate) {
+  Rng rng(41);
+  const Relation input = GenerateZipf(rng, 3000, 3, 30, 0, 1.2);
+  const DistRelation dist = DistRelation::Scatter(input, kServers);
+  Cluster cluster(kServers, kSeed);
+  for (const AggregateOp op : {AggregateOp::kSum, AggregateOp::kCount}) {
+    for (const bool combiners : {true, false}) {
+      GroupByOptions options;
+      options.use_combiners = combiners;
+      ASSERT_TRUE(DistributedGroupByAggregate(cluster, dist, {0, 1}, 2, op,
+                                              options)
+                      .ok());
+    }
+  }
+  ExpectMatchesGolden("DistributedGroupByAggregate", cluster.cost_report(),
+                      kDistributedGroupByAggregate);
+}
+
+// ---------- Distributed scalar SUM (aggregation tree) ----------
+
+const GoldenRound kDistributedSum[] = {
+    {"sum tree round 1", 1, 4, 0x7eed3f60743d7025ULL},
+    {"sum tree round 2", 1, 2, 0x541016daff477865ULL},
+    {"sum tree round 3", 1, 1, 0xd8882f3563662365ULL},
+};
+
+TEST(CostGoldenTest, DistributedSum) {
+  Rng rng(43);
+  const Relation input = GenerateUniform(rng, 1000, 2, 500);
+  Cluster cluster(kServers, kSeed);
+  ASSERT_TRUE(DistributedSum(cluster, DistRelation::Scatter(input, kServers),
+                             /*value_col=*/1, /*fan_in=*/2)
+                  .ok());
+  ExpectMatchesGolden("DistributedSum", cluster.cost_report(),
+                      kDistributedSum);
 }
 
 }  // namespace
