@@ -1,30 +1,24 @@
 #include "agg/aggregate.h"
 
-#include <optional>
+#include <algorithm>
 #include <string>
 #include <utility>
 
+#include "agg/group_table.h"
 #include "common/check.h"
+#include "common/trace.h"
 #include "mpc/exchange.h"
 #include "mpc/metrics.h"
-#include "relation/columnar.h"
 #include "relation/relation_ops.h"
 
 namespace mpcqp {
 
 namespace {
 
-// Engine options for local aggregation inside a cluster: the cluster's
-// pool and morsel grain, the caller's strategy. None affect output bytes
-// (determinism contract of the engine).
-GroupByEngineOptions EngineOptions(Cluster& cluster,
-                                   const GroupByOptions& options) {
-  GroupByEngineOptions engine;
-  engine.strategy = options.strategy;
-  engine.pool = &cluster.pool();
-  engine.morsel_rows = cluster.morsel_rows();
-  return engine;
-}
+using agg_internal::AccumulateRow;
+using agg_internal::GroupTable;
+using agg_internal::HashKey;
+using agg_internal::MergePartial;
 
 // First non-OK status by fragment index — a deterministic pick when
 // several fragments fail concurrently.
@@ -33,6 +27,88 @@ Status FirstError(const std::vector<Status>& errors) {
     if (!s.ok()) return s;
   }
   return OkStatus();
+}
+
+Status OverflowError() {
+  return OutOfRangeError("group-by aggregate overflows Value");
+}
+
+// Combine: folds `frag`'s rows, in row order, into one table keyed on
+// group_cols. Reads rows through the flat buffer, so a nullary fragment
+// (COUNT over the scalar group) is just its row count.
+Status CombineFragment(const Relation& frag, const std::vector<int>& group_cols,
+                       int value_col, AggregateOp op, GroupTable* table) {
+  const int width = static_cast<int>(group_cols.size());
+  const int arity = frag.arity();
+  const Value* base = frag.data().data();
+  // A key whose columns sit side by side in the row is read in place;
+  // any other key is gathered into `gathered` first.
+  const int first = width > 0 ? group_cols[0] : 0;
+  bool in_place = true;
+  for (int k = 1; k < width; ++k) in_place &= group_cols[k] == first + k;
+  std::vector<Value> gathered(width);
+  for (int64_t i = 0; i < frag.size(); ++i) {
+    const Value* row = base + i * arity;
+    const Value* key = row + first;
+    if (!in_place) {
+      for (int k = 0; k < width; ++k) gathered[k] = row[group_cols[k]];
+      key = gathered.data();
+    }
+    auto [acc, inserted] = table->Upsert(HashKey(key, width), key);
+    if (!AccumulateRow(acc, inserted, value_col >= 0 ? row[value_col] : 0,
+                       op)) {
+      return OverflowError();
+    }
+  }
+  return OkStatus();
+}
+
+// Merge: folds a routed fragment whose group key is its leading `width`
+// columns. With `partials` each row carries a combiner partial in column
+// width, re-aggregated by MergePartial (COUNT partials are summed);
+// otherwise rows are raw and column width (absent for a dropped COUNT
+// payload) is accumulated as an input value.
+Status MergeFragment(const Relation& frag, int width, AggregateOp op,
+                     bool partials, GroupTable* table) {
+  const int arity = frag.arity();
+  const bool has_value = arity > width;
+  const Value* base = frag.data().data();
+  for (int64_t i = 0; i < frag.size(); ++i) {
+    const Value* row = base + i * arity;
+    auto [acc, inserted] = table->Upsert(HashKey(row, width), row);
+    const Value value = has_value ? row[width] : 0;
+    const bool ok = partials ? MergePartial(acc, inserted, value, op)
+                             : AccumulateRow(acc, inserted, value, op);
+    if (!ok) return OverflowError();
+  }
+  return OkStatus();
+}
+
+// The table's groups as (key..., accumulator) rows: in insertion order,
+// a function of the scanned fragment alone, or sorted by the full —
+// unique — group key, so the bytes do not depend on arrival order.
+Relation EmitGroups(const GroupTable& table, int width, bool sorted) {
+  std::vector<const GroupTable::Entry*> order;
+  order.reserve(static_cast<size_t>(table.num_groups()));
+  for (const GroupTable::Entry& e : table.entries()) order.push_back(&e);
+  if (sorted) {
+    std::sort(order.begin(), order.end(),
+              [&](const GroupTable::Entry* a, const GroupTable::Entry* b) {
+                const Value* ka = table.key_of(*a);
+                const Value* kb = table.key_of(*b);
+                return std::lexicographical_compare(ka, ka + width, kb,
+                                                    kb + width);
+              });
+  }
+  Relation out(width + 1);
+  if (order.empty()) return out;
+  Value* dst = out.ResizeRowsForOverwrite(static_cast<int64_t>(order.size()));
+  for (const GroupTable::Entry* e : order) {
+    const Value* key = table.key_of(*e);
+    dst = std::copy(key, key + width, dst);
+    *dst++ = e->acc;
+  }
+  return out;
 }
 
 }  // namespace
@@ -59,12 +135,6 @@ StatusOr<DistRelation> DistributedGroupByAggregate(
   const int p = cluster.num_servers();
   MPCQP_CHECK_EQ(rel.num_servers(), p);
   const int width = static_cast<int>(group_cols.size());
-  const GroupByEngineOptions engine = EngineOptions(cluster, options);
-
-  // How partials re-aggregate: COUNT partials are summed, the rest are
-  // idempotent under their own op.
-  const AggregateOp merge_op =
-      op == AggregateOp::kCount ? AggregateOp::kSum : op;
 
   // A no-combiner COUNT over the scalar group would shuffle a relation
   // with no columns at all; pre-aggregating is strictly cheaper and keeps
@@ -75,40 +145,36 @@ StatusOr<DistRelation> DistributedGroupByAggregate(
   // COUNT needs no value payload: without combiners, ship only the group
   // columns and count rows on the receiving side.
   const bool drop_value = !use_combiners && op == AggregateOp::kCount;
-  const int staged_value = drop_value ? -1 : width;
 
-  // Stage 1: local pre-aggregation (free compute) or projection to the
-  // shuffle shape. Per-fragment errors are collected and the first (by
-  // fragment index) is returned — deterministic regardless of which
-  // fragment tripped first in wall time.
+  // Stage 1, one pool task per server: combine the fragment into one
+  // partial per group (free compute), or project it to the shuffle shape.
+  // Per-fragment errors are collected and the first (by fragment index)
+  // is returned — deterministic regardless of which fragment tripped
+  // first in wall time.
   DistRelation staged(width + (drop_value ? 0 : 1), p);
   std::vector<Status> errors(p, OkStatus());
-  if (use_combiners) {
-    // Meter the stage-1 scans as columnar when the engine's (data-only)
-    // heuristic will compact columns; stage 2 scans the staged shape,
-    // which reads every column, so it never goes columnar.
-    const int columns_read = width + (value_col >= 0 ? 1 : 0);
-    std::optional<ScopedPhaseTimer> phase;
-    if (UseColumnarScan(rel.arity(), columns_read)) {
-      phase.emplace(cluster.metrics(), Phase::kColumnarScan);
+  {
+    ScopedPhaseTimer phase(cluster.metrics(), Phase::kLocalCompute);
+    if (use_combiners) {
+      cluster.pool().ParallelFor(p, [&](int64_t s) {
+        MPCQP_TRACE_SCOPE_ARG("group-by combine", "compute", s);
+        GroupTable table(width);
+        errors[s] = CombineFragment(rel.fragment(static_cast<int>(s)),
+                                    group_cols, value_col, op, &table);
+        if (errors[s].ok()) {
+          staged.fragment(static_cast<int>(s)) =
+              EmitGroups(table, width, /*sorted=*/false);
+        }
+      });
+    } else {
+      std::vector<int> cols = group_cols;
+      if (!drop_value) cols.push_back(value_col);
+      cluster.pool().ParallelFor(p, [&](int64_t s) {
+        MPCQP_TRACE_SCOPE_ARG("group-by project", "compute", s);
+        staged.fragment(static_cast<int>(s)) =
+            Project(rel.fragment(static_cast<int>(s)), cols);
+      });
     }
-    cluster.pool().ParallelFor(p, [&](int64_t s) {
-      StatusOr<Relation> partial = GroupByAggregateParallel(
-          rel.fragment(static_cast<int>(s)), group_cols, value_col, op,
-          engine);
-      if (!partial.ok()) {
-        errors[s] = partial.status();
-        return;
-      }
-      staged.fragment(static_cast<int>(s)) = std::move(partial).value();
-    });
-  } else {
-    std::vector<int> cols = group_cols;
-    if (!drop_value) cols.push_back(value_col);
-    cluster.pool().ParallelFor(p, [&](int64_t s) {
-      staged.fragment(static_cast<int>(s)) =
-          Project(rel.fragment(static_cast<int>(s)), cols);
-    });
   }
   if (Status s = FirstError(errors); !s.ok()) return s;
 
@@ -122,18 +188,22 @@ StatusOr<DistRelation> DistributedGroupByAggregate(
   const DistRelation routed = HashPartition(
       cluster, staged, staged_group_cols, hash, "group-by shuffle");
 
-  // Stage 2: final aggregation of the routed partials (or raw rows).
+  // Stage 2, one pool task per receiving server: fold the routed partials
+  // (or raw rows) into one table and emit its groups sorted by key.
   DistRelation result(width + 1, p);
-  cluster.pool().ParallelFor(p, [&](int64_t s) {
-    StatusOr<Relation> merged = GroupByAggregateParallel(
-        routed.fragment(static_cast<int>(s)), staged_group_cols, staged_value,
-        use_combiners ? merge_op : op, engine);
-    if (!merged.ok()) {
-      errors[s] = merged.status();
-      return;
-    }
-    result.fragment(static_cast<int>(s)) = std::move(merged).value();
-  });
+  {
+    ScopedPhaseTimer phase(cluster.metrics(), Phase::kLocalCompute);
+    cluster.pool().ParallelFor(p, [&](int64_t s) {
+      MPCQP_TRACE_SCOPE_ARG("group-by merge", "compute", s);
+      GroupTable table(width);
+      errors[s] = MergeFragment(routed.fragment(static_cast<int>(s)), width,
+                                op, use_combiners, &table);
+      if (errors[s].ok()) {
+        result.fragment(static_cast<int>(s)) =
+            EmitGroups(table, width, /*sorted=*/true);
+      }
+    });
+  }
   if (Status s = FirstError(errors); !s.ok()) return s;
   return result;
 }
@@ -147,27 +217,25 @@ StatusOr<ScalarAggregateResult> DistributedSum(Cluster& cluster,
   const int p = cluster.num_servers();
   MPCQP_CHECK_EQ(rel.num_servers(), p);
 
-  // Local partials (free compute) through the scalar-group engine path:
-  // the per-fragment scan is morsel-parallel and overflow-checked.
-  const GroupByEngineOptions engine = EngineOptions(cluster, {});
+  // Local partials (free compute): one serial, overflow-checked pass per
+  // server, one pool task each.
   std::vector<Value> partial(p, 0);
   std::vector<Status> errors(p, OkStatus());
   {
-    // Metered as a columnar scan when the engine's (data-only) heuristic
-    // will compact the value column out of the wide rows.
-    std::optional<ScopedPhaseTimer> scan_phase;
-    if (UseColumnarScan(rel.arity(), 1)) {
-      scan_phase.emplace(cluster.metrics(), Phase::kColumnarScan);
-    }
+    ScopedPhaseTimer phase(cluster.metrics(), Phase::kLocalCompute);
     cluster.pool().ParallelFor(p, [&](int64_t s) {
-      StatusOr<Relation> scalar =
-          GroupByAggregateParallel(rel.fragment(static_cast<int>(s)), {},
-                                   value_col, AggregateOp::kSum, engine);
-      if (!scalar.ok()) {
-        errors[s] = scalar.status();
-        return;
+      MPCQP_TRACE_SCOPE_ARG("sum partial", "compute", s);
+      const Relation& frag = rel.fragment(static_cast<int>(s));
+      const Value* base = frag.data().data();
+      Value sum = 0;
+      for (int64_t i = 0; i < frag.size(); ++i) {
+        if (!AccumulateRow(&sum, false, base[i * frag.arity() + value_col],
+                           AggregateOp::kSum)) {
+          errors[s] = OverflowError();
+          return;
+        }
       }
-      partial[s] = scalar.value().empty() ? 0 : scalar.value().at(0, 0);
+      partial[s] = sum;
     });
   }
   if (Status s = FirstError(errors); !s.ok()) return s;

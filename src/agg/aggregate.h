@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "agg/groupby_engine.h"
 #include "common/statusor.h"
 #include "mpc/cluster.h"
 #include "mpc/dist_relation.h"
@@ -14,9 +13,12 @@ namespace mpcqp {
 
 // Distributed aggregation (the deck's slide-52 query: SELECT keys,
 // SUM(...) GROUP BY keys — "queries are typically executed in multiple
-// rounds" because a join round feeds an aggregation round). Local compute
-// on both sides of the shuffle runs through the adaptive multi-strategy
-// kernel in agg/groupby_engine.h.
+// rounds" because a join round feeds an aggregation round). Both sides of
+// the shuffle are per-server kernels: one pool task per server scans its
+// fragment serially into one flat group table (agg/group_table.h). The
+// combine emits its partials unsorted; the merge folds what it received
+// and sorts its groups by the full key, so output bytes and CostReports
+// do not depend on thread count or morsel size.
 
 struct GroupByOptions {
   // Pre-aggregate locally before the shuffle (the standard combiner
@@ -24,17 +26,15 @@ struct GroupByOptions {
   // group concentrates its entire weight on one server; on, each server
   // contributes at most one partial per group.
   bool use_combiners = true;
-  // Local aggregation strategy; kAdaptive picks per fragment from sampled
-  // group cardinality (see groupby_engine.h).
-  GroupByStrategy strategy = GroupByStrategy::kAdaptive;
 };
 
 // SELECT group_cols..., SUM(value_col) GROUP BY group_cols in one round:
 // shuffle by hash of the group key, aggregate locally. Output columns:
-// group columns then the sum; each group on exactly one server. Empty
-// group_cols forms one global scalar group (on the key's hash owner) —
-// the same contract as the local GroupByAggregate. Fails with kOutOfRange
-// when any group's sum exceeds the Value range.
+// group columns then the sum; each group on exactly one server, each
+// fragment sorted by group key. Empty group_cols forms one global scalar
+// group (on the key's hash owner) — the same contract as the local
+// GroupByAggregate. Fails with kOutOfRange when any group's sum exceeds
+// the Value range.
 StatusOr<DistRelation> DistributedGroupBySum(
     Cluster& cluster, const DistRelation& rel,
     const std::vector<int>& group_cols, int value_col,
@@ -53,8 +53,9 @@ StatusOr<DistRelation> DistributedGroupByAggregate(
 // Global SUM(value_col) (no grouping) via a fan_in-ary aggregation tree:
 // ceil(log_fan_in(p)) rounds, O(fan_in) load per round. This is the
 // log_L(N) round structure behind the slide-105/125 aggregation lower
-// bounds. Local partials run through the scalar-group engine path; both
-// the partials and every tree merge are overflow-checked.
+// bounds. Each server sums its fragment in one serial pass (one pool task
+// per server); both the partials and every tree merge are
+// overflow-checked.
 struct ScalarAggregateResult {
   Value sum = 0;
   int rounds = 0;

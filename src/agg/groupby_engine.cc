@@ -5,9 +5,9 @@
 #include <map>
 #include <utility>
 
+#include "agg/group_table.h"
 #include "common/check.h"
 #include "common/flat_counter.h"
-#include "common/hash.h"
 #include "common/parallel_sort.h"
 #include "common/simd.h"
 #include "common/status.h"
@@ -17,6 +17,12 @@
 namespace mpcqp {
 
 namespace {
+
+using agg_internal::AccumulateRow;
+using agg_internal::GroupTable;
+using agg_internal::HashKey;
+using agg_internal::kGroupHashSeed;
+using agg_internal::MergePartial;
 
 // Radix fan-out: 256 partitions from the top hash byte. Enough that the
 // per-partition table builds keep every worker busy, few enough that the
@@ -34,144 +40,6 @@ constexpr int kRadixShift = 64 - kRadixBits;
 constexpr int64_t kSmallInputRows = 4096;
 constexpr int64_t kSampleRowsPerInput = 2048;
 constexpr int64_t kTreeMergeDensity = 16;
-
-// The group-key seed, folded with the shared SplitMix64 (the same
-// full-avalanche mix FlatCounter and the exchange hashing use). Fixed
-// (data-only) seeds keep the engine's routing independent of thread count
-// and morsel size.
-constexpr uint64_t kGroupHashSeed = 0x9e3779b97f4a7c15ULL;
-
-// Hash of a contiguous `width`-column group key (width 0 = the scalar
-// group: a fixed constant, so every row lands in one group). Width-1 keys
-// match simd::GroupHashMany, which the columnar scans batch through.
-uint64_t HashKey(const Value* key, int width) {
-  uint64_t h = kGroupHashSeed;
-  for (int k = 0; k < width; ++k) h = SplitMix64(h ^ SplitMix64(key[k]));
-  return h;
-}
-
-// Folds one input row into an accumulator (`inserted` = first row of this
-// group). Returns false when SUM/COUNT would exceed the Value range —
-// addends are non-negative, so partial sums are monotone and overflow
-// occurrence is independent of accumulation order.
-bool AccumulateRow(Value* acc, bool inserted, Value value, AggregateOp op) {
-  switch (op) {
-    case AggregateOp::kSum:
-      if (*acc + value < *acc) return false;
-      *acc += value;
-      return true;
-    case AggregateOp::kCount:
-      if (*acc + 1 == 0) return false;
-      *acc += 1;
-      return true;
-    case AggregateOp::kMin:
-      if (inserted || value < *acc) *acc = value;
-      return true;
-    case AggregateOp::kMax:
-      if (inserted || value > *acc) *acc = value;
-      return true;
-  }
-  return false;
-}
-
-// Folds a partial accumulator into another (the merge passes). COUNT
-// partials merge by summation; MIN/MAX are idempotent under their own op.
-bool MergePartial(Value* acc, bool inserted, Value partial, AggregateOp op) {
-  switch (op) {
-    case AggregateOp::kSum:
-    case AggregateOp::kCount:
-      if (inserted) {
-        *acc = partial;
-        return true;
-      }
-      if (*acc + partial < *acc) return false;
-      *acc += partial;
-      return true;
-    case AggregateOp::kMin:
-      if (inserted || partial < *acc) *acc = partial;
-      return true;
-    case AggregateOp::kMax:
-      if (inserted || partial > *acc) *acc = partial;
-      return true;
-  }
-  return false;
-}
-
-// Open-addressing (hash, group key) -> accumulator table. Keys live in a
-// flat arena owned by the table; slots hold entry indices so growth only
-// rebuilds the index, never moves keys or accumulators.
-class GroupTable {
- public:
-  explicit GroupTable(int key_width)
-      : key_width_(key_width), slots_(16, 0) {}
-
-  struct Entry {
-    uint64_t hash = 0;
-    Value acc = 0;
-    int64_t key_pos = 0;
-  };
-
-  // Pre-grows the slot index so `groups` entries insert without a rehash.
-  void Reserve(int64_t groups) {
-    size_t cap = slots_.size();
-    while (static_cast<int64_t>(cap) < 2 * groups) cap <<= 1;
-    if (cap > slots_.size()) Rehash(cap);
-    entries_.reserve(static_cast<size_t>(groups));
-    keys_.reserve(static_cast<size_t>(groups) * key_width_);
-  }
-
-  // The accumulator for (hash, key), inserting it at 0 first; second is
-  // true exactly when the group is new. The returned pointer is valid
-  // until the next Upsert.
-  std::pair<Value*, bool> Upsert(uint64_t hash, const Value* key) {
-    if (2 * (static_cast<int64_t>(entries_.size()) + 1) >
-        static_cast<int64_t>(slots_.size())) {
-      Rehash(slots_.size() * 2);
-    }
-    const uint64_t mask = slots_.size() - 1;
-    for (uint64_t i = hash & mask;; i = (i + 1) & mask) {
-      const uint32_t slot = slots_[i];
-      if (slot == 0) {
-        Entry e;
-        e.hash = hash;
-        e.key_pos = static_cast<int64_t>(keys_.size());
-        keys_.insert(keys_.end(), key, key + key_width_);
-        entries_.push_back(e);
-        slots_[i] = static_cast<uint32_t>(entries_.size());
-        return {&entries_.back().acc, true};
-      }
-      Entry& e = entries_[slot - 1];
-      if (e.hash == hash &&
-          std::equal(key, key + key_width_, keys_.data() + e.key_pos)) {
-        return {&e.acc, false};
-      }
-    }
-  }
-
-  int64_t num_groups() const {
-    return static_cast<int64_t>(entries_.size());
-  }
-  const std::vector<Entry>& entries() const { return entries_; }
-  const Value* key_of(const Entry& e) const {
-    return keys_.data() + e.key_pos;
-  }
-
- private:
-  void Rehash(size_t cap) {
-    slots_.assign(cap, 0);
-    const uint64_t mask = cap - 1;
-    for (size_t n = 0; n < entries_.size(); ++n) {
-      uint64_t i = entries_[n].hash & mask;
-      while (slots_[i] != 0) i = (i + 1) & mask;
-      slots_[i] = static_cast<uint32_t>(n + 1);
-    }
-  }
-
-  int key_width_;
-  std::vector<uint32_t> slots_;  // Entry index + 1; 0 = empty.
-  std::vector<Entry> entries_;
-  std::vector<Value> keys_;  // key_width_ values per entry.
-};
 
 // Merges src's partials into dst; false on Value overflow.
 bool MergeTable(GroupTable* dst, const GroupTable& src, AggregateOp op) {

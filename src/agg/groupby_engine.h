@@ -12,9 +12,11 @@
 
 namespace mpcqp {
 
-// Multi-strategy morsel-parallel group-by kernel — the shared aggregation
-// substrate under GroupByAggregate combiners, the distributed merge pass,
-// heavy-hitter detection, and the scalar aggregation tree.
+// Multi-strategy morsel-parallel group-by over one (multi-fragment)
+// relation — the single-relation API that bench_groupby measures. The
+// distributed group-by and SUM do not call it: they run their own serial
+// per-server kernel (agg/aggregate.cc) over the same GroupTable
+// (agg/group_table.h).
 //
 // All strategies compute exactly the same function as the seed std::map
 // path in relation_ops.cc (output sorted lexicographically by group key,

@@ -24,15 +24,17 @@ class Cluster;
 //                   their final positions, write-combining at large p
 //                   (includes Broadcast payload construction);
 //   kLocalCompute — per-server algorithm work (local joins, sorts, block
-//                   multiplies), whether inside or after a metered round;
+//                   multiplies, the group-by combine and merge passes),
+//                   whether inside or after a metered round;
 //   kTranspose    — nothing records this phase: no metered path converts
 //                   between row and column layouts, so it always reads 0.
 //                   The slot is kept so phase indices and the reported
 //                   `transpose` field keep their meaning for readers;
-//   kColumnarScan — distributed group-by / SUM scans whose input is wide
-//                   enough that UseColumnarScan compacts the columns they
-//                   read, split out from kLocalCompute so the compaction
-//                   shows in --stats.
+//   kColumnarScan — nothing records this phase either: the distributed
+//                   group-by and SUM scan rows in place and never compact
+//                   columns, so it always reads 0. The slot is kept for
+//                   the same reason as kTranspose, and because the
+//                   end-to-end benchmark reports `mpc.columnar_scan_ms`.
 enum class Phase {
   kRoute = 0,
   kCount = 1,

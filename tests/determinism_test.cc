@@ -24,6 +24,7 @@
 #include "acyclic/gym.h"
 #include "common/simd.h"
 #include "agg/aggregate.h"
+#include "agg/groupby_engine.h"
 #include "join/broadcast_join.h"
 #include "join/cartesian.h"
 #include "join/hash_join.h"
@@ -530,10 +531,10 @@ TEST(DeterminismTest, MorselBoundarySkewedSingleSource) {
       [&](Cluster& cluster) { return ExerciseAllRouters(cluster, in); });
 }
 
-// The adaptive group-by engine runs inside both phases of the distributed
-// aggregate (per-fragment combiners, post-shuffle merge). Its strategy
-// choice derives only from the data, so output AND cost report must hold
-// across thread counts x morsel sizes.
+// The distributed aggregate runs one serial per-server kernel on each
+// side of its shuffle (combine, merge); the combine emits partials in
+// insertion order and the merge sorts by key, so output AND cost report
+// must hold across thread counts x morsel sizes.
 TEST(DeterminismTest, DistributedGroupByAggregate) {
   Rng rng(131);
   const Relation input = GenerateZipf(rng, 4000, 3, 300, 0, 1.2);
@@ -744,30 +745,45 @@ TEST(DeterminismTest, MorselBoundaryWriteCombiningCopy) {
 // --- Columnar scan invariance ---
 //
 // A group-by reading 2 of 6 columns crosses UseColumnarScan's input rule,
-// so the tree-merge and radix strategies scan compacted columns. Both must
-// reproduce the serial sorted-map strategy, which never compacts, bit for
-// bit across thread counts x morsel sizes — outputs and CostReports.
+// so the engine's tree-merge and radix strategies scan compacted columns.
+// The body shuffles the wide relation by its group column (one metered
+// round) and runs the engine on every received fragment with the
+// cluster's pool and morsel grain. Both strategies must reproduce the
+// serial sorted-map strategy, which never compacts, bit for bit across
+// thread counts x morsel sizes — outputs and CostReports.
+std::function<DistRelation(Cluster&)> WideEngineGroupBy(
+    const Relation& wide, GroupByStrategy strategy) {
+  return [&wide, strategy](Cluster& cluster) {
+    const DistRelation routed =
+        HashPartition(cluster, DistRelation::Scatter(wide, kServers), {1},
+                      cluster.NewHashFunction(), "wide group-by: shuffle");
+    GroupByEngineOptions engine;
+    engine.strategy = strategy;
+    engine.pool = &cluster.pool();
+    engine.morsel_rows = cluster.morsel_rows();
+    DistRelation out(2, kServers);
+    for (int s = 0; s < kServers; ++s) {
+      out.fragment(s) = GroupByAggregateParallel(routed.fragment(s), {1}, 3,
+                                                 AggregateOp::kSum, engine)
+                            .value();
+    }
+    return out;
+  };
+}
+
 TEST(ColumnarScanInvariance, WideGroupByMatchesSortedMap) {
   Rng rng(kSeed + 1);
   const Relation wide = GenerateZipf(rng, 12000, 6, 200, 1, 1.1);
   ASSERT_TRUE(UseColumnarScan(wide.arity(), 2));
-  const auto group_by = [&](GroupByStrategy strategy) {
-    return [&wide, strategy](Cluster& cluster) {
-      GroupByOptions options;
-      options.strategy = strategy;
-      return DistributedGroupByAggregate(
-                 cluster, DistRelation::Scatter(wide, kServers), {1}, 3,
-                 AggregateOp::kSum, options)
-          .value();
-    };
-  };
-  const RunResult reference = RunWith(1, group_by(GroupByStrategy::kSortedMap));
+  const RunResult reference =
+      RunWith(1, WideEngineGroupBy(wide, GroupByStrategy::kSortedMap));
   EXPECT_GT(reference.report.num_rounds(), 0) << "body metered nothing";
   for (const GroupByStrategy strategy :
        {GroupByStrategy::kTreeMerge, GroupByStrategy::kRadix}) {
     for (const int threads : kThreadCounts) {
       for (const int64_t morsel : kMorselSizes) {
-        const RunResult got = RunWith(threads, group_by(strategy), morsel);
+        const RunResult got =
+            RunWith(threads, WideEngineGroupBy(wide, strategy), morsel);
         ASSERT_EQ(reference.fragments.size(), got.fragments.size());
         for (size_t s = 0; s < reference.fragments.size(); ++s) {
           EXPECT_EQ(reference.fragments[s], got.fragments[s])
@@ -852,22 +868,16 @@ TEST(SimdInvariance, Semijoin) {
   });
 }
 
-// Group-by reading 2 of 6 columns, so the input rule compacts the scans:
-// they batch their hashes through GroupHashMany; both pinned strategies
-// plus the adaptive chooser must reproduce the scalar run bit for bit.
+// Group-by reading 2 of 6 columns, so the input rule compacts the
+// engine's scans: they batch their hashes through GroupHashMany; both
+// pinned strategies plus the distributed group-by must reproduce the
+// scalar run bit for bit.
 TEST(SimdInvariance, GroupByColumnarScans) {
   Rng rng(kSeed + 11);
   const Relation wide = GenerateZipf(rng, 12000, 6, 200, 1, 1.1);
   for (const GroupByStrategy strategy :
        {GroupByStrategy::kTreeMerge, GroupByStrategy::kRadix}) {
-    ExpectSimdInvariant([&](Cluster& cluster) {
-      GroupByOptions options;
-      options.strategy = strategy;
-      return DistributedGroupByAggregate(
-                 cluster, DistRelation::Scatter(wide, kServers), {1}, 3,
-                 AggregateOp::kSum, options)
-          .value();
-    });
+    ExpectSimdInvariant(WideEngineGroupBy(wide, strategy));
   }
   ExpectSimdInvariant([&](Cluster& cluster) {
     return DistributedGroupByAggregate(cluster,
