@@ -5,6 +5,8 @@
 #include <utility>
 
 #include "common/check.h"
+#include "common/flat_counter.h"
+#include "common/trace.h"
 #include "query/local_eval.h"
 
 namespace mpcqp {
@@ -120,6 +122,12 @@ int64_t Seek(const Value* vals, int64_t lo, int64_t hi, Value target) {
 // The search over the built tries. Every (trie, level) that a depth
 // touches is fixed by the variable order, so its pointers are resolved
 // once; the recursion itself allocates nothing.
+//
+// A root whose variable binds below depth 0 is intersected again for every
+// binding of the earlier variables (S's root y in the triangle). When it
+// shares its depth with one other slot, the constructor indexes it once,
+// value -> position + 1 in a FlatCounter, and the search looks each value
+// of the other range up there instead of searching the root.
 class TrieSearch {
  public:
   TrieSearch(const std::vector<FlatTrie>& tries,
@@ -154,6 +162,20 @@ class TrieSearch {
           {trie.mult.data(),
            base[j] + static_cast<int>(levels[j].size()) - 1});
     }
+    // At most one root per trie, so the reserve keeps the slot pointers
+    // valid.
+    indexes_.reserve(tries.size());
+    for (int d = 1; d < k; ++d) {
+      if (by_depth[d].size() != 2) continue;  // Leapfrog keeps its seeks.
+      for (Slot& slot : by_depth[d]) {
+        if (slot.parent_off != nullptr) continue;
+        FlatCounter& index = indexes_.emplace_back(slot.root_size);
+        for (int64_t i = 0; i < slot.root_size; ++i) {
+          index.Add(slot.vals[i], i + 1);
+        }
+        slot.index = &index;
+      }
+    }
     depth_begin_.push_back(0);
     for (const std::vector<Slot>& slots : by_depth) {
       MPCQP_CHECK(!slots.empty());
@@ -175,6 +197,7 @@ class TrieSearch {
   struct Slot {
     const Value* vals;
     const int64_t* parent_off;  // Null at level 0.
+    const FlatCounter* index = nullptr;  // Value -> position + 1, or null.
     int64_t root_size;
     int parent_pos;
     int pos;
@@ -211,6 +234,22 @@ class TrieSearch {
       bound = v;
       Search(depth + 1);
       ++l;
+    }
+  }
+
+  // Intersects a range of one slot with an indexed root: one lookup per
+  // value, in the range's ascending order.
+  void Probe(size_t depth, const Slot& scan, int64_t s, int64_t s_end,
+             const Slot& root) {
+    Value& bound = binding_[order_[depth]];
+    for (; s < s_end; ++s) {
+      const Value v = scan.vals[s];
+      const int64_t found = root.index->Get(v);
+      if (found == 0) continue;
+      pos_[scan.pos] = s;
+      pos_[root.pos] = found - 1;
+      bound = v;
+      Search(depth + 1);
     }
   }
 
@@ -251,8 +290,17 @@ class TrieSearch {
       int64_t j_end;
       Range(a, &i, &i_end);
       Range(b, &j, &j_end);
-      // Lopsided ranges gallop; comparable ones merge with branch-free
-      // cursor steps.
+      // An indexed root larger than the other range is probed by value.
+      // Otherwise lopsided ranges gallop and comparable ones merge with
+      // branch-free cursor steps.
+      if (a.index != nullptr && i_end - i > j_end - j) {
+        Probe(depth, b, j, j_end, a);
+        return;
+      }
+      if (b.index != nullptr && j_end - j > i_end - i) {
+        Probe(depth, a, i, i_end, b);
+        return;
+      }
       if ((i_end - i) * kLopsided < j_end - j) {
         Gallop(depth, a, i, i_end, b, j, j_end);
         return;
@@ -310,6 +358,7 @@ class TrieSearch {
   std::vector<Slot> slots_;  // Grouped by depth.
   std::vector<int> depth_begin_;
   std::vector<Leaf> leaves_;
+  std::vector<FlatCounter> indexes_;  // Re-probed roots, see the class note.
   std::vector<Value> out_;
 };
 
@@ -335,32 +384,36 @@ Relation TrieJoin(const ConjunctiveQuery& q,
 
   std::vector<FlatTrie> tries;
   std::vector<std::vector<int>> levels;
-  for (int j = 0; j < q.num_atoms(); ++j) {
-    const Atom& atom = q.atom(j);
-    MPCQP_CHECK_EQ(atoms[j].arity(), atom.arity());
-    const std::vector<int> vars = DistinctVars(atom);
-    std::vector<int> level_vars = vars;
-    std::sort(level_vars.begin(), level_vars.end(),
-              [&](int x, int y) { return order_pos[x] < order_pos[y]; });
-    const std::vector<int> cols = ColumnsOf(level_vars, vars);
-    const Relation normalized = NormalizeAtom(atom, atoms[j]);
-    const int64_t n = normalized.size();
-    if (n == 0) return Relation(k);  // An empty atom kills the join.
+  {
+    MPCQP_TRACE_SCOPE("trie build", "compute");
+    for (int j = 0; j < q.num_atoms(); ++j) {
+      const Atom& atom = q.atom(j);
+      MPCQP_CHECK_EQ(atoms[j].arity(), atom.arity());
+      const std::vector<int> vars = DistinctVars(atom);
+      std::vector<int> level_vars = vars;
+      std::sort(level_vars.begin(), level_vars.end(),
+                [&](int x, int y) { return order_pos[x] < order_pos[y]; });
+      const std::vector<int> cols = ColumnsOf(level_vars, vars);
+      const Relation normalized = NormalizeAtom(atom, atoms[j]);
+      const int64_t n = normalized.size();
+      if (n == 0) return Relation(k);  // An empty atom kills the join.
 
-    const int width = static_cast<int>(cols.size());
-    std::vector<Value> rows(static_cast<size_t>(n) * width);
-    const int in_width = normalized.arity();
-    const Value* in = normalized.data().data();
-    for (int64_t r = 0; r < n; ++r) {
-      for (int c = 0; c < width; ++c) {
-        rows[r * width + c] = in[r * in_width + cols[c]];
+      const int width = static_cast<int>(cols.size());
+      std::vector<Value> rows(static_cast<size_t>(n) * width);
+      const int in_width = normalized.arity();
+      const Value* in = normalized.data().data();
+      for (int64_t r = 0; r < n; ++r) {
+        for (int c = 0; c < width; ++c) {
+          rows[r * width + c] = in[r * in_width + cols[c]];
+        }
       }
+      RadixSortRows(rows, n, width);
+      tries.push_back(BuildTrie(rows, n, width));
+      levels.push_back(std::move(level_vars));
     }
-    RadixSortRows(rows, n, width);
-    tries.push_back(BuildTrie(rows, n, width));
-    levels.push_back(std::move(level_vars));
   }
 
+  MPCQP_TRACE_SCOPE("trie search", "compute");
   std::vector<Value> out = TrieSearch(tries, levels, order, k).Run();
   return Relation(k, std::move(out));
 }

@@ -28,6 +28,14 @@ namespace mpcqp {
 //   leapfrog for three or more. A full binding is emitted
 //   Π(leaf multiplicities) times, so deduplicated inputs give set
 //   semantics.
+// - A trie root whose variable binds after the first depth is intersected
+//   again for every binding of the earlier variables. If one other atom
+//   shares that depth, the root is indexed once (a FlatCounter from value
+//   to position + 1), and whenever the root is the larger range the other
+//   range is walked in order with one lookup per value. A larger other
+//   range still merges or gallops.
+// - Traced runs show the kernel as a "trie build" and a "trie search"
+//   span (the search span includes building the root indexes).
 //
 // Output columns are the query variables in id order. Rows come out in
 // trie order (lexicographic in the variable order), which depends only on

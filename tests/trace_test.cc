@@ -25,6 +25,7 @@
 #include "mpc/metrics.h"
 #include "multiway/hypercube.h"
 #include "query/query.h"
+#include "query/trie_join.h"
 #include "relation/relation.h"
 #include "workload/generator.h"
 
@@ -265,6 +266,26 @@ TEST_F(TraceTest, TracingDoesNotPerturbTheCostReport) {
   const std::string on = run(true);
   EXPECT_EQ(off, on);
   EXPECT_GT(Tracer::Get().event_count(), 0);
+}
+
+// TrieJoin splits into a build span and a search span; tracing it leaves
+// its output byte-identical.
+TEST_F(TraceTest, TrieJoinSpansDoNotPerturbItsOutput) {
+  const ConjunctiveQuery q = ConjunctiveQuery::Triangle();
+  Rng rng(13);
+  std::vector<Relation> atoms;
+  for (int j = 0; j < 3; ++j) {
+    atoms.push_back(GenerateUniform(rng, 2000, 2, 100));
+  }
+  const Relation off = TrieJoin(q, atoms);
+  Tracer::Get().Enable();
+  const Relation on = TrieJoin(q, atoms);
+  Tracer::Get().Disable();
+  EXPECT_FALSE(off.empty());
+  EXPECT_TRUE(off == on);
+  const std::string json = Tracer::Get().ToChromeJson();
+  EXPECT_NE(json.find("\"trie build\""), std::string::npos);
+  EXPECT_NE(json.find("\"trie search\""), std::string::npos);
 }
 
 TEST_F(TraceTest, MetricsRoundsAlignWithCostReportRounds) {
