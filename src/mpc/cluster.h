@@ -2,8 +2,10 @@
 #define MPCQP_MPC_CLUSTER_H_
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/exec_context.h"
@@ -13,6 +15,8 @@
 #include "mpc/metrics.h"
 
 namespace mpcqp {
+
+class DistRelation;
 
 // Execution knobs for a simulated cluster.
 struct ClusterOptions {
@@ -100,6 +104,19 @@ class Cluster {
   // pool workers accumulate into per-thread shards.
   void RecordMessage(int src, int dst, int64_t tuples, int64_t values);
 
+  // Called with every exchange primitive's routed output, on the calling
+  // thread, after the copy and before the primitive returns: the routed
+  // fragments of an algorithm's exchanges are otherwise local to it. Tests
+  // fold them into byte checksums (tests/routed_golden_test.cc). Unset by
+  // default; the routed bytes are the same either way.
+  using ExchangeObserver = std::function<void(const DistRelation& routed)>;
+  void set_exchange_observer(ExchangeObserver observer) {
+    exchange_observer_ = std::move(observer);
+  }
+  void ObserveExchange(const DistRelation& routed) const {
+    if (exchange_observer_) exchange_observer_(routed);
+  }
+
   const CostReport& cost_report() const { return report_; }
   // Forgets all recorded rounds (e.g. between benchmark repetitions); also
   // resets the timing metrics below.
@@ -143,6 +160,7 @@ class Cluster {
   CostReport report_;
   MpcMetrics metrics_;
   ExecContext exec_context_;
+  ExchangeObserver exchange_observer_;
   // Owned or shared with other clusters (ClusterOptions::shared_pool).
   std::shared_ptr<ThreadPool> pool_;
   // One shard per pool slot (worker threads + the caller); RecordMessage
