@@ -77,16 +77,24 @@ void Run() {
     cluster.BeginRound("eps-replicated join");
     Route(
         cluster, DistRelation::Scatter(left, p),
-        [&](const Value*, std::vector<int>& dests) {
-          const int r = static_cast<int>(grid_rng.Uniform(rows));
-          for (int c = 0; c < cols; ++c) dests.push_back(r * cols + c);
+        [&](int, const Relation&, int64_t begin, int64_t end,
+            RouteSink& sink) {
+          for (int64_t i = begin; i < end; ++i) {
+            const int r = static_cast<int>(grid_rng.Uniform(rows));
+            for (int c = 0; c < cols; ++c) sink.Add(r * cols + c);
+            sink.EndRow();
+          }
         },
         "");
     Route(
         cluster, DistRelation::Scatter(right, p),
-        [&](const Value*, std::vector<int>& dests) {
-          const int c = static_cast<int>(grid_rng.Uniform(cols));
-          for (int r = 0; r < rows; ++r) dests.push_back(r * cols + c);
+        [&](int, const Relation&, int64_t begin, int64_t end,
+            RouteSink& sink) {
+          for (int64_t i = begin; i < end; ++i) {
+            const int c = static_cast<int>(grid_rng.Uniform(cols));
+            for (int r = 0; r < rows; ++r) sink.Add(r * cols + c);
+            sink.EndRow();
+          }
         },
         "");
     cluster.EndRound();

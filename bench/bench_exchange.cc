@@ -12,7 +12,8 @@
 // Emits BENCH_exchange.json with <prim>_p<P>_t<T>_{new,persrc}_tps and
 // _speedup keys; CI runs this binary as a Release smoke test and fails
 // the build if the morsel router loses to the baseline at t=8 (with a
-// small tolerance for timer noise).
+// small tolerance for timer noise). The HyperCubeGrid row (RouteGrid on a
+// 4 x 4 x 4 slab, p = 64 only) is reported but not gated.
 
 #include <algorithm>
 #include <cstdint>
@@ -32,6 +33,7 @@
 #include "mpc/dist_relation.h"
 #include "mpc/exchange.h"
 #include "mpc/metrics.h"
+#include "relation/columnar.h"
 #include "relation/relation.h"
 #include "relation/relation_ops.h"
 #include "workload/generator.h"
@@ -48,6 +50,14 @@ using bench::WallTimer;
 // The pre-morsel data plane, verbatim: two-phase index-routed exchange with
 // one task per source fragment.
 // ---------------------------------------------------------------------------
+
+// The tuple being routed by the baseline: its source server and its row
+// index within that source fragment (the library routers now pass these
+// per morsel instead).
+struct RouteContext {
+  int src = 0;
+  int64_t row = 0;
+};
 
 template <typename SingleTargetFn>
 DistRelation PerSourceRouteSingle(Cluster& cluster, const DistRelation& rel,
@@ -233,6 +243,10 @@ struct Primitive {
   std::function<DistRelation(Cluster&, const DistRelation&)> run_new;
   // Same semantics through the embedded per-source router.
   std::function<DistRelation(Cluster&, const DistRelation&)> run_persrc;
+  // Smallest p the primitive's destinations fit in.
+  int min_servers = 1;
+  // Whether the t=8 lose check below applies (report-only rows skip it).
+  bool gated = true;
 };
 
 std::vector<Primitive> MakePrimitives() {
@@ -294,17 +308,22 @@ std::vector<Primitive> MakePrimitives() {
          const int p = c.num_servers();
          return Route(
              c, rel,
-             [&hash, p](const Value* row, std::vector<int>& dests) {
-               dests.push_back(hash.Bucket(row[0], p));
-               dests.push_back(hash.Bucket(row[1] + 1, p));
+             [&hash, p](int, const Relation& frag, int64_t begin,
+                        int64_t end, RouteSink& sink) {
+               for (int64_t i = begin; i < end; ++i) {
+                 const Value* row = frag.row(i);
+                 sink.Add(hash.Bucket(row[0], p));
+                 sink.Add(hash.Bucket(row[1] + 1, p));
+                 sink.EndRow();
+               }
              },
              "bench");
        },
        [hash](Cluster& c, const DistRelation& rel) {
          const int p = c.num_servers();
-         // Replicates the old public Route() exactly: the user callback is
-         // type-erased behind std::function (one indirect call per row),
-         // same as the library's Route() before and after the rewrite.
+         // Replicates the old public per-row Route() exactly: the user
+         // callback is type-erased behind std::function (one indirect call
+         // per row).
          const std::function<void(const Value*, std::vector<int>&)> fn =
              [&hash, p](const Value* row, std::vector<int>& dests) {
                dests.push_back(hash.Bucket(row[0], p));
@@ -316,6 +335,48 @@ std::vector<Primitive> MakePrimitives() {
                    std::vector<int>& dests) { fn(row, dests); },
              "bench");
        }});
+
+  // A HyperCube slab on a 4 x 4 x 4 grid (the triangle at p = 64): column
+  // 0 fixes coordinate x, column 1 fixes y, and every tuple is multicast
+  // over the 4 coordinates of the free z — 4 destinations per tuple
+  // through RouteGrid, against the per-row multicast baseline. Needs
+  // p >= 64; report-only (not gated).
+  const HashFunction hash_x(0x11ULL);
+  const HashFunction hash_y(0x22ULL);
+  prims.push_back(
+      {"HyperCubeGrid", 200000, false,
+       [hash_x, hash_y](Cluster& c, const DistRelation& rel) {
+         return RouteGrid(
+             c, rel,
+             [&](const Relation& frag, int64_t begin, int64_t end,
+                 int32_t* base) {
+               const int64_t rows = end - begin;
+               thread_local std::vector<Value> column;
+               thread_local std::vector<int32_t> bucket;
+               column.resize(static_cast<size_t>(rows));
+               bucket.resize(static_cast<size_t>(rows));
+               GatherKeyColumn(frag.data().data(), 2, 0, begin, end,
+                               column.data());
+               hash_x.BucketMany(column.data(), rows, 4, base);
+               GatherKeyColumn(frag.data().data(), 2, 1, begin, end,
+                               column.data());
+               hash_y.BucketMany(column.data(), rows, 4, bucket.data());
+               for (int64_t i = 0; i < rows; ++i) base[i] += 4 * bucket[i];
+             },
+             {0, 16, 32, 48}, "bench");
+       },
+       [hash_x, hash_y](Cluster& c, const DistRelation& rel) {
+         return PerSourceRouteMulti(
+             c, rel,
+             [&](const RouteContext&, const Value* row,
+                 std::vector<int>& dests) {
+               const int base =
+                   hash_x.Bucket(row[0], 4) + 4 * hash_y.Bucket(row[1], 4);
+               for (int z = 0; z < 4; ++z) dests.push_back(base + 16 * z);
+             },
+             "bench");
+       },
+       /*min_servers=*/64, /*gated=*/false});
 
   prims.push_back(
       {"Broadcast", 40000, false,
@@ -400,6 +461,7 @@ int main() {
   for (const Primitive& prim : prims) {
     const Relation input = GenerateUniform(rng, prim.rows, 2, 1000000);
     for (const int p : kP) {
+      if (p < prim.min_servers) continue;
       const DistRelation rel = MakeInput(input, p, prim.skewed);
       for (const int threads : kThreads) {
         ClusterOptions options;
@@ -440,7 +502,7 @@ int main() {
         json.Set(key + "_new_tps", new_tps);
         json.Set(key + "_persrc_tps", persrc_tps);
         json.Set(key + "_speedup", speedup);
-        if (threads == 8) {
+        if (threads == 8 && prim.gated) {
           t8_speedups.push_back({key, speedup});
           if (p == 4 || prim.skewed) {
             headline_t8 = std::max(headline_t8, speedup);

@@ -49,19 +49,20 @@ void ScatterForProduct(Cluster& cluster, const DistRelation& left,
   // source fragments, and placement must not depend on visit order.
   const HashFunction left_place(rng.Next());
   const HashFunction right_place(rng.Next());
-  auto place_key = [](const RouteContext& ctx) {
-    return (static_cast<uint64_t>(ctx.src) << 42) ^
-           static_cast<uint64_t>(ctx.row);
+  auto place_key = [](int src, int64_t row) {
+    return (static_cast<uint64_t>(src) << 42) ^ static_cast<uint64_t>(row);
   };
 
   // Left tuple -> one pseudo-random row slice, replicated across that row.
   {
-    DistRelation routed = RouteWithContext(
+    DistRelation routed = Route(
         cluster, left,
-        [&](const RouteContext& ctx, const Value*, std::vector<int>& dests) {
-          const int r = left_place.Bucket(place_key(ctx), rows);
-          for (int c = 0; c < cols; ++c) {
-            dests.push_back(servers[r * cols + c]);
+        [&](int src, const Relation&, int64_t begin, int64_t end,
+            RouteSink& sink) {
+          for (int64_t i = begin; i < end; ++i) {
+            const int r = left_place.Bucket(place_key(src, i), rows);
+            for (int c = 0; c < cols; ++c) sink.Add(servers[r * cols + c]);
+            sink.EndRow();
           }
         },
         "");
@@ -71,12 +72,14 @@ void ScatterForProduct(Cluster& cluster, const DistRelation& left,
   }
   // Right tuple -> one pseudo-random column slice, replicated down it.
   {
-    DistRelation routed = RouteWithContext(
+    DistRelation routed = Route(
         cluster, right,
-        [&](const RouteContext& ctx, const Value*, std::vector<int>& dests) {
-          const int c = right_place.Bucket(place_key(ctx), cols);
-          for (int r = 0; r < rows; ++r) {
-            dests.push_back(servers[r * cols + c]);
+        [&](int src, const Relation&, int64_t begin, int64_t end,
+            RouteSink& sink) {
+          for (int64_t i = begin; i < end; ++i) {
+            const int c = right_place.Bucket(place_key(src, i), cols);
+            for (int r = 0; r < rows; ++r) sink.Add(servers[r * cols + c]);
+            sink.EndRow();
           }
         },
         "");

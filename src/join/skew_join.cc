@@ -12,6 +12,7 @@
 #include "mpc/exchange.h"
 #include "mpc/metrics.h"
 #include "mpc/stats.h"
+#include "relation/columnar.h"
 #include "relation/relation_ops.h"
 
 namespace mpcqp {
@@ -21,8 +22,8 @@ namespace {
 // Placement of one heavy value's rows: its exclusive Cartesian grid on
 // servers (start + i) mod p for i in [0, rows*cols), or, when rows == 0,
 // nowhere — a value heavy on one side with no partner on the other yields
-// no output, so its rows are dropped. Values absent from the route table
-// are light and hash-partitioned.
+// no output, so its rows are dropped. Values without a grid are light and
+// hash-partitioned.
 struct HeavyGrid {
   int start = 0;
   int rows = 0;
@@ -78,7 +79,11 @@ DistRelation SkewAwareJoin(Cluster& cluster, const DistRelation& left,
   // Allocate exclusive server slices proportional to each hitter's share
   // of the output, sqrt(dL * dR). Hitters with no partner side produce no
   // output; the degree statistics let us drop their tuples outright.
-  std::unordered_map<Value, HeavyGrid> routes;
+  // `grid_of` maps a heavy value to its index in `grids` plus one (0 =
+  // light); grids are allocated in heavy_degrees' iteration order.
+  std::vector<HeavyGrid> grids;
+  grids.reserve(heavy_degrees.size());
+  FlatCounter grid_of(static_cast<int64_t>(heavy_degrees.size()));
   {
     double total_weight = 0.0;
     for (const auto& [value, degrees] : heavy_degrees) {
@@ -88,7 +93,8 @@ DistRelation SkewAwareJoin(Cluster& cluster, const DistRelation& left,
     int cursor = 0;
     for (const auto& [value, degrees] : heavy_degrees) {
       const auto [dl, dr] = degrees;
-      HeavyGrid& grid = routes[value];
+      HeavyGrid& grid = grids.emplace_back();
+      grid_of.Add(value, static_cast<int64_t>(grids.size()));
       if (dl == 0 || dr == 0) continue;  // rows == 0: dropped.
       const double weight =
           std::sqrt(static_cast<double>(dl) * static_cast<double>(dr));
@@ -103,9 +109,6 @@ DistRelation SkewAwareJoin(Cluster& cluster, const DistRelation& left,
   }
 
   const HashFunction hash = cluster.NewHashFunction();
-  auto light_dest = [&](Value key) {
-    return hash.Bucket(key, p);
-  };
   // Heavy tuples spread over their grid by a hash of the tuple's source
   // coordinates rather than a sequential rng draw: routing runs
   // concurrently across source fragments, and a draw-per-visit would make
@@ -113,48 +116,57 @@ DistRelation SkewAwareJoin(Cluster& cluster, const DistRelation& left,
   // different rng states still yield different placements.
   const HashFunction left_place(rng.Next());
   const HashFunction right_place(rng.Next());
-  auto place_key = [](const RouteContext& ctx) {
-    return (static_cast<uint64_t>(ctx.src) << 42) ^
-           static_cast<uint64_t>(ctx.row);
+
+  // One side's route. Per morsel, every key is bucketed for the light
+  // path in one BucketMany pass; a heavy key instead spans its grid: a
+  // left row takes one pseudo-random grid row and every column of it, a
+  // right row one column and every row of it.
+  const auto route_side = [&](int key_col, const HashFunction& place,
+                              bool is_left) {
+    return [&, key_col, is_left](int src, const Relation& frag,
+                                 int64_t begin, int64_t end,
+                                 RouteSink& sink) {
+      const int64_t rows = end - begin;
+      thread_local std::vector<Value> keys;
+      thread_local std::vector<int32_t> light;
+      keys.resize(static_cast<size_t>(rows));
+      light.resize(static_cast<size_t>(rows));
+      GatherKeyColumn(frag.data().data(), frag.arity(), key_col, begin, end,
+                      keys.data());
+      hash.BucketMany(keys.data(), rows, p, light.data());
+      for (int64_t i = 0; i < rows; ++i) {
+        const int64_t g = grid_of.Get(keys[i]);
+        if (g == 0) {
+          sink.Add(light[i]);
+          sink.EndRow();
+          continue;
+        }
+        const HeavyGrid& grid = grids[g - 1];
+        if (grid.rows > 0) {
+          const uint64_t place_key = (static_cast<uint64_t>(src) << 42) ^
+                                     static_cast<uint64_t>(begin + i);
+          if (is_left) {
+            const int r = place.Bucket(place_key, grid.rows);
+            for (int c = 0; c < grid.cols; ++c) {
+              sink.Add((grid.start + r * grid.cols + c) % p);
+            }
+          } else {
+            const int c = place.Bucket(place_key, grid.cols);
+            for (int r = 0; r < grid.rows; ++r) {
+              sink.Add((grid.start + r * grid.cols + c) % p);
+            }
+          }
+        }
+        sink.EndRow();
+      }
+    };
   };
 
   cluster.BeginRound("skew-aware join: shuffle");
-  DistRelation left_parts = RouteWithContext(
-      cluster, left,
-      [&](const RouteContext& ctx, const Value* row,
-          std::vector<int>& dests) {
-        const Value key = row[left_key];
-        const auto it = routes.find(key);
-        if (it == routes.end()) {
-          dests.push_back(light_dest(key));
-          return;
-        }
-        const HeavyGrid& g = it->second;
-        if (g.rows == 0) return;
-        const int r = left_place.Bucket(place_key(ctx), g.rows);
-        for (int c = 0; c < g.cols; ++c) {
-          dests.push_back((g.start + r * g.cols + c) % p);
-        }
-      },
-      "");
-  DistRelation right_parts = RouteWithContext(
-      cluster, right,
-      [&](const RouteContext& ctx, const Value* row,
-          std::vector<int>& dests) {
-        const Value key = row[right_key];
-        const auto it = routes.find(key);
-        if (it == routes.end()) {
-          dests.push_back(light_dest(key));
-          return;
-        }
-        const HeavyGrid& g = it->second;
-        if (g.rows == 0) return;
-        const int c = right_place.Bucket(place_key(ctx), g.cols);
-        for (int r = 0; r < g.rows; ++r) {
-          dests.push_back((g.start + r * g.cols + c) % p);
-        }
-      },
-      "");
+  DistRelation left_parts =
+      Route(cluster, left, route_side(left_key, left_place, true), "");
+  DistRelation right_parts =
+      Route(cluster, right, route_side(right_key, right_place, false), "");
   cluster.EndRound();
 
   std::vector<Relation> outputs(p);

@@ -161,20 +161,26 @@ DistRelation ParallelSortJoin(Cluster& cluster, const DistRelation& left,
     const HashFunction place(rng.Next());
     DistRelation routed = Route(
         cluster, sorted.sorted,
-        [&](const Value* urow, std::vector<int>& dests) {
-          const auto it = grids.find(urow[kKeyCol]);
-          if (it == grids.end()) return;
-          const Grid& g = it->second;
-          if (urow[kSideCol] == kSideLeft) {
-            const int r = place.Bucket(urow[kTieCol], g.rows);
-            for (int c = 0; c < g.cols; ++c) {
-              dests.push_back((g.start + r * g.cols + c) % p);
+        [&](int /*src*/, const Relation& frag, int64_t begin, int64_t end,
+            RouteSink& sink) {
+          for (int64_t i = begin; i < end; ++i) {
+            const Value* urow = frag.row(i);
+            const auto it = grids.find(urow[kKeyCol]);
+            if (it != grids.end()) {
+              const Grid& g = it->second;
+              if (urow[kSideCol] == kSideLeft) {
+                const int r = place.Bucket(urow[kTieCol], g.rows);
+                for (int c = 0; c < g.cols; ++c) {
+                  sink.Add((g.start + r * g.cols + c) % p);
+                }
+              } else {
+                const int c = place.Bucket(urow[kTieCol], g.cols);
+                for (int r = 0; r < g.rows; ++r) {
+                  sink.Add((g.start + r * g.cols + c) % p);
+                }
+              }
             }
-          } else {
-            const int c = place.Bucket(urow[kTieCol], g.cols);
-            for (int r = 0; r < g.rows; ++r) {
-              dests.push_back((g.start + r * g.cols + c) % p);
-            }
+            sink.EndRow();
           }
         },
         "sort join: crossing keys");

@@ -31,26 +31,28 @@ namespace mpcqp {
 // disjoint, so the copies run lock-free and in parallel. The src-major
 // layout reproduces sequential append order, so the output fragments and
 // the metered costs are bit-identical for every thread count and every
-// morsel size. Routing callbacks run concurrently: they must not mutate
-// shared state (thread_local scratch is fine), and their decision for a
-// tuple may depend only on the tuple itself (and, for the context-aware
-// variant, its source coordinates) — never on how many tuples were
-// visited before it.
+// morsel size.
+//
+// Routing callbacks are batched: each runs once per morsel, over rows
+// [begin, end) of fragment `src`, and runs concurrently with the other
+// morsels' calls. They must not mutate shared state (thread_local scratch
+// is fine), and their decision for a row may depend only on the row
+// itself and its coordinates (src, begin + i) — never on how many rows
+// were visited before it. A per-row pseudo-random choice (a row of a
+// heavy-hitter grid, say) hashes those coordinates.
+//
+// The order in which one row's destinations are listed never changes the
+// output: a destination's rows are placed src-major and row-ascending by
+// the counts alone, so swapping two destinations of one row only swaps
+// which fragment is written first.
+//
+// Every destination is CHECKed to lie in [0, p), per row.
 //
 // Broadcast is zero-copy: it materializes the src-major concatenation
 // once and returns p copy-on-write handles to that single payload (a
 // receiver that mutates its copy detaches transparently). The metered
 // cost is unchanged — every server is still charged for receiving every
 // tuple; sharing is a simulator-memory optimization, not a cost one.
-
-// Identifies the tuple being routed: its source server and its row index
-// within that source fragment. This is what callers hash when they need a
-// per-tuple pseudo-random choice (e.g. picking a row of a heavy-hitter
-// grid) that stays deterministic under concurrent routing.
-struct RouteContext {
-  int src = 0;
-  int64_t row = 0;
-};
 
 // Re-partitions by hash of the key columns: tuple t goes to server
 // h(t[key_cols]) mod p.
@@ -68,22 +70,50 @@ DistRelation RangePartition(Cluster& cluster, const DistRelation& rel, int col,
                             const std::vector<Value>& splitters,
                             const std::string& label);
 
-// Fully general routing: `targets(row, &dests)` appends the destination
-// server ids for each tuple (possibly none or several — multicast). This is
-// what HyperCube partitioning and heavy-hitter Cartesian grids build on.
-DistRelation Route(
-    Cluster& cluster, const DistRelation& rel,
-    const std::function<void(const Value* row, std::vector<int>& dests)>&
-        targets,
-    const std::string& label);
+// Grid multicast: `base_of(frag, begin, end, base)` fills base[i] with
+// one base server for row begin + i, and that row goes to base[i] + off
+// for every entry of `offsets`, in list order. Offsets must be
+// non-negative; every row CHECKs base >= 0 and base + max(offsets) < p.
+// Offsets {0} is the single-destination router HashPartition,
+// RangePartition and GatherToServer run on; HyperCube's slabs are a base
+// from the fixed variables' hashes plus the free dimensions' offsets.
+using GridBaseFn = std::function<void(const Relation& frag, int64_t begin,
+                                      int64_t end, int32_t* base)>;
+DistRelation RouteGrid(Cluster& cluster, const DistRelation& rel,
+                       const GridBaseFn& base_of,
+                       const std::vector<int>& offsets,
+                       const std::string& label);
 
-// As Route, but the callback additionally receives the tuple's source
-// coordinates for deterministic per-tuple choices.
-DistRelation RouteWithContext(
-    Cluster& cluster, const DistRelation& rel,
-    const std::function<void(const RouteContext& ctx, const Value* row,
-                             std::vector<int>& dests)>& targets,
-    const std::string& label);
+// One morsel's destination lists, filled by a Route callback: Add(dst)
+// appends a destination of the current row, EndRow() closes the row. A
+// row closed with no Add goes nowhere (it is dropped); a row may list
+// several destinations (multicast). The callback must close exactly one
+// row per row of its morsel, in row order — the router CHECKs the count.
+class RouteSink {
+ public:
+  void Add(int dst) { dests_.push_back(static_cast<int32_t>(dst)); }
+  void EndRow() { row_ends_.push_back(static_cast<int64_t>(dests_.size())); }
+
+  // Every listed destination, row after row, and the end of each closed
+  // row's slice of that list.
+  const std::vector<int32_t>& dests() const { return dests_; }
+  const std::vector<int64_t>& row_ends() const { return row_ends_; }
+
+ private:
+  std::vector<int32_t> dests_;
+  std::vector<int64_t> row_ends_;
+};
+
+// Irregular multicast: `targets(src, frag, begin, end, sink)` lists the
+// destinations of rows [begin, end) of fragment `src` into `sink`, one
+// EndRow per row. For routes whose destination sets are not one grid
+// (heavy-hitter grids beside hash-routed light keys, band windows,
+// rotated SkewHC grids).
+using RouteFn = std::function<void(int src, const Relation& frag,
+                                   int64_t begin, int64_t end,
+                                   RouteSink& sink)>;
+DistRelation Route(Cluster& cluster, const DistRelation& rel,
+                   const RouteFn& targets, const std::string& label);
 
 // Moves all tuples to server `dst` (e.g. collecting a sample to decide
 // splitters). Returns the collected relation.

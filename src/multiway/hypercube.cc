@@ -1,10 +1,13 @@
 #include "multiway/hypercube.h"
 
+#include <algorithm>
+
 #include "common/check.h"
 #include "common/trace.h"
 #include "mpc/exchange.h"
 #include "mpc/metrics.h"
 #include "query/local_eval.h"
+#include "relation/columnar.h"
 
 namespace mpcqp {
 
@@ -58,9 +61,20 @@ HyperCubeResult HyperCubeJoin(Cluster& cluster, const ConjunctiveQuery& q,
     const std::vector<std::pair<int, int>> var_cols = DistinctVarCols(atom);
     std::vector<bool> is_fixed(k, false);
     for (const auto& [v, c] : var_cols) is_fixed[v] = true;
-    std::vector<int> free_vars;
+
+    // The atom's slab: the fixed variables' coordinates give one base
+    // server per row, and the row goes to base + o for every combination
+    // o of the free dimensions' coordinates, enumerated once per atom.
+    std::vector<int> offsets = {0};
     for (int v = 0; v < k; ++v) {
-      if (!is_fixed[v]) free_vars.push_back(v);
+      if (is_fixed[v]) continue;
+      const size_t count = offsets.size();
+      for (int coord = 1; coord < shares[v]; ++coord) {
+        for (size_t i = 0; i < count; ++i) {
+          offsets.push_back(
+              static_cast<int>(offsets[i] + coord * strides[v]));
+        }
+      }
     }
 
     // Rows violating a repeated variable can never join: dropping them
@@ -72,28 +86,36 @@ HyperCubeResult HyperCubeJoin(Cluster& cluster, const ConjunctiveQuery& q,
           FilterRepeatedVars(atom, atoms[j].fragment(s));
     });
 
-    routed.push_back(Route(
+    // Fixed variables with a share above 1; a share-1 variable's only
+    // coordinate is 0 (Bucket(v, 1) == 0), so it adds nothing to a base.
+    std::vector<std::pair<int, int>> spread_cols;
+    for (const auto& [v, c] : var_cols) {
+      if (shares[v] > 1) spread_cols.push_back({v, c});
+    }
+
+    // Per morsel: gather each spread variable's column and bucket it in
+    // one BucketMany pass (== Bucket element-wise), accumulating
+    // bucket * stride into the bases.
+    routed.push_back(RouteGrid(
         cluster, prefiltered,
-        [&, free_vars, var_cols](const Value* row, std::vector<int>& dests) {
-          int64_t base = 0;
-          for (const auto& [v, c] : var_cols) {
-            base += static_cast<int64_t>(
-                        hashes[v].Bucket(row[c], shares[v])) *
-                    strides[v];
-          }
-          // Enumerate all combinations of the free dimensions.
-          dests.push_back(static_cast<int>(base));
-          for (int v : free_vars) {
-            const size_t count = dests.size();
-            for (int coord = 1; coord < shares[v]; ++coord) {
-              for (size_t i = 0; i < count; ++i) {
-                dests.push_back(
-                    static_cast<int>(dests[i] + coord * strides[v]));
-              }
-            }
+        [&](const Relation& frag, int64_t begin, int64_t end,
+            int32_t* base) {
+          const int64_t rows = end - begin;
+          std::fill(base, base + rows, 0);
+          thread_local std::vector<Value> column;
+          thread_local std::vector<int32_t> bucket;
+          column.resize(static_cast<size_t>(rows));
+          bucket.resize(static_cast<size_t>(rows));
+          for (const auto& [v, c] : spread_cols) {
+            GatherKeyColumn(frag.data().data(), frag.arity(), c, begin, end,
+                            column.data());
+            hashes[v].BucketMany(column.data(), rows, shares[v],
+                                 bucket.data());
+            const int32_t stride = static_cast<int32_t>(strides[v]);
+            for (int64_t i = 0; i < rows; ++i) base[i] += bucket[i] * stride;
           }
         },
-        ""));
+        offsets, ""));
   }
   cluster.EndRound();
 

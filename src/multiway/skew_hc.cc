@@ -11,6 +11,7 @@
 #include "mpc/metrics.h"
 #include "query/hypergraph_lp.h"
 #include "query/local_eval.h"
+#include "relation/columnar.h"
 #include "relation/relation_ops.h"
 
 namespace mpcqp {
@@ -207,30 +208,45 @@ SkewHcResult SkewHcJoin(Cluster& cluster, const ConjunctiveQuery& q,
         }
       }
 
+      // The free dimensions' linear offsets, enumerated once; a row goes
+      // to (offset + base + o) mod p for each, base from its fixed light
+      // variables.
+      std::vector<int64_t> free_offsets = {0};
+      for (int v : free_light) {
+        const size_t count = free_offsets.size();
+        for (int coord = 1; coord < plan.shares[v]; ++coord) {
+          for (size_t i = 0; i < count; ++i) {
+            free_offsets.push_back(free_offsets[i] + coord * strides[v]);
+          }
+        }
+      }
+
       combo_routed.push_back(Route(
           cluster, clazz,
-          [&, fixed_light, fixed_cols, free_light, strides,
-           plan](const Value* row, std::vector<int>& dests) {
-            int64_t base = 0;
-            for (size_t i = 0; i < fixed_light.size(); ++i) {
-              const int v = fixed_light[i];
-              base += static_cast<int64_t>(hashes[v].Bucket(
-                          row[fixed_cols[i]], plan.shares[v])) *
-                      strides[v];
-            }
-            dests.push_back(
-                static_cast<int>((plan.offset + base) % p));
-            for (int v : free_light) {
-              const size_t count = dests.size();
-              for (int coord = 1; coord < plan.shares[v]; ++coord) {
-                for (size_t i = 0; i < count; ++i) {
-                  // Re-derive the linear coordinate before rotation.
-                  const int64_t lin =
-                      (dests[i] - plan.offset % p + p) % p;
-                  dests.push_back(static_cast<int>(
-                      (plan.offset + lin + coord * strides[v]) % p));
-                }
+          [&](int /*src*/, const Relation& frag, int64_t begin, int64_t end,
+              RouteSink& sink) {
+            const int64_t rows = end - begin;
+            thread_local std::vector<Value> column;
+            thread_local std::vector<int32_t> bucket;
+            thread_local std::vector<int64_t> base;
+            column.resize(static_cast<size_t>(rows));
+            bucket.resize(static_cast<size_t>(rows));
+            base.assign(static_cast<size_t>(rows), plan.offset);
+            for (size_t f = 0; f < fixed_light.size(); ++f) {
+              const int v = fixed_light[f];
+              GatherKeyColumn(frag.data().data(), frag.arity(),
+                              fixed_cols[f], begin, end, column.data());
+              hashes[v].BucketMany(column.data(), rows, plan.shares[v],
+                                   bucket.data());
+              for (int64_t i = 0; i < rows; ++i) {
+                base[i] += bucket[i] * strides[v];
               }
+            }
+            for (int64_t i = 0; i < rows; ++i) {
+              for (const int64_t o : free_offsets) {
+                sink.Add(static_cast<int>((base[i] + o) % p));
+              }
+              sink.EndRow();
             }
           },
           ""));

@@ -34,21 +34,25 @@ DistRelation BandJoin(Cluster& cluster, const DistRelation& left,
   // matching the PSRS partition.
   const DistRelation routed_left = Route(
       cluster, left,
-      [&](const Value* row, std::vector<int>& dests) {
-        const Value key = row[left_col];
-        const Value lo = key >= epsilon ? key - epsilon : 0;
-        const Value hi =
-            key + epsilon >= key ? key + epsilon : ~Value{0};  // Saturate.
-        const int first = static_cast<int>(
-            std::upper_bound(splitters.begin(), splitters.end(), lo) -
-            splitters.begin());
-        // PSRS's binary search sends a right tuple with key k to the
-        // first index whose splitter exceeds k; the last server whose
-        // interval can contain hi is upper_bound(hi).
-        const int last = static_cast<int>(
-            std::upper_bound(splitters.begin(), splitters.end(), hi) -
-            splitters.begin());
-        for (int s = first; s <= last; ++s) dests.push_back(s);
+      [&](int /*src*/, const Relation& frag, int64_t begin, int64_t end,
+          RouteSink& sink) {
+        for (int64_t i = begin; i < end; ++i) {
+          const Value key = frag.row(i)[left_col];
+          const Value lo = key >= epsilon ? key - epsilon : 0;
+          const Value hi =
+              key + epsilon >= key ? key + epsilon : ~Value{0};  // Saturate.
+          const int first = static_cast<int>(
+              std::upper_bound(splitters.begin(), splitters.end(), lo) -
+              splitters.begin());
+          // PSRS's binary search sends a right tuple with key k to the
+          // first index whose splitter exceeds k; the last server whose
+          // interval can contain hi is upper_bound(hi).
+          const int last = static_cast<int>(
+              std::upper_bound(splitters.begin(), splitters.end(), hi) -
+              splitters.begin());
+          for (int s = first; s <= last; ++s) sink.Add(s);
+          sink.EndRow();
+        }
       },
       "band join: window replication");
 

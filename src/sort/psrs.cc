@@ -111,24 +111,29 @@ PsrsResult PsrsSort(Cluster& cluster, const DistRelation& rel,
   }
 
   // Round 2: range partition by the composite splitters, then local sort.
-  DistRelation sorted = Route(
+  // One destination per row: the single-destination grid route.
+  DistRelation sorted = RouteGrid(
       cluster, local,
-      [&](const Value* row, std::vector<int>& dests) {
-        // First splitter strictly greater than the row key; ties go left
-        // so that runs of equal keys stay on one server.
-        int lo = 0;
-        int hi = static_cast<int>(splitters.size());
-        while (lo < hi) {
-          const int mid = (lo + hi) / 2;
-          // splitters[mid] > row ?
-          if (CompareKeyToRow(splitters[mid], row, options.key_cols) > 0) {
-            hi = mid;
-          } else {
-            lo = mid + 1;
+      [&](const Relation& frag, int64_t begin, int64_t end, int32_t* dests) {
+        for (int64_t i = begin; i < end; ++i) {
+          const Value* row = frag.row(i);
+          // First splitter strictly greater than the row key; ties go left
+          // so that runs of equal keys stay on one server.
+          int lo = 0;
+          int hi = static_cast<int>(splitters.size());
+          while (lo < hi) {
+            const int mid = (lo + hi) / 2;
+            // splitters[mid] > row ?
+            if (CompareKeyToRow(splitters[mid], row, options.key_cols) > 0) {
+              hi = mid;
+            } else {
+              lo = mid + 1;
+            }
           }
+          dests[i - begin] = lo;
         }
-        dests.push_back(lo);
       },
+      {0},
       "psrs: range partition");
   ScopedPhaseTimer local_phase(cluster.metrics(), Phase::kLocalCompute);
   cluster.pool().ParallelFor(p, [&](int64_t s) {

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "mpc/cluster.h"
 #include "mpc/dist_relation.h"
 #include "mpc/exchange.h"
@@ -81,11 +83,82 @@ TEST(ExchangeDeathTest, BadDestinationAborts) {
       DistRelation::Scatter(Relation::FromRows({{1}}), 2);
   EXPECT_DEATH(Route(
                    cluster, dist,
-                   [](const Value*, std::vector<int>& dests) {
-                     dests.push_back(99);
+                   [](int, const Relation&, int64_t begin, int64_t end,
+                      RouteSink& sink) {
+                     for (int64_t i = begin; i < end; ++i) {
+                       sink.Add(99);
+                       sink.EndRow();
+                     }
                    },
                    "bad"),
                "CHECK failed");
+}
+
+// A grid route whose base plus largest offset leaves [0, p).
+TEST(ExchangeDeathTest, GridOffsetPastLastServerAborts) {
+  Cluster cluster(4, 1);
+  const DistRelation dist =
+      DistRelation::Scatter(Relation::FromRows({{1}, {2}}), 4);
+  EXPECT_DEATH(RouteGrid(
+                   cluster, dist,
+                   [](const Relation&, int64_t begin, int64_t end,
+                      int32_t* base) {
+                     std::fill(base, base + (end - begin), 2);
+                   },
+                   {0, 2}, "bad"),
+               "CHECK failed");
+}
+
+TEST(ExchangeDeathTest, NegativeGridBaseAborts) {
+  Cluster cluster(4, 1);
+  const DistRelation dist =
+      DistRelation::Scatter(Relation::FromRows({{1}}), 4);
+  EXPECT_DEATH(RouteGrid(
+                   cluster, dist,
+                   [](const Relation&, int64_t begin, int64_t end,
+                      int32_t* base) {
+                     std::fill(base, base + (end - begin), -1);
+                   },
+                   {0}, "bad"),
+               "CHECK failed");
+}
+
+TEST(ExchangeDeathTest, NegativeGridOffsetAborts) {
+  Cluster cluster(4, 1);
+  const DistRelation dist =
+      DistRelation::Scatter(Relation::FromRows({{1}}), 4);
+  EXPECT_DEATH(RouteGrid(
+                   cluster, dist,
+                   [](const Relation&, int64_t begin, int64_t end,
+                      int32_t* base) {
+                     std::fill(base, base + (end - begin), 2);
+                   },
+                   {0, -1}, "bad"),
+               "negative grid offset");
+}
+
+// A Route callback must close exactly one row per row of its morsel.
+TEST(ExchangeDeathTest, SinkRowCountMismatchAborts) {
+  Cluster cluster(2, 1);
+  const DistRelation dist =
+      DistRelation::Scatter(Relation::FromRows({{1}, {2}, {3}, {4}}), 2);
+  EXPECT_DEATH(Route(
+                   cluster, dist,
+                   [](int, const Relation&, int64_t, int64_t,
+                      RouteSink& sink) {
+                     sink.Add(0);
+                     sink.EndRow();  // Once per morsel, not per row.
+                   },
+                   "bad"),
+               "EndRow once per row");
+  EXPECT_DEATH(Route(
+                   cluster, dist,
+                   [](int, const Relation&, int64_t begin, int64_t end,
+                      RouteSink& sink) {
+                     for (int64_t i = begin; i <= end; ++i) sink.EndRow();
+                   },
+                   "bad"),
+               "EndRow once per row");
 }
 
 TEST(HyperCubeDeathTest, ForcedSharesExceedingPAbort) {

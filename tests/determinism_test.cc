@@ -148,8 +148,9 @@ void ExpectMorselInvariant(const std::function<DistRelation(Cluster&)>& body,
 
 // Chains every exchange router over `in` so one morsel sweep covers the
 // single-destination path (hash/range), the shared-payload path
-// (broadcast), the multicast path (0..2 copies per tuple, one of them
-// context-derived), and the gather path.
+// (broadcast), the grid path (a base plus two offsets per tuple), the
+// multicast path (0..2 copies per tuple, one of them coordinate-derived),
+// and the gather path.
 DistRelation ExerciseAllRouters(Cluster& cluster, const DistRelation& in) {
   const int p = cluster.num_servers();
   const HashFunction hash = cluster.NewHashFunction();
@@ -160,13 +161,29 @@ DistRelation ExerciseAllRouters(Cluster& cluster, const DistRelation& in) {
   for (int i = 1; i < p; ++i) splitters.push_back(i * 8);
   const DistRelation ranged =
       RangePartition(cluster, wide, 0, splitters, "morsel: range");
-  const DistRelation multi = RouteWithContext(
+  const int half = std::max(1, p / 2);  // Bases; offsets reach the rest.
+  const DistRelation grid = RouteGrid(
       cluster, ranged,
-      [p](const RouteContext& ctx, const Value* row, std::vector<int>& dests) {
-        if (row[0] % 3 == 0) return;  // Dropped tuples.
-        dests.push_back(static_cast<int>(row[0] % p));
-        if (row[0] % 3 == 1) {  // A second, context-derived copy.
-          dests.push_back(static_cast<int>((ctx.src + ctx.row) % p));
+      [half](const Relation& frag, int64_t begin, int64_t end,
+             int32_t* base) {
+        for (int64_t i = begin; i < end; ++i) {
+          base[i - begin] = static_cast<int32_t>(frag.row(i)[0] % half);
+        }
+      },
+      {0, p - half}, "morsel: grid");
+  const DistRelation multi = Route(
+      cluster, grid,
+      [p](int src, const Relation& frag, int64_t begin, int64_t end,
+          RouteSink& sink) {
+        for (int64_t i = begin; i < end; ++i) {
+          const Value v = frag.row(i)[0];
+          if (v % 3 != 0) {  // v % 3 == 0: dropped.
+            sink.Add(static_cast<int>(v % p));
+            if (v % 3 == 1) {  // A second, coordinate-derived copy.
+              sink.Add(static_cast<int>((src + i) % p));
+            }
+          }
+          sink.EndRow();
         }
       },
       "morsel: multicast");
@@ -733,9 +750,14 @@ TEST(DeterminismTest, MorselBoundaryWriteCombiningCopy) {
             HashPartition(cluster, in, {0}, hash, "wc: hash");
         return Route(
             cluster, hashed,
-            [](const Value* row, std::vector<int>& dests) {
-              dests.push_back(static_cast<int>(row[0] % kWideServers));
-              dests.push_back(static_cast<int>(row[1] % kWideServers));
+            [](int /*src*/, const Relation& frag, int64_t begin, int64_t end,
+               RouteSink& sink) {
+              for (int64_t i = begin; i < end; ++i) {
+                const Value* row = frag.row(i);
+                sink.Add(static_cast<int>(row[0] % kWideServers));
+                sink.Add(static_cast<int>(row[1] % kWideServers));
+                sink.EndRow();
+              }
             },
             "wc: multicast");
       },

@@ -1,7 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <string>
+#include <utility>
 #include <vector>
 
+#include "common/hash.h"
+#include "common/random.h"
 #include "mpc/cluster.h"
 #include "mpc/cost.h"
 #include "mpc/dist_relation.h"
@@ -232,9 +237,12 @@ TEST(ExchangeTest, RouteMulticastCountsEveryCopy) {
   const DistRelation dist = DistRelation::Scatter(input, 4);
   const DistRelation routed = Route(
       cluster, dist,
-      [](const Value*, std::vector<int>& dests) {
-        dests.push_back(0);
-        dests.push_back(2);
+      [](int, const Relation&, int64_t begin, int64_t end, RouteSink& sink) {
+        for (int64_t i = begin; i < end; ++i) {
+          sink.Add(0);
+          sink.Add(2);
+          sink.EndRow();
+        }
       },
       "multicast");
   EXPECT_EQ(routed.fragment(0).size(), 2);
@@ -249,11 +257,218 @@ TEST(ExchangeTest, RouteCanDropTuples) {
   const DistRelation dist = DistRelation::Scatter(input, 2);
   const DistRelation routed = Route(
       cluster, dist,
-      [](const Value* row, std::vector<int>& dests) {
-        if (row[0] != 2) dests.push_back(0);
+      [](int, const Relation& frag, int64_t begin, int64_t end,
+         RouteSink& sink) {
+        for (int64_t i = begin; i < end; ++i) {
+          if (frag.row(i)[0] != 2) sink.Add(0);
+          sink.EndRow();
+        }
       },
       "filter");
   EXPECT_EQ(routed.TotalSize(), 2);
+}
+
+// ---------- RouteGrid and the batched Route against serial references ----
+
+// The per-row destinations of a route, as a serial reference sees them.
+using RowDests =
+    std::function<std::vector<int>(int src, int64_t row, const Value* data)>;
+
+// Routes `rel` one row at a time: sources in order, rows ascending, each
+// row appended to every destination it lists, in list order. Returns the
+// fragments and the round's metered cost.
+std::pair<std::vector<Relation>, RoundCost> SerialRoute(
+    const DistRelation& rel, const RowDests& dests_of) {
+  const int p = rel.num_servers();
+  const int arity = rel.arity();
+  std::vector<Relation> out(p, Relation(arity));
+  RoundCost cost(p);
+  for (int src = 0; src < p; ++src) {
+    const Relation& frag = rel.fragment(src);
+    for (int64_t i = 0; i < frag.size(); ++i) {
+      for (const int dst : dests_of(src, i, frag.row(i))) {
+        out[dst].AppendRowFrom(frag, i);
+        cost.tuples_sent[src] += 1;
+        cost.values_sent[src] += arity;
+        cost.tuples_received[dst] += 1;
+        cost.values_received[dst] += arity;
+      }
+    }
+  }
+  return {std::move(out), std::move(cost)};
+}
+
+void ExpectMatchesSerial(const DistRelation& routed, const RoundCost& got,
+                         const std::pair<std::vector<Relation>, RoundCost>&
+                             expected,
+                         const std::string& where) {
+  ASSERT_EQ(routed.num_servers(),
+            static_cast<int>(expected.first.size()));
+  for (int s = 0; s < routed.num_servers(); ++s) {
+    EXPECT_TRUE(routed.fragment(s) == expected.first[s])
+        << where << ": fragment " << s;
+  }
+  EXPECT_EQ(got.tuples_received, expected.second.tuples_received) << where;
+  EXPECT_EQ(got.values_received, expected.second.values_received) << where;
+  EXPECT_EQ(got.tuples_sent, expected.second.tuples_sent) << where;
+  EXPECT_EQ(got.values_sent, expected.second.values_sent) << where;
+}
+
+// Input with empty fragments: servers 1 and 5 hold nothing, server 3 holds
+// most rows (so morsels of 7 split it many times).
+DistRelation UnevenInput(int p) {
+  Rng rng(17);
+  std::vector<Relation> frags(p, Relation(3));
+  for (int s = 0; s < p; ++s) {
+    if (s == 1 || s == 5) continue;
+    frags[s] = GenerateUniform(rng, s == 3 ? 500 : 40, 3, 1000);
+  }
+  return DistRelation::FromFragments(std::move(frags));
+}
+
+struct RouterConfig {
+  int threads;
+  int64_t morsel_rows;
+};
+
+std::vector<RouterConfig> RouterConfigs() {
+  std::vector<RouterConfig> configs;
+  for (const int threads : {1, 2, 8}) {
+    for (const int64_t morsel_rows : {int64_t{1}, int64_t{7}, int64_t{8192}}) {
+      configs.push_back({threads, morsel_rows});
+    }
+  }
+  return configs;
+}
+
+Cluster MakeCluster(int p, const RouterConfig& config) {
+  ClusterOptions options;
+  options.num_threads = config.threads;
+  options.morsel_rows = config.morsel_rows;
+  return Cluster(p, 5, options);
+}
+
+TEST(RouteGridTest, MatchesSerialReference) {
+  constexpr int kP = 8;
+  const DistRelation in = UnevenInput(kP);
+  // A 2 x 2 x 2 grid: the base fixes coordinate 0 from column 1, and the
+  // row is multicast over coordinates 1 and 2 (strides 2 and 4).
+  const std::vector<int> offsets = {0, 2, 4, 6};
+  const auto base_of_row = [](const Value* row) {
+    return static_cast<int32_t>(row[1] % 2);
+  };
+  const auto expected = SerialRoute(in, [&](int, int64_t, const Value* row) {
+    std::vector<int> dests;
+    for (const int off : offsets) dests.push_back(base_of_row(row) + off);
+    return dests;
+  });
+  for (const RouterConfig& config : RouterConfigs()) {
+    Cluster cluster = MakeCluster(kP, config);
+    const DistRelation routed = RouteGrid(
+        cluster, in,
+        [&](const Relation& frag, int64_t begin, int64_t end,
+            int32_t* base) {
+          for (int64_t i = begin; i < end; ++i) {
+            base[i - begin] = base_of_row(frag.row(i));
+          }
+        },
+        offsets, "grid");
+    ExpectMatchesSerial(routed, cluster.cost_report().rounds().at(0),
+                        expected,
+                        "threads=" + std::to_string(config.threads) +
+                            " morsel_rows=" +
+                            std::to_string(config.morsel_rows));
+  }
+}
+
+TEST(RouteGridTest, AllEmptyInput) {
+  Cluster cluster(4, 5);
+  const DistRelation in(2, 4);
+  const DistRelation routed = RouteGrid(
+      cluster, in,
+      [](const Relation&, int64_t, int64_t, int32_t*) {
+        ADD_FAILURE() << "no morsel to route";
+      },
+      {0, 1}, "empty");
+  EXPECT_EQ(routed.TotalSize(), 0);
+  EXPECT_EQ(cluster.cost_report().TotalCommTuples(), 0);
+}
+
+// Offsets {0} with the hash bucket as base is HashPartition, fragment for
+// fragment and cost for cost.
+TEST(RouteGridTest, SingleZeroOffsetReproducesHashPartition) {
+  constexpr int kP = 8;
+  const DistRelation in = UnevenInput(kP);
+  for (const RouterConfig& config : RouterConfigs()) {
+    Cluster hashed_cluster = MakeCluster(kP, config);
+    Cluster grid_cluster = MakeCluster(kP, config);
+    const HashFunction hash(0xabcULL);
+    const DistRelation hashed =
+        HashPartition(hashed_cluster, in, {2}, hash, "hash");
+    const DistRelation grid = RouteGrid(
+        grid_cluster, in,
+        [&](const Relation& frag, int64_t begin, int64_t end,
+            int32_t* base) {
+          for (int64_t i = begin; i < end; ++i) {
+            base[i - begin] = hash.Bucket(frag.row(i)[2], kP);
+          }
+        },
+        {0}, "hash");
+    for (int s = 0; s < kP; ++s) {
+      EXPECT_TRUE(hashed.fragment(s) == grid.fragment(s)) << "fragment " << s;
+    }
+    const RoundCost& a = hashed_cluster.cost_report().rounds().at(0);
+    const RoundCost& b = grid_cluster.cost_report().rounds().at(0);
+    EXPECT_EQ(a.tuples_received, b.tuples_received);
+    EXPECT_EQ(a.values_received, b.values_received);
+    EXPECT_EQ(a.tuples_sent, b.tuples_sent);
+    EXPECT_EQ(a.values_sent, b.values_sent);
+  }
+}
+
+// The batched Route with rows that list no destination (dropped), one, and
+// many (every server, then a repeated one), each row's list depending on
+// its coordinates.
+TEST(RouteTest, MatchesSerialReferenceWithZeroAndManyDestinations) {
+  constexpr int kP = 8;
+  const DistRelation in = UnevenInput(kP);
+  const auto dests_of = [](int src, int64_t row, const Value* data) {
+    std::vector<int> dests;
+    switch ((data[0] + row) % 4) {
+      case 0:
+        break;  // Dropped.
+      case 1:
+        dests.push_back(static_cast<int>((src + row) % kP));
+        break;
+      case 2:
+        for (int d = kP - 1; d >= 0; --d) dests.push_back(d);
+        break;
+      default:
+        dests.push_back(static_cast<int>(data[1] % kP));
+        dests.push_back(static_cast<int>(data[1] % kP));
+        dests.push_back(static_cast<int>(data[2] % kP));
+    }
+    return dests;
+  };
+  const auto expected = SerialRoute(in, dests_of);
+  for (const RouterConfig& config : RouterConfigs()) {
+    Cluster cluster = MakeCluster(kP, config);
+    const DistRelation routed = Route(
+        cluster, in,
+        [&](int src, const Relation& frag, int64_t begin, int64_t end,
+            RouteSink& sink) {
+          for (int64_t i = begin; i < end; ++i) {
+            for (const int d : dests_of(src, i, frag.row(i))) sink.Add(d);
+            sink.EndRow();
+          }
+        },
+        "multicast");
+    ExpectMatchesSerial(routed, cluster.cost_report().rounds().at(0),
+                        expected,
+                        "threads=" + std::to_string(config.threads) +
+                            " morsel_rows=" +
+                            std::to_string(config.morsel_rows));
+  }
 }
 
 TEST(ExchangeTest, GatherToServer) {
