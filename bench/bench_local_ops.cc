@@ -10,6 +10,10 @@
 // <kernel>_t<T>_{new,legacy}_tps and _speedup keys; CI runs this binary
 // as a Release smoke test and fails if the flat KeyIndex loses to the
 // legacy index at 8 threads.
+//
+// A second, report-only row (key_index_small, no gate) times the
+// per-server builds of a serving join: build plus probe over 64 fragments
+// of 3,125 rows each at 1 thread, in microseconds per fragment.
 
 #include <algorithm>
 #include <cstdint>
@@ -263,6 +267,36 @@ int main() {
   }
 
   table.Print();
+
+  // key_index_small: one server's hash join in a 200K-row, p = 64 serving
+  // join (3,125 rows per side, keys over 500K values), best of 10 passes
+  // over 64 such fragments.
+  {
+    constexpr int kFragments = 64;
+    constexpr int kSmallReps = 10;
+    constexpr int64_t kFragmentRows = 3125;
+    std::vector<Relation> builds, probes;
+    for (int f = 0; f < kFragments; ++f) {
+      builds.push_back(GenerateUniform(rng, kFragmentRows, 2, 500000));
+      probes.push_back(GenerateUniform(rng, kFragmentRows, 2, 500000));
+    }
+    const auto us_per_fragment = [&](const auto& run_fragment) {
+      const double tps = MeasureTps(kFragments, kSmallReps, [&] {
+        for (int f = 0; f < kFragments; ++f) run_fragment(f);
+      });
+      return 1e6 / tps;
+    };
+    const double new_us = us_per_fragment(
+        [&](int f) { RunNewKeyIndex(builds[f], probes[f], nullptr); });
+    const double legacy_us = us_per_fragment(
+        [&](int f) { RunLegacyKeyIndex(builds[f], probes[f]); });
+    std::printf(
+        "key_index_small (64 x 3,125-row fragments, t=1, report only): "
+        "%.1f us/fragment build+probe (legacy %.1f)\n",
+        new_us, legacy_us);
+    json.Set("key_index_small_t1_us_per_fragment", new_us);
+    json.Set("key_index_small_t1_legacy_us_per_fragment", legacy_us);
+  }
   json.Write();
 
   // CI gate: the flat index must not lose to the node-based one with the
