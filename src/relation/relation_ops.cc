@@ -45,14 +45,6 @@ void CheckJoinArgs(RelationView left, RelationView right,
   }
 }
 
-// Row `i` of `view`, honouring its selection vector, without
-// RelationView::row's per-call CHECKs: the pre-sized writers below only
-// index rows their counting pass produced.
-const Value* RowPtr(const RelationView& view, int64_t i) {
-  const int64_t r = view.selection() != nullptr ? view.selection()[i] : i;
-  return view.base() + static_cast<size_t>(r) * view.arity();
-}
-
 // The pre-sized output of the local join family. A kernel first counts its
 // output rows, then calls Write exactly that many times: the left row,
 // then the right row's non-key columns, straight into the output buffer.

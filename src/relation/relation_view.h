@@ -101,6 +101,15 @@ class RelationView {
   const Relation* rel_ = nullptr;  // Set for whole-relation views only.
 };
 
+// Row `i` of `view`, honouring its selection vector, without
+// RelationView::row's per-call CHECKs: for kernels that validate their
+// inputs once and then only index rows below view.size() (the pre-sized
+// writers of the local joins, the KeyIndex build and probe).
+inline const Value* RowPtr(const RelationView& view, int64_t i) {
+  const int64_t r = view.selection() != nullptr ? view.selection()[i] : i;
+  return view.base() + static_cast<size_t>(r) * view.arity();
+}
+
 }  // namespace mpcqp
 
 #endif  // MPCQP_RELATION_RELATION_VIEW_H_
