@@ -41,7 +41,9 @@ void JoinThenGroupBy() {
       cluster, DistRelation::Scatter(orders, p),
       DistRelation::Scatter(customers, p), {0}, {0});
   const DistRelation grouped =
-      DistributedGroupBySum(cluster, joined, {0, 1}, 2).value();
+      DistributedGroupByAggregate(cluster, joined, {0, 1}, 2,
+                                  AggregateOp::kSum)
+          .value();
 
   Table table({"stage", "rounds so far", "L (tuples)", "rows"});
   table.AddRow({"join Orders x Customers", "1",
@@ -66,11 +68,13 @@ void CombinerEffect() {
     without.use_combiners = false;
     Cluster c1(p, 3);
     const DistRelation g1 =
-        DistributedGroupBySum(c1, DistRelation::Scatter(rel, p), {0}, 1,
-                              without)
+        DistributedGroupByAggregate(c1, DistRelation::Scatter(rel, p), {0}, 1,
+                                    AggregateOp::kSum, without)
             .value();
     Cluster c2(p, 3);
-    DistributedGroupBySum(c2, DistRelation::Scatter(rel, p), {0}, 1).value();
+    DistributedGroupByAggregate(c2, DistRelation::Scatter(rel, p), {0}, 1,
+                                AggregateOp::kSum)
+        .value();
     table.AddRow({Fmt(skew, 1), FmtInt(g1.TotalSize()),
                   FmtInt(c1.cost_report().MaxLoadTuples()),
                   FmtInt(c2.cost_report().MaxLoadTuples())});

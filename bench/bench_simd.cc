@@ -7,7 +7,7 @@
 // (exit 1) if
 //  - any kernel's output differs from the embedded baseline at t=1 or
 //    t=8 (including a lane-unfriendly tail count), or
-//  - hash / bucket / grouphash show less than 1.3x speedup over the
+//  - hash / bucket show less than 1.3x speedup over the
 //    baseline at t=8 when AVX2 is dispatched, or
 //  - any kernel loses to its baseline (beyond a 10% noise band) at t=8
 //    when any vector level is dispatched.
@@ -42,7 +42,6 @@ constexpr double kNoiseBand = 1.10;
 // Headline gate on the mixing-bound kernels when AVX2 is dispatched.
 constexpr double kHeadlineSpeedup = 1.3;
 constexpr uint64_t kWhitening = 0x5851f42d4c957f2dULL;
-constexpr uint64_t kGroupSeed = 0x9e3779b97f4a7c15ULL;
 
 // ---- Embedded scalar baselines (verbatim reference semantics) ----
 // These mirror the scalar reference loops the dispatch layer promises to
@@ -70,13 +69,6 @@ void BucketMany(const uint64_t* values, int64_t count, uint64_t whitening,
   for (int64_t i = 0; i < count; ++i) {
     out[i] =
         static_cast<int32_t>((SplitMix64(values[i] ^ whitening) * p) >> 64);
-  }
-}
-
-void GroupHashMany(const uint64_t* keys, int64_t count, uint64_t seed,
-                   uint64_t mask, uint64_t* out) {
-  for (int64_t i = 0; i < count; ++i) {
-    out[i] = SplitMix64(seed ^ SplitMix64(keys[i])) & mask;
   }
 }
 
@@ -200,14 +192,6 @@ void CheckParity(const std::vector<uint64_t>& values) {
       });
       Gate(want_b == got_b, "bucket parity mismatch");
 
-      baseline::GroupHashMany(values.data(), n, kGroupSeed, (1 << 20) - 1,
-                              want.data());
-      ForChunks(*pool, n, [&](int64_t b, int64_t e) {
-        simd::GroupHashMany(values.data() + b, e - b, kGroupSeed,
-                            (1 << 20) - 1, got.data() + b);
-      });
-      Gate(want == got, "grouphash parity mismatch");
-
       std::vector<int64_t> want_h(256, 0), got_h(256, 0);
       baseline::HistogramTopBits(values.data(), n, 8, want_h.data());
       simd::HistogramTopBits(values.data(), n, 8, got_h.data());
@@ -254,16 +238,7 @@ int main() {
            });
          });
 
-  Report(&table, &json, "grouphash", /*headline=*/true, /*vectorized=*/true,
-         [&](ThreadPool& pool, bool vec) {
-           ForChunks(pool, kRows, [&](int64_t b, int64_t e) {
-             (vec ? simd::GroupHashMany : baseline::GroupHashMany)(
-                 values.data() + b, e - b, kGroupSeed, (1 << 20) - 1,
-                 out64.data() + b);
-           });
-         });
-
-  // Histogram: the radix top-byte count pass. The library implementation
+  // Histogram: the KeyIndex partition count pass. The library implementation
   // is the interleaved scalar loop at every level (scatter-shaped), so no
   // vector gate applies — the JSON trajectory tracks the interleaving win.
   Report(&table, &json, "histogram", /*headline=*/false, /*vectorized=*/false,

@@ -113,15 +113,6 @@ Relation EmitGroups(const GroupTable& table, int width, bool sorted) {
 
 }  // namespace
 
-StatusOr<DistRelation> DistributedGroupBySum(Cluster& cluster,
-                                             const DistRelation& rel,
-                                             const std::vector<int>& group_cols,
-                                             int value_col,
-                                             const GroupByOptions& options) {
-  return DistributedGroupByAggregate(cluster, rel, group_cols, value_col,
-                                     AggregateOp::kSum, options);
-}
-
 StatusOr<DistRelation> DistributedGroupByAggregate(
     Cluster& cluster, const DistRelation& rel,
     const std::vector<int>& group_cols, int value_col, AggregateOp op,

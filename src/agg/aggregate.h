@@ -28,23 +28,17 @@ struct GroupByOptions {
   bool use_combiners = true;
 };
 
-// SELECT group_cols..., SUM(value_col) GROUP BY group_cols in one round:
-// shuffle by hash of the group key, aggregate locally. Output columns:
-// group columns then the sum; each group on exactly one server, each
-// fragment sorted by group key. Empty group_cols forms one global scalar
-// group (on the key's hash owner) — the same contract as the local
-// GroupByAggregate. Fails with kOutOfRange when any group's sum exceeds
-// the Value range.
-StatusOr<DistRelation> DistributedGroupBySum(
-    Cluster& cluster, const DistRelation& rel,
-    const std::vector<int>& group_cols, int value_col,
-    const GroupByOptions& options = {});
-
-// General algebraic aggregates (SUM / COUNT / MIN / MAX): same round
-// structure; combiner partials are merged with the op's re-aggregation
-// (partial COUNTs are SUMmed, MIN of MINs, ...). For kCount, value_col
-// may be -1; without combiners the shuffle then ships only the group
-// columns (counting rows needs no value payload).
+// SELECT group_cols..., AGG(value_col) GROUP BY group_cols in one round
+// for the algebraic aggregates (SUM / COUNT / MIN / MAX): shuffle by hash
+// of the group key, aggregate locally. Output columns: group columns then
+// the aggregate; each group on exactly one server, each fragment sorted by
+// group key. Empty group_cols forms one global scalar group (on the key's
+// hash owner) — the same contract as the local GroupByAggregate. Combiner
+// partials are merged with the op's re-aggregation (partial COUNTs are
+// SUMmed, MIN of MINs, ...). For kCount, value_col may be -1; without
+// combiners the shuffle then ships only the group columns (counting rows
+// needs no value payload). Fails with kOutOfRange when any group's SUM or
+// COUNT exceeds the Value range.
 StatusOr<DistRelation> DistributedGroupByAggregate(
     Cluster& cluster, const DistRelation& rel,
     const std::vector<int>& group_cols, int value_col, AggregateOp op,

@@ -2,8 +2,7 @@
 #define MPCQP_AGG_GROUP_TABLE_H_
 
 // Internal to src/agg: the one open-addressing group table and the
-// accumulator folds shared by the distributed per-server kernel
-// (aggregate.cc) and the single-relation engine (groupby_engine.cc).
+// accumulator folds of the distributed per-server kernel (aggregate.cc).
 
 #include <algorithm>
 #include <cstdint>
@@ -24,9 +23,9 @@ namespace agg_internal {
 inline constexpr uint64_t kGroupHashSeed = 0x9e3779b97f4a7c15ULL;
 
 // Hash of a contiguous `width`-column group key (width 0 = the scalar
-// group: a fixed constant, so every row lands in one group). Width-1 keys
-// match simd::GroupHashMany, which the engine's columnar scans batch
-// through.
+// group: a fixed constant, so every row lands in one group). Only the
+// table layout depends on it: partials keep insertion order and the merge
+// sorts by key, so outputs do not depend on the hash.
 inline uint64_t HashKey(const Value* key, int width) {
   uint64_t h = kGroupHashSeed;
   for (int k = 0; k < width; ++k) h = SplitMix64(h ^ SplitMix64(key[k]));

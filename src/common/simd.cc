@@ -65,13 +65,6 @@ void BucketMany(const uint64_t* values, int64_t count, uint64_t whitening,
   }
 }
 
-void GroupHashMany(const uint64_t* keys, int64_t count, uint64_t seed,
-                   uint64_t mask, uint64_t* out) {
-  for (int64_t i = 0; i < count; ++i) {
-    out[i] = SplitMix64(seed ^ SplitMix64(keys[i])) & mask;
-  }
-}
-
 }  // namespace scalar
 
 // ---------------------------------------------------------------------------
@@ -152,24 +145,6 @@ void BucketMany(const uint64_t* values, int64_t count, uint64_t whitening,
   }
 }
 
-MPCQP_TARGET_AVX2
-void GroupHashMany(const uint64_t* keys, int64_t count, uint64_t seed,
-                   uint64_t mask, uint64_t* out) {
-  const __m256i s = _mm256_set1_epi64x(static_cast<int64_t>(seed));
-  const __m256i m = _mm256_set1_epi64x(static_cast<int64_t>(mask));
-  int64_t i = 0;
-  for (; i + 4 <= count; i += 4) {
-    const __m256i k =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(keys + i));
-    const __m256i h = Mix64(_mm256_xor_si256(s, Mix64(k)));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i),
-                        _mm256_and_si256(h, m));
-  }
-  for (; i < count; ++i) {
-    out[i] = SplitMix64(seed ^ SplitMix64(keys[i])) & mask;
-  }
-}
-
 }  // namespace avx2
 #endif  // MPCQP_SIMD_X86 && MPCQP_SIMD_LEVEL_CAP >= 2
 
@@ -235,20 +210,6 @@ inline void BucketMany(const uint64_t* values, int64_t count,
   }
 }
 
-inline void GroupHashMany(const uint64_t* keys, int64_t count, uint64_t seed,
-                          uint64_t mask, uint64_t* out) {
-  const uint64x2_t s = vdupq_n_u64(seed);
-  const uint64x2_t m = vdupq_n_u64(mask);
-  int64_t i = 0;
-  for (; i + 2 <= count; i += 2) {
-    const uint64x2_t h = Mix64(veorq_u64(s, Mix64(vld1q_u64(keys + i))));
-    vst1q_u64(out + i, vandq_u64(h, m));
-  }
-  for (; i < count; ++i) {
-    out[i] = SplitMix64(seed ^ SplitMix64(keys[i])) & mask;
-  }
-}
-
 }  // namespace neon
 #endif  // MPCQP_SIMD_NEON && MPCQP_SIMD_LEVEL_CAP >= 1
 
@@ -260,24 +221,21 @@ struct KernelTable {
   IsaLevel level;
   void (*hash_many)(const uint64_t*, int64_t, uint64_t, uint64_t*);
   void (*bucket_many)(const uint64_t*, int64_t, uint64_t, int, int32_t*);
-  void (*group_hash_many)(const uint64_t*, int64_t, uint64_t, uint64_t,
-                          uint64_t*);
 };
 
 constexpr KernelTable kScalarTable = {
     IsaLevel::kScalar, scalar::HashMany, scalar::BucketMany,
-    scalar::GroupHashMany,
 };
 
 #if MPCQP_SIMD_X86 && MPCQP_SIMD_LEVEL_CAP >= 2
 constexpr KernelTable kAvx2Table = {
-    IsaLevel::kAvx2, avx2::HashMany, avx2::BucketMany, avx2::GroupHashMany,
+    IsaLevel::kAvx2, avx2::HashMany, avx2::BucketMany,
 };
 #endif
 
 #if MPCQP_SIMD_NEON && MPCQP_SIMD_LEVEL_CAP >= 1
 constexpr KernelTable kNeonTable = {
-    IsaLevel::kNeon, neon::HashMany, neon::BucketMany, neon::GroupHashMany,
+    IsaLevel::kNeon, neon::HashMany, neon::BucketMany,
 };
 #endif
 
@@ -359,11 +317,6 @@ void BucketMany(const uint64_t* values, int64_t count, uint64_t whitening,
                 int num_buckets, int32_t* out) {
   MPCQP_CHECK_GT(num_buckets, 0);
   Table()->bucket_many(values, count, whitening, num_buckets, out);
-}
-
-void GroupHashMany(const uint64_t* keys, int64_t count, uint64_t seed,
-                   uint64_t mask, uint64_t* out) {
-  Table()->group_hash_many(keys, count, seed, mask, out);
 }
 
 // The histogram is scatter-shaped, which SIMD ISAs without scatter can't

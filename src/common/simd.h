@@ -4,11 +4,11 @@
 #include <cstdint>
 
 // Runtime-dispatched SIMD kernels for the hash loops of the exchange route
-// pass and the group-by engine.
+// pass.
 //
-// Three kernels (HashMany, BucketMany, GroupHashMany) at three levels
-// (scalar, AVX2, NEON). A vector variant stays only where a paired
-// measurement shows it beats the scalar loop (DESIGN.md "SIMD kernels").
+// Two kernels (HashMany, BucketMany) at three levels (scalar, AVX2, NEON).
+// A vector variant stays only where a paired measurement shows it beats
+// the scalar loop (DESIGN.md "SIMD kernels").
 //
 //   - the instruction-set level is detected once at first use (CPUID via
 //     __builtin_cpu_supports on x86; NEON is baseline on aarch64); x86
@@ -21,10 +21,9 @@
 // Determinism contract: every kernel is BIT-IDENTICAL to its scalar
 // reference for every input. All operations are exact integer arithmetic
 // (splitmix64 mixing is element-wise), so the dispatched level can never
-// change outputs, CostReports, adaptive strategy choices, or plan goldens
-// — only wall time. The determinism suite locks this with a {scalar,
-// best-detected} ISA axis on top of the existing thread-count/morsel
-// sweeps.
+// change outputs, CostReports, or plan goldens — only wall time. The
+// determinism suite locks this with a {scalar, best-detected} ISA axis on
+// top of the existing thread-count/morsel sweeps.
 //
 // Adding a kernel (see DESIGN.md "SIMD kernels"): write the scalar
 // reference, add a function pointer to KernelTable, implement per-ISA
@@ -72,20 +71,13 @@ void HashMany(const uint64_t* values, int64_t count, uint64_t whitening,
 void BucketMany(const uint64_t* values, int64_t count, uint64_t whitening,
                 int num_buckets, int32_t* out);
 
-// out[i] = SplitMix64(seed ^ SplitMix64(keys[i])) & mask — the group-by
-// engine's single-column key hash (HashKey over width-1 keys), fused into
-// one pass over the compacted key column.
-void GroupHashMany(const uint64_t* keys, int64_t count, uint64_t seed,
-                   uint64_t mask, uint64_t* out);
-
-// counts[hashes[i] >> (64 - bits)] += 1 for every i — the radix top-byte
-// histogram of the group-by engine (bits = 8) and the KeyIndex partition
-// count (bits = part_bits). bits must be in [1, 8]; counts has (1 << bits)
-// entries and is accumulated into, not overwritten. Interleaved
-// sub-histograms break the store-to-load dependency chain on repeated
-// buckets; the final per-bucket sums are order-independent, so the result
-// equals the naive sequential loop exactly. Not dispatched: this one
-// scalar loop serves every level.
+// counts[hashes[i] >> (64 - bits)] += 1 for every i — the KeyIndex
+// partition count (bits = part_bits). bits must be in [1, 8]; counts has
+// (1 << bits) entries and is accumulated into, not overwritten.
+// Interleaved sub-histograms break the store-to-load dependency chain on
+// repeated buckets; the final per-bucket sums are order-independent, so
+// the result equals the naive sequential loop exactly. Not dispatched:
+// this one scalar loop serves every level.
 void HistogramTopBits(const uint64_t* hashes, int64_t count, int bits,
                       int64_t* counts);
 

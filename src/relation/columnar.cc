@@ -1,18 +1,8 @@
 #include "relation/columnar.h"
 
-#include <algorithm>
-
 #include "common/check.h"
 
 namespace mpcqp {
-
-bool UseColumnarScan(int arity, int columns_read) {
-  MPCQP_CHECK_GE(columns_read, 0);
-  // Reading (nearly) the whole row: compaction would copy everything the
-  // scan touches anyway.
-  if (columns_read >= arity) return false;
-  return arity >= kColumnarScanArityFactor * std::max(columns_read, 1);
-}
 
 void GatherKeyColumn(const Value* base, int arity, int col, int64_t begin,
                      int64_t end, Value* out) {

@@ -1,12 +1,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
+#include <set>
 #include <string>
 #include <tuple>
 #include <utility>
 #include <vector>
 
 #include "agg/aggregate.h"
+#include "agg/group_table.h"
 #include "mpc/cluster.h"
 #include "mpc/exchange.h"
 #include "relation/relation_ops.h"
@@ -42,8 +45,8 @@ TEST_P(GroupByTest, MatchesLocalGroupBy) {
   GroupByOptions options;
   options.use_combiners = combiners;
   const DistRelation result =
-      DistributedGroupBySum(cluster, DistRelation::Scatter(rel, p), {0, 1}, 2,
-                            options)
+      DistributedGroupByAggregate(cluster, DistRelation::Scatter(rel, p),
+                                  {0, 1}, 2, AggregateOp::kSum, options)
           .value();
   EXPECT_TRUE(
       MultisetEqual(result.Collect(), GroupBySum(rel, {0, 1}, 2).value()));
@@ -60,7 +63,8 @@ TEST(GroupByTest, EachGroupOnOneServer) {
   const Relation rel = GenerateUniform(rng, 2000, 2, 20);
   Cluster cluster(p, 3);
   const DistRelation result =
-      DistributedGroupBySum(cluster, DistRelation::Scatter(rel, p), {0}, 1)
+      DistributedGroupByAggregate(cluster, DistRelation::Scatter(rel, p), {0},
+                                  1, AggregateOp::kSum)
           .value();
   // 20 possible groups; every group key appears in exactly one fragment.
   for (Value g = 0; g < 20; ++g) {
@@ -89,12 +93,12 @@ TEST(GroupByTest, CombinersCutSkewedShuffleLoad) {
   without.use_combiners = false;
 
   Cluster c1(p, 3);
-  ASSERT_TRUE(
-      DistributedGroupBySum(c1, DistRelation::Scatter(rel, p), {0}, 1, with)
-          .ok());
+  ASSERT_TRUE(DistributedGroupByAggregate(c1, DistRelation::Scatter(rel, p),
+                                          {0}, 1, AggregateOp::kSum, with)
+                  .ok());
   Cluster c2(p, 3);
-  ASSERT_TRUE(DistributedGroupBySum(c2, DistRelation::Scatter(rel, p), {0}, 1,
-                                    without)
+  ASSERT_TRUE(DistributedGroupByAggregate(c2, DistRelation::Scatter(rel, p),
+                                          {0}, 1, AggregateOp::kSum, without)
                   .ok());
 
   EXPECT_EQ(c1.cost_report().MaxLoadTuples(), p);     // One partial each.
@@ -229,6 +233,28 @@ TEST(DistributedAggregateTest, CountWithoutCombinersShipsOnlyGroupColumns) {
   EXPECT_EQ(shuffle.TotalValuesReceived(), shuffle.TotalTuplesReceived());
 }
 
+// API misuse aborts before any round: SUM needs a value column, and the
+// value column must exist.
+void ExpectSumDiesOnValueColumn(int value_col) {
+  const Relation rel = Relation::FromRows({{1, 2}, {3, 4}});
+  EXPECT_DEATH(
+      {
+        Cluster cluster(2, 3);
+        (void)DistributedGroupByAggregate(
+            cluster, DistRelation::Scatter(rel, 2), {0}, value_col,
+            AggregateOp::kSum);
+      },
+      "CHECK failed");
+}
+
+TEST(DistributedAggregateDeathTest, RejectsMissingValueColumn) {
+  ExpectSumDiesOnValueColumn(-1);
+}
+
+TEST(DistributedAggregateDeathTest, RejectsValueColumnPastArity) {
+  ExpectSumDiesOnValueColumn(2);
+}
+
 TEST(DistributedAggregateTest, SumOverflowSurfacesTypedError) {
   const Value half = Value{1} << 63;
   Relation rel(2);
@@ -245,6 +271,67 @@ TEST(DistributedAggregateTest, SumOverflowSurfacesTypedError) {
     EXPECT_EQ(result.status().code(), StatusCode::kOutOfRange);
   }
 }
+
+// --- The shared group table when every key has the same hash ---
+//
+// Every key goes in under one fixed 64-bit hash, so each probe walks the
+// whole occupied run and only the key bytes tell groups apart, through
+// every rehash from 16 slots up. The table must hold one entry per key in
+// first-insertion order, and each accumulator must equal the serial
+// std::map GroupByAggregate of the same rows.
+class GroupTableTest
+    : public ::testing::TestWithParam<std::tuple<int, AggregateOp>> {};
+
+TEST_P(GroupTableTest, OneHashForEveryKeyKeepsGroupsApart) {
+  const auto [width, op] = GetParam();
+  constexpr uint64_t kOneHash = 0x5bd1e9955bd1e995ULL;
+  Rng rng(21);
+  Relation rows(width + 1);
+  std::set<std::vector<Value>> seen;
+  std::vector<std::vector<Value>> first_seen;
+  agg_internal::GroupTable table(width);
+  for (int i = 0; i < 2000; ++i) {
+    const Value a = rng.Uniform(300);
+    // Width 2: keys that share their first column differ in the second.
+    std::vector<Value> key = {a};
+    if (width == 2) key = {a % 100, a / 100};
+    const Value value = rng.Uniform(1000);
+    const auto [acc, inserted] = table.Upsert(kOneHash, key.data());
+    ASSERT_TRUE(agg_internal::AccumulateRow(acc, inserted, value, op));
+    const bool is_new = seen.insert(key).second;
+    ASSERT_EQ(inserted, is_new) << "row " << i;
+    if (is_new) first_seen.push_back(key);
+    key.push_back(value);
+    rows.AppendRow(key);
+  }
+  ASSERT_GE(table.num_groups(), 200);
+  ASSERT_EQ(table.num_groups(), static_cast<int64_t>(first_seen.size()));
+  std::vector<int> key_cols;
+  for (int c = 0; c < width; ++c) key_cols.push_back(c);
+  const Relation expected = GroupByAggregate(rows, key_cols, width, op).value();
+  ASSERT_EQ(expected.size(), table.num_groups());
+  std::map<std::vector<Value>, Value> want;
+  for (int64_t r = 0; r < expected.size(); ++r) {
+    const Value* row = expected.row(r);
+    want[std::vector<Value>(row, row + width)] = row[width];
+  }
+  for (size_t n = 0; n < table.entries().size(); ++n) {
+    const agg_internal::GroupTable::Entry& e = table.entries()[n];
+    const Value* k = table.key_of(e);
+    const std::vector<Value> key(k, k + width);
+    EXPECT_EQ(key, first_seen[n]) << "entry " << n;
+    EXPECT_EQ(e.hash, kOneHash);
+    EXPECT_EQ(e.acc, want.at(key)) << "entry " << n;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Sweep, GroupTableTest,
+    ::testing::Combine(::testing::Values(1, 2), ::testing::ValuesIn(kAllOps)),
+    [](const auto& info) {
+      return "width" + std::to_string(std::get<0>(info.param)) + "_" +
+             OpName(std::get<1>(info.param));
+    });
 
 // --- The per-server kernel against the std::map oracle ---
 //
@@ -363,6 +450,92 @@ TEST_P(GroupByKernelTest, ValuesAtOrAboveTwoToThe63) {
   ExpectKernelMatchesOracle(input, {0, 1}, 2, op, combiners);
   ExpectKernelMatchesOracle(input, {1}, 2, op, combiners);
   ExpectKernelMatchesOracle(input, {0}, 2, op, combiners);
+}
+
+// Zipf keys over a large domain: hundreds of groups per server, so every
+// combine and merge table grows through several rehashes.
+TEST_P(GroupByKernelTest, ZipfManyGroupsMatchOracle) {
+  const auto [op, combiners] = GetParam();
+  Rng rng(15);
+  const Relation rel = GenerateZipf(rng, 6000, 2, 3000, 0, 1.2);
+  ExpectKernelMatchesOracle(DistRelation::Scatter(rel, 8), {0}, 1, op,
+                            combiners);
+}
+
+// Every row its own group: combiners save nothing, and the merge sorts as
+// many groups as rows.
+TEST_P(GroupByKernelTest, AllDistinctKeysMatchOracle) {
+  const auto [op, combiners] = GetParam();
+  Relation rel(2);
+  for (Value i = 0; i < 6000; ++i) rel.AppendRow({i, i % 97});
+  ExpectKernelMatchesOracle(DistRelation::Scatter(rel, 8), {0}, 1, op,
+                            combiners);
+}
+
+// Fragments of uneven sizes, one of them empty, over 16 servers.
+TEST_P(GroupByKernelTest, UnevenFragmentsMatchOracle) {
+  const auto [op, combiners] = GetParam();
+  Rng rng(16);
+  std::vector<Relation> fragments;
+  for (int f = 0; f < 16; ++f) {
+    fragments.push_back(f == 7 ? Relation(2)
+                               : GenerateUniform(rng, 100 + 137 * f, 2, 64));
+  }
+  ExpectKernelMatchesOracle(DistRelation::FromFragments(std::move(fragments)),
+                            {0}, 1, op, combiners);
+}
+
+// The serial GroupByAggregate decides the outcome: when it succeeds the
+// kernel must match it server by server, and when it fails the kernel
+// must fail with the same code.
+void ExpectKernelMatchesOracleOutcome(const DistRelation& input, int value_col,
+                                      AggregateOp op, bool combiners) {
+  const StatusOr<Relation> serial =
+      GroupByAggregate(input.Collect(), {0}, value_col, op);
+  if (serial.ok()) {
+    ExpectKernelMatchesOracle(input, {0}, value_col, op, combiners);
+    return;
+  }
+  Cluster cluster(input.num_servers(), kKernelSeed);
+  GroupByOptions options;
+  options.use_combiners = combiners;
+  const StatusOr<DistRelation> got = DistributedGroupByAggregate(
+      cluster, input, {0}, value_col, op, options);
+  ASSERT_FALSE(got.ok()) << "op=" << OpName(op) << " combiners=" << combiners;
+  EXPECT_EQ(got.status().code(), serial.status().code());
+}
+
+// A group whose SUM is exactly UINT64_MAX fits; one more unit wraps, and
+// only that group's overflow fails the query.
+TEST_P(GroupByKernelTest, SumAtUint64MaxBoundary) {
+  const auto [op, combiners] = GetParam();
+  const Value int64_max = (Value{1} << 63) - 1;
+  Relation fits(2);
+  fits.AppendRow({1, int64_max});
+  fits.AppendRow({1, int64_max});
+  fits.AppendRow({1, 1});
+  fits.AppendRow({2, 2});
+  ExpectKernelMatchesOracleOutcome(DistRelation::Scatter(fits, 4), 1, op,
+                                   combiners);
+  Relation wraps = fits;
+  wraps.AppendRow({1, 1});
+  ExpectKernelMatchesOracleOutcome(DistRelation::Scatter(wraps, 4), 1, op,
+                                   combiners);
+  EXPECT_EQ(GroupByAggregate(fits, {0}, 1, AggregateOp::kSum)->at(0, 1),
+            ~Value{0});
+  EXPECT_FALSE(GroupByAggregate(wraps, {0}, 1, AggregateOp::kSum).ok());
+}
+
+// 4096 rows of 2^52 per group: each server's partial fits, and the SUM
+// wraps only once the shuffle brings enough rows together.
+TEST_P(GroupByKernelTest, OverflowPaddedAcrossManyRows) {
+  const auto [op, combiners] = GetParam();
+  Relation rel(2);
+  for (Value g = 0; g < 2; ++g) {
+    for (int i = 0; i < 4096; ++i) rel.AppendRow({g, Value{1} << 52});
+  }
+  ExpectKernelMatchesOracleOutcome(DistRelation::Scatter(rel, 8), 1, op,
+                                   combiners);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -24,7 +24,6 @@
 #include "acyclic/gym.h"
 #include "common/simd.h"
 #include "agg/aggregate.h"
-#include "agg/groupby_engine.h"
 #include "join/broadcast_join.h"
 #include "join/cartesian.h"
 #include "join/hash_join.h"
@@ -40,7 +39,6 @@
 #include "multiway/skew_hc.h"
 #include "query/ghd.h"
 #include "query/query.h"
-#include "relation/columnar.h"
 #include "relation/relation_ops.h"
 #include "sort/multi_round_sort.h"
 #include "sort/psrs.h"
@@ -551,10 +549,14 @@ TEST(DeterminismTest, MorselBoundarySkewedSingleSource) {
 // The distributed aggregate runs one serial per-server kernel on each
 // side of its shuffle (combine, merge); the combine emits partials in
 // insertion order and the merge sorts by key, so output AND cost report
-// must hold across thread counts x morsel sizes.
+// must hold across thread counts x morsel sizes. The wide input reads 2 of
+// 6 columns, with its 1-column key in the middle of the row, and its
+// collected result must also equal the serial std::map GroupByAggregate.
 TEST(DeterminismTest, DistributedGroupByAggregate) {
   Rng rng(131);
   const Relation input = GenerateZipf(rng, 4000, 3, 300, 0, 1.2);
+  Rng wide_rng(kSeed + 1);
+  const Relation wide = GenerateZipf(wide_rng, 12000, 6, 200, 1, 1.1);
   for (const AggregateOp op :
        {AggregateOp::kSum, AggregateOp::kCount, AggregateOp::kMax}) {
     ExpectMorselInvariant([&](Cluster& cluster) {
@@ -563,6 +565,17 @@ TEST(DeterminismTest, DistributedGroupByAggregate) {
                  op)
           .value();
     });
+    const auto wide_body = [&](Cluster& cluster) {
+      return DistributedGroupByAggregate(
+                 cluster, DistRelation::Scatter(wide, kServers), {1}, 3, op)
+          .value();
+    };
+    ExpectMorselInvariant(wide_body);
+    Cluster cluster(kServers, kSeed);
+    Relation collected = wide_body(cluster).Collect();
+    collected.SortRows();
+    EXPECT_EQ(collected, GroupByAggregate(wide, {1}, 3, op).value())
+        << "op=" << static_cast<int>(op);
   }
   // The no-combiner shuffle path routes raw rows through HashPartition.
   ExpectMorselInvariant([&](Cluster& cluster) {
@@ -764,70 +777,15 @@ TEST(DeterminismTest, MorselBoundaryWriteCombiningCopy) {
       /*servers=*/kWideServers);
 }
 
-// --- Columnar scan invariance ---
-//
-// A group-by reading 2 of 6 columns crosses UseColumnarScan's input rule,
-// so the engine's tree-merge and radix strategies scan compacted columns.
-// The body shuffles the wide relation by its group column (one metered
-// round) and runs the engine on every received fragment with the
-// cluster's pool and morsel grain. Both strategies must reproduce the
-// serial sorted-map strategy, which never compacts, bit for bit across
-// thread counts x morsel sizes — outputs and CostReports.
-std::function<DistRelation(Cluster&)> WideEngineGroupBy(
-    const Relation& wide, GroupByStrategy strategy) {
-  return [&wide, strategy](Cluster& cluster) {
-    const DistRelation routed =
-        HashPartition(cluster, DistRelation::Scatter(wide, kServers), {1},
-                      cluster.NewHashFunction(), "wide group-by: shuffle");
-    GroupByEngineOptions engine;
-    engine.strategy = strategy;
-    engine.pool = &cluster.pool();
-    engine.morsel_rows = cluster.morsel_rows();
-    DistRelation out(2, kServers);
-    for (int s = 0; s < kServers; ++s) {
-      out.fragment(s) = GroupByAggregateParallel(routed.fragment(s), {1}, 3,
-                                                 AggregateOp::kSum, engine)
-                            .value();
-    }
-    return out;
-  };
-}
-
-TEST(ColumnarScanInvariance, WideGroupByMatchesSortedMap) {
-  Rng rng(kSeed + 1);
-  const Relation wide = GenerateZipf(rng, 12000, 6, 200, 1, 1.1);
-  ASSERT_TRUE(UseColumnarScan(wide.arity(), 2));
-  const RunResult reference =
-      RunWith(1, WideEngineGroupBy(wide, GroupByStrategy::kSortedMap));
-  EXPECT_GT(reference.report.num_rounds(), 0) << "body metered nothing";
-  for (const GroupByStrategy strategy :
-       {GroupByStrategy::kTreeMerge, GroupByStrategy::kRadix}) {
-    for (const int threads : kThreadCounts) {
-      for (const int64_t morsel : kMorselSizes) {
-        const RunResult got =
-            RunWith(threads, WideEngineGroupBy(wide, strategy), morsel);
-        ASSERT_EQ(reference.fragments.size(), got.fragments.size());
-        for (size_t s = 0; s < reference.fragments.size(); ++s) {
-          EXPECT_EQ(reference.fragments[s], got.fragments[s])
-              << "fragment " << s << " differs at strategy="
-              << GroupByStrategyName(strategy) << " threads=" << threads
-              << " morsel=" << morsel;
-        }
-        ExpectSameReport(reference.report, got.report, threads);
-      }
-    }
-  }
-}
-
 // --- SIMD ISA invariance ---
 //
 // The fourth axis of the contract: the dispatched SIMD level (scalar vs
 // the best this hardware offers) selects the instruction sequence of the
-// hot kernels — route hashing, bucket routing, group hashes — and every
-// kernel is bit-identical to its scalar reference by construction. These
-// sweeps prove it end to end: outputs and CostReports from forced-scalar
-// runs must match the best-ISA runs across exchange, group-by, and
-// semijoin paths x thread counts x morsel sizes.
+// hot kernels — route hashing, bucket routing — and every kernel is
+// bit-identical to its scalar reference by construction. These sweeps
+// prove it end to end: outputs and CostReports from forced-scalar runs
+// must match the best-ISA runs across exchange, group-by, and semijoin
+// paths x thread counts x morsel sizes.
 
 // Both interesting levels: the scalar reference and whatever the box
 // actually dispatches (deduped — on a scalar-only box the sweep still
@@ -890,17 +848,12 @@ TEST(SimdInvariance, Semijoin) {
   });
 }
 
-// Group-by reading 2 of 6 columns, so the input rule compacts the
-// engine's scans: they batch their hashes through GroupHashMany; both
-// pinned strategies plus the distributed group-by must reproduce the
+// Group-by reading 2 of 6 columns: the shuffle hashes a key from the
+// middle of each wide row, and the distributed group-by must reproduce the
 // scalar run bit for bit.
-TEST(SimdInvariance, GroupByColumnarScans) {
+TEST(SimdInvariance, WideGroupBy) {
   Rng rng(kSeed + 11);
   const Relation wide = GenerateZipf(rng, 12000, 6, 200, 1, 1.1);
-  for (const GroupByStrategy strategy :
-       {GroupByStrategy::kTreeMerge, GroupByStrategy::kRadix}) {
-    ExpectSimdInvariant(WideEngineGroupBy(wide, strategy));
-  }
   ExpectSimdInvariant([&](Cluster& cluster) {
     return DistributedGroupByAggregate(cluster,
                                        DistRelation::Scatter(wide, kServers),

@@ -420,29 +420,6 @@ TEST(ColumnarTest, GatherKeyColumnIndexedMatchesReference) {
   EXPECT_EQ(untouched, 42u);
 }
 
-// The input-derived compaction rule: compact only when the row is at
-// least kColumnarScanArityFactor times wider than the columns read (a
-// zero-column read counts as one), and never when the read covers the row.
-TEST(ColumnarTest, UseColumnarScanFollowsArityRule) {
-  EXPECT_FALSE(UseColumnarScan(1, 1));
-  EXPECT_FALSE(UseColumnarScan(2, 1));
-  EXPECT_TRUE(UseColumnarScan(3, 1));
-  EXPECT_FALSE(UseColumnarScan(2, 0));
-  EXPECT_TRUE(UseColumnarScan(3, 0));
-  EXPECT_FALSE(UseColumnarScan(5, 2));
-  EXPECT_TRUE(UseColumnarScan(6, 2));
-  EXPECT_FALSE(UseColumnarScan(6, 6));
-  for (int arity = 1; arity <= 16; ++arity) {
-    for (int read = 0; read <= arity; ++read) {
-      const bool expected =
-          read < arity &&
-          arity >= kColumnarScanArityFactor * std::max(read, 1);
-      EXPECT_EQ(UseColumnarScan(arity, read), expected)
-          << "arity " << arity << " read " << read;
-    }
-  }
-}
-
 TEST(ColumnarTest, SemijoinColumnarProbeSurvivesForcedCollisions) {
   // A constant test hash forces every distinct key into one directory
   // chain; batched HashKeys + LookupWithHash must still verify exact keys.

@@ -194,27 +194,6 @@ TEST(SimdKernelTest, BucketManyMatchesReferenceAtEveryLevel) {
   }
 }
 
-TEST(SimdKernelTest, GroupHashManyMatchesReferenceAtEveryLevel) {
-  const uint64_t seed = 0x9e3779b97f4a7c15ULL;
-  const uint64_t kMasks[] = {~uint64_t{0}, (uint64_t{1} << 20) - 1, 1, 0};
-  for (IsaLevel level : LevelsUnderTest()) {
-    simd::ScopedIsaOverride over(level);
-    for (int64_t count : kCounts) {
-      const std::vector<uint64_t> keys = TestValues(count);
-      std::vector<uint64_t> out(static_cast<size_t>(count), 0xcc);
-      for (uint64_t mask : kMasks) {
-        simd::GroupHashMany(keys.data(), count, seed, mask, out.data());
-        for (int64_t i = 0; i < count; ++i) {
-          ASSERT_EQ(out[i],
-                    RefSplitMix64(seed ^ RefSplitMix64(keys[i])) & mask)
-              << "level " << simd::IsaLevelName(level) << " count " << count
-              << " mask " << mask << " index " << i;
-        }
-      }
-    }
-  }
-}
-
 TEST(SimdKernelTest, HistogramTopBitsMatchesReferenceAtEveryLevel) {
   for (IsaLevel level : LevelsUnderTest()) {
     simd::ScopedIsaOverride over(level);
@@ -257,9 +236,6 @@ TEST(SimdKernelTest, DefaultDispatchAgreesWithForcedScalar) {
   std::vector<int32_t> buckets_default(static_cast<size_t>(n));
   simd::HashMany(values.data(), n, 0xabcdef, hashed_default.data());
   simd::BucketMany(values.data(), n, 0xabcdef, 4999, buckets_default.data());
-  std::vector<uint64_t> group_default(static_cast<size_t>(n));
-  simd::GroupHashMany(values.data(), n, 0x1234, ~uint64_t{0},
-                      group_default.data());
 
   simd::ScopedIsaOverride over(IsaLevel::kScalar);
   std::vector<uint64_t> hashed_scalar(static_cast<size_t>(n));
@@ -268,10 +244,6 @@ TEST(SimdKernelTest, DefaultDispatchAgreesWithForcedScalar) {
   simd::BucketMany(values.data(), n, 0xabcdef, 4999, buckets_scalar.data());
   EXPECT_EQ(hashed_default, hashed_scalar);
   EXPECT_EQ(buckets_default, buckets_scalar);
-  std::vector<uint64_t> group_scalar(static_cast<size_t>(n));
-  simd::GroupHashMany(values.data(), n, 0x1234, ~uint64_t{0},
-                      group_scalar.data());
-  EXPECT_EQ(group_default, group_scalar);
 }
 
 }  // namespace
