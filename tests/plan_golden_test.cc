@@ -128,6 +128,85 @@ TEST(PlanGoldenTest, SkewedTriangleCostlyRounds) {
                       kSkewedTriangleCostlyRounds);
 }
 
+// ---------- Every candidate's estimate, bit for bit ----------
+
+// One line per whole-query candidate: family, feasibility, estimated load
+// (every bit, %.17g) and estimated rounds. Pins the estimators themselves,
+// not only the family they make the planner pick.
+std::string CandidateTable(const ConjunctiveQuery& q,
+                           const std::vector<Relation>& atoms) {
+  PlannerOptions options;
+  options.round_cost_tuples = 1e7;
+  const PlannedQuery planned =
+      PlanQuery(q, Scatter(atoms, kServers), kServers, options, nullptr);
+  std::string table;
+  for (const CandidatePlan& c : planned.candidates) {
+    char line[160];
+    std::snprintf(line, sizeof(line), "%s feasible=%d L=%.17g r=%d\n",
+                  PlanAlgorithmName(c.algorithm), c.feasible ? 1 : 0,
+                  c.estimated_load, c.estimated_rounds);
+    table += line;
+  }
+  return table;
+}
+
+const char kCandidateEstimates[] =
+    "uniform triangle\n"
+    "hypercube feasible=1 L=1500 r=1\n"
+    "skew-hc feasible=1 L=1500 r=1\n"
+    "binary-plan feasible=1 L=257.3451561672843 r=2\n"
+    "gym feasible=0 L=0 r=0\n"
+    "bigjoin feasible=1 L=375.0746119339305 r=12\n"
+    "skewed triangle\n"
+    "hypercube feasible=1 L=3000 r=1\n"
+    "skew-hc feasible=1 L=1500 r=1\n"
+    "binary-plan feasible=1 L=250 r=2\n"
+    "gym feasible=0 L=0 r=0\n"
+    "bigjoin feasible=1 L=500 r=12\n"
+    "zipf(1.5) star\n"
+    "hypercube feasible=1 L=4000 r=1\n"
+    "skew-hc feasible=1 L=1000 r=1\n"
+    "binary-plan feasible=1 L=1968.5039370078741 r=1\n"
+    "gym feasible=1 L=2282.5203252032525 r=7\n"
+    "bigjoin feasible=0 L=0 r=0\n";
+
+TEST(PlanGoldenTest, CandidateEstimates) {
+  const ConjunctiveQuery triangle = ConjunctiveQuery::Triangle();
+  std::string actual = "uniform triangle\n";
+  {
+    // PlanGoldenTest.UniformTriangleCostlyRounds' data.
+    Rng rng(51);
+    std::vector<Relation> atoms;
+    for (int j = 0; j < 3; ++j) {
+      atoms.push_back(GenerateUniform(rng, 2000, 2, 1 << 14));
+    }
+    actual += CandidateTable(triangle, atoms);
+  }
+  actual += "skewed triangle\n";
+  {
+    // PlanGoldenTest.SkewedTriangleCostlyRounds' data.
+    Rng rng(52);
+    const std::vector<Relation> atoms = {
+        GenerateUniform(rng, 2000, 2, 1 << 14),
+        GenerateConstantColumn(2000, 1, 7),
+        GenerateConstantColumn(2000, 0, 7),
+    };
+    actual += CandidateTable(triangle, atoms);
+  }
+  actual += "zipf(1.5) star\n";
+  {
+    const auto star = ConjunctiveQuery::Parse("R(x,y), S(x,z)");
+    ASSERT_TRUE(star.ok());
+    Rng rng(55);
+    const std::vector<Relation> atoms = {
+        GenerateZipf(rng, 2000, 2, 200, 0, 1.5),
+        GenerateZipf(rng, 2000, 2, 200, 0, 1.5),
+    };
+    actual += CandidateTable(*star, atoms);
+  }
+  ExpectMatchesGolden("CandidateEstimates", actual, kCandidateEstimates);
+}
+
 // ---------- Acyclic path, rounds free ----------
 
 const char kAcyclicPathFreeRounds[] =
