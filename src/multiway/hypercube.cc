@@ -11,6 +11,44 @@
 
 namespace mpcqp {
 
+GridSlab::GridSlab(const std::vector<int>& shares,
+                   const std::vector<std::pair<int, int>>& var_cols) {
+  const int k = static_cast<int>(shares.size());
+  std::vector<int32_t> strides(k, 1);
+  for (int v = 1; v < k; ++v) strides[v] = strides[v - 1] * shares[v - 1];
+  std::vector<bool> is_fixed(k, false);
+  for (const auto& [v, c] : var_cols) {
+    is_fixed[v] = true;
+    if (shares[v] > 1) spread_.push_back({v, c, shares[v], strides[v]});
+  }
+  offsets_ = {0};
+  for (int v = 0; v < k; ++v) {
+    if (is_fixed[v]) continue;
+    const size_t count = offsets_.size();
+    for (int coord = 1; coord < shares[v]; ++coord) {
+      for (size_t i = 0; i < count; ++i) {
+        offsets_.push_back(offsets_[i] + coord * strides[v]);
+      }
+    }
+  }
+}
+
+void GridSlab::AddBases(const Relation& frag, int64_t begin, int64_t end,
+                        const std::vector<HashFunction>& hashes,
+                        int32_t* base) const {
+  const int64_t rows = end - begin;
+  thread_local std::vector<Value> column;
+  thread_local std::vector<int32_t> bucket;
+  column.resize(static_cast<size_t>(rows));
+  bucket.resize(static_cast<size_t>(rows));
+  for (const Dim& d : spread_) {
+    GatherKeyColumn(frag.data().data(), frag.arity(), d.col, begin, end,
+                    column.data());
+    hashes[d.var].BucketMany(column.data(), rows, d.share, bucket.data());
+    for (int64_t i = 0; i < rows; ++i) base[i] += bucket[i] * d.stride;
+  }
+}
+
 HyperCubeResult HyperCubeJoin(Cluster& cluster, const ConjunctiveQuery& q,
                               const std::vector<DistRelation>& atoms,
                               const HyperCubeOptions& options) {
@@ -40,11 +78,6 @@ HyperCubeResult HyperCubeJoin(Cluster& cluster, const ConjunctiveQuery& q,
     shares = ComputeShares(q, sizes, p).shares;
   }
 
-  // Mixed-radix strides: coordinate c = (c_0..c_{k-1}) lives on server
-  // Σ c_i * stride_i; only the first Π shares servers are used.
-  std::vector<int64_t> strides(k, 1);
-  for (int v = 1; v < k; ++v) strides[v] = strides[v - 1] * shares[v - 1];
-
   // One independent hash function per variable.
   std::vector<HashFunction> hashes;
   hashes.reserve(k);
@@ -57,25 +90,9 @@ HyperCubeResult HyperCubeJoin(Cluster& cluster, const ConjunctiveQuery& q,
   routed.reserve(q.num_atoms());
   for (int j = 0; j < q.num_atoms(); ++j) {
     const Atom& atom = q.atom(j);
-    // Fixed dimensions: first-occurrence column per distinct variable.
-    const std::vector<std::pair<int, int>> var_cols = DistinctVarCols(atom);
-    std::vector<bool> is_fixed(k, false);
-    for (const auto& [v, c] : var_cols) is_fixed[v] = true;
-
     // The atom's slab: the fixed variables' coordinates give one base
-    // server per row, and the row goes to base + o for every combination
-    // o of the free dimensions' coordinates, enumerated once per atom.
-    std::vector<int> offsets = {0};
-    for (int v = 0; v < k; ++v) {
-      if (is_fixed[v]) continue;
-      const size_t count = offsets.size();
-      for (int coord = 1; coord < shares[v]; ++coord) {
-        for (size_t i = 0; i < count; ++i) {
-          offsets.push_back(
-              static_cast<int>(offsets[i] + coord * strides[v]));
-        }
-      }
-    }
+    // server per row, and the free dimensions' offsets its copies.
+    const GridSlab slab(shares, DistinctVarCols(atom));
 
     // Rows violating a repeated variable can never join: dropping them
     // locally is free and saves communication. Rows keep full arity,
@@ -86,36 +103,14 @@ HyperCubeResult HyperCubeJoin(Cluster& cluster, const ConjunctiveQuery& q,
           FilterRepeatedVars(atom, atoms[j].fragment(s));
     });
 
-    // Fixed variables with a share above 1; a share-1 variable's only
-    // coordinate is 0 (Bucket(v, 1) == 0), so it adds nothing to a base.
-    std::vector<std::pair<int, int>> spread_cols;
-    for (const auto& [v, c] : var_cols) {
-      if (shares[v] > 1) spread_cols.push_back({v, c});
-    }
-
-    // Per morsel: gather each spread variable's column and bucket it in
-    // one BucketMany pass (== Bucket element-wise), accumulating
-    // bucket * stride into the bases.
     routed.push_back(RouteGrid(
         cluster, prefiltered,
         [&](const Relation& frag, int64_t begin, int64_t end,
             int32_t* base) {
-          const int64_t rows = end - begin;
-          std::fill(base, base + rows, 0);
-          thread_local std::vector<Value> column;
-          thread_local std::vector<int32_t> bucket;
-          column.resize(static_cast<size_t>(rows));
-          bucket.resize(static_cast<size_t>(rows));
-          for (const auto& [v, c] : spread_cols) {
-            GatherKeyColumn(frag.data().data(), frag.arity(), c, begin, end,
-                            column.data());
-            hashes[v].BucketMany(column.data(), rows, shares[v],
-                                 bucket.data());
-            const int32_t stride = static_cast<int32_t>(strides[v]);
-            for (int64_t i = 0; i < rows; ++i) base[i] += bucket[i] * stride;
-          }
+          std::fill(base, base + (end - begin), 0);
+          slab.AddBases(frag, begin, end, hashes, base);
         },
-        offsets, ""));
+        slab.offsets(), ""));
   }
   cluster.EndRound();
 

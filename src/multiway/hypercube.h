@@ -1,8 +1,11 @@
 #ifndef MPCQP_MULTIWAY_HYPERCUBE_H_
 #define MPCQP_MULTIWAY_HYPERCUBE_H_
 
+#include <cstdint>
+#include <utility>
 #include <vector>
 
+#include "common/hash.h"
 #include "mpc/cluster.h"
 #include "mpc/dist_relation.h"
 #include "multiway/shares.h"
@@ -37,6 +40,40 @@ struct HyperCubeResult {
   DistRelation output;
   // The integer shares actually used.
   std::vector<int> shares;
+};
+
+// One atom's slab of a share grid with mixed-radix strides (variable 0
+// varies fastest): the atom's variables fix their coordinates from the
+// row's hashes, and every other variable ranges over all of its own. A
+// row goes to base + o for each o of offsets(), its base from AddBases.
+// HyperCube builds one per atom; SkewHC one per (residual, atom), with
+// its heavy variables at share 1.
+class GridSlab {
+ public:
+  // `shares` has one entry per query variable; `var_cols` is the atom's
+  // DistinctVarCols.
+  GridSlab(const std::vector<int>& shares,
+           const std::vector<std::pair<int, int>>& var_cols);
+
+  // The free dimensions' linear offsets, enumerated once; 0 first.
+  const std::vector<int>& offsets() const { return offsets_; }
+
+  // base[i] += Σ_v hashes[v].Bucket(row[v], share_v) · stride_v for rows
+  // [begin, end) of `frag`, one BucketMany pass per column. A share-1
+  // variable's only coordinate is 0, so it adds nothing and is skipped.
+  void AddBases(const Relation& frag, int64_t begin, int64_t end,
+                const std::vector<HashFunction>& hashes,
+                int32_t* base) const;
+
+ private:
+  struct Dim {
+    int var;
+    int col;
+    int share;
+    int32_t stride;
+  };
+  std::vector<Dim> spread_;  // The atom's variables with share > 1.
+  std::vector<int> offsets_;
 };
 
 // atoms[j] instantiates q.atom(j) (arities must match).

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
+#include <utility>
 
 #include "common/check.h"
 #include "query/hypergraph_lp.h"
@@ -113,6 +115,40 @@ IntegerShares ComputeShares(const ConjunctiveQuery& q,
   }
   MPCQP_CHECK(false) << "unknown rounding";
   return {};
+}
+
+std::vector<int> ResidualShares(const ConjunctiveQuery& q, uint32_t heavy_vars,
+                                const std::vector<int64_t>& sizes, int p) {
+  std::vector<int> light;
+  std::vector<int> index(q.num_vars(), -1);
+  std::vector<std::string> names;
+  for (int v = 0; v < q.num_vars(); ++v) {
+    if ((heavy_vars & (1u << v)) != 0) continue;
+    index[v] = static_cast<int>(light.size());
+    light.push_back(v);
+    names.push_back(q.var_name(v));
+  }
+  std::vector<Atom> residual_atoms;
+  std::vector<int64_t> residual_sizes;
+  for (int j = 0; j < q.num_atoms(); ++j) {
+    Atom atom;
+    atom.name = q.atom(j).name;
+    for (const auto& [v, c] : DistinctVarCols(q.atom(j))) {
+      if (index[v] >= 0) atom.vars.push_back(index[v]);
+    }
+    if (!atom.vars.empty()) {
+      residual_atoms.push_back(std::move(atom));
+      residual_sizes.push_back(sizes[j]);
+    }
+  }
+  std::vector<int> shares(q.num_vars(), 1);
+  if (residual_atoms.empty()) return shares;
+  const IntegerShares residual = ComputeShares(
+      ConjunctiveQuery::Make(names, residual_atoms), residual_sizes, p);
+  for (size_t i = 0; i < light.size(); ++i) {
+    shares[light[i]] = residual.shares[i];
+  }
+  return shares;
 }
 
 }  // namespace mpcqp

@@ -37,6 +37,15 @@ IntegerShares ComputeShares(const ConjunctiveQuery& q,
                             const std::vector<int64_t>& sizes, int p,
                             ShareRounding rounding = ShareRounding::kFloorGreedy);
 
+// Shares for the residual query of SkewHC's combo `heavy_vars` (bit v set
+// = variable v heavy): every heavy variable keeps share 1, and the light
+// ones take ComputeShares of the query that keeps each atom's light
+// variables, sized by `sizes` (per atom of `q`). Atoms left with no light
+// variable are dropped from it, since they only filter. One share per
+// variable of `q`.
+std::vector<int> ResidualShares(const ConjunctiveQuery& q, uint32_t heavy_vars,
+                                const std::vector<int64_t>& sizes, int p);
+
 }  // namespace mpcqp
 
 #endif  // MPCQP_MULTIWAY_SHARES_H_

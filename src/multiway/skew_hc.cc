@@ -1,46 +1,28 @@
 #include "multiway/skew_hc.h"
 
 #include <algorithm>
-#include <map>
-#include <unordered_set>
 
 #include "common/check.h"
+#include "common/flat_counter.h"
 #include "common/trace.h"
 #include "join/heavy_hitters.h"
 #include "mpc/exchange.h"
 #include "mpc/metrics.h"
-#include "query/hypergraph_lp.h"
+#include "multiway/hypercube.h"
 #include "query/local_eval.h"
-#include "relation/columnar.h"
-#include "relation/relation_ops.h"
 
 namespace mpcqp {
-
-namespace {
-
-// Heaviness signature of a row restricted to the atom's variables: bit v
-// set iff the row's value for v is heavy.
-uint32_t RowSignature(const Value* row,
-                      const std::vector<std::pair<int, int>>& var_cols,
-                      const std::vector<std::unordered_set<Value>>& heavy) {
-  uint32_t sig = 0;
-  for (const auto& [v, c] : var_cols) {
-    if (heavy[v].count(row[c]) > 0) sig |= (1u << v);
-  }
-  return sig;
-}
-
-}  // namespace
 
 SkewHcResult SkewHcJoin(Cluster& cluster, const ConjunctiveQuery& q,
                         const std::vector<DistRelation>& atoms,
                         const SkewHcOptions& options) {
   const int p = cluster.num_servers();
   const int k = q.num_vars();
+  const int m = q.num_atoms();
   MPCQP_TRACE_SCOPE("skew_hc", "algorithm");
   MPCQP_CHECK_LE(k, 30) << "SkewHC uses a bitmask over variables";
-  MPCQP_CHECK_EQ(static_cast<int>(atoms.size()), q.num_atoms());
-  for (int j = 0; j < q.num_atoms(); ++j) {
+  MPCQP_CHECK_EQ(static_cast<int>(atoms.size()), m);
+  for (int j = 0; j < m; ++j) {
     MPCQP_CHECK_EQ(atoms[j].arity(), q.atom(j).arity());
     MPCQP_CHECK_EQ(atoms[j].num_servers(), p);
   }
@@ -52,46 +34,63 @@ SkewHcResult SkewHcJoin(Cluster& cluster, const ConjunctiveQuery& q,
                               static_cast<double>(total_in) / p));
 
   // Heavy sets per variable: degree > threshold in any atom containing it.
-  std::vector<std::unordered_set<Value>> heavy(k);
-  for (int j = 0; j < q.num_atoms(); ++j) {
+  std::vector<FlatCounter> heavy(k);
+  uint32_t heavy_capable = 0;
+  for (int j = 0; j < m; ++j) {
     for (const auto& [v, c] : DistinctVarCols(q.atom(j))) {
       for (const HeavyHitter& h : FindHeavyHitters(atoms[j], c, threshold)) {
-        heavy[v].insert(h.value);
+        heavy[v].Add(h.value);
+        heavy_capable |= (1u << v);
       }
     }
   }
 
-  uint32_t heavy_capable = 0;
-  for (int v = 0; v < k; ++v) {
-    if (!heavy[v].empty()) heavy_capable |= (1u << v);
+  std::vector<std::vector<std::pair<int, int>>> atom_var_cols(m);
+  std::vector<uint32_t> atom_var_mask(m, 0);
+  for (int j = 0; j < m; ++j) {
+    atom_var_cols[j] = DistinctVarCols(q.atom(j));
+    for (const auto& [v, c] : atom_var_cols[j]) atom_var_mask[j] |= 1u << v;
   }
 
-  // Per-atom class sizes by signature (over the atom's own variables).
-  std::vector<std::map<uint32_t, int64_t>> class_sizes(q.num_atoms());
-  std::vector<std::vector<std::pair<int, int>>> atom_var_cols;
-  for (int j = 0; j < q.num_atoms(); ++j) {
-    atom_var_cols.push_back(DistinctVarCols(q.atom(j)));
-    for (int s = 0; s < p; ++s) {
-      const Relation& frag = atoms[j].fragment(s);
-      for (int64_t i = 0; i < frag.size(); ++i) {
-        ++class_sizes[j][RowSignature(frag.row(i), atom_var_cols[j], heavy)];
+  // Classify every row once, one pool task per server: sigs[j][s][i] is
+  // the heaviness signature of row i of atoms[j].fragment(s) over the
+  // atom's variables (bit v set iff its value for v is heavy). Each task
+  // also counts its server's classes; the counts merge in server order.
+  std::vector<std::vector<std::vector<uint32_t>>> sigs(
+      m, std::vector<std::vector<uint32_t>>(p));
+  std::vector<std::vector<FlatCounter>> server_classes(
+      p, std::vector<FlatCounter>(m));
+  {
+    ScopedPhaseTimer classify_phase(cluster.metrics(), Phase::kLocalCompute);
+    MPCQP_TRACE_SCOPE("skew_hc classify", "compute");
+    cluster.pool().ParallelFor(p, [&](int64_t s) {
+      for (int j = 0; j < m; ++j) {
+        const Relation& frag = atoms[j].fragment(s);
+        const Value* data = frag.data().data();
+        const int arity = frag.arity();
+        std::vector<uint32_t>& sig = sigs[j][s];
+        sig.assign(static_cast<size_t>(frag.size()), 0);
+        for (const auto& [v, c] : atom_var_cols[j]) {
+          if ((heavy_capable & (1u << v)) == 0) continue;
+          for (int64_t i = 0; i < frag.size(); ++i) {
+            if (heavy[v].Get(data[i * arity + c]) > 0) sig[i] |= 1u << v;
+          }
+        }
+        for (const uint32_t row_sig : sig) server_classes[s][j].Add(row_sig);
       }
-    }
+    });
   }
-  std::vector<uint32_t> atom_var_mask(q.num_atoms(), 0);
-  for (int j = 0; j < q.num_atoms(); ++j) {
-    for (const auto& [v, c] : atom_var_cols[j]) {
-      atom_var_mask[j] |= (1u << v);
-    }
+  std::vector<FlatCounter> class_sizes(m);
+  for (int s = 0; s < p; ++s) {
+    for (int j = 0; j < m; ++j) class_sizes[j].MergeFrom(server_classes[s][j]);
   }
 
   // Enumerate combos (subsets of heavy-capable variables); plan each.
   struct ComboPlan {
     uint32_t combo = 0;
-    std::vector<int> shares;      // Per original variable; heavy -> 1.
-    std::vector<int64_t> sizes;   // Per atom class size.
-    int64_t grid_size = 1;        // Π shares.
-    int offset = 0;               // Rotation into [0, p).
+    std::vector<int> shares;     // Per original variable; heavy -> 1.
+    std::vector<int64_t> sizes;  // Per atom class size.
+    int offset = 0;              // Rotation into [0, p).
   };
   std::vector<ComboPlan> plans;
   std::vector<uint32_t> combos;
@@ -104,56 +103,14 @@ SkewHcResult SkewHcJoin(Cluster& cluster, const ConjunctiveQuery& q,
   for (uint32_t combo : combos) {
     ComboPlan plan;
     plan.combo = combo;
-    plan.sizes.resize(q.num_atoms());
+    plan.sizes.resize(m);
     bool viable = true;
-    for (int j = 0; j < q.num_atoms(); ++j) {
-      const uint32_t sig = combo & atom_var_mask[j];
-      const auto it = class_sizes[j].find(sig);
-      plan.sizes[j] = it == class_sizes[j].end() ? 0 : it->second;
+    for (int j = 0; j < m; ++j) {
+      plan.sizes[j] = class_sizes[j].Get(combo & atom_var_mask[j]);
       if (plan.sizes[j] == 0) viable = false;
     }
     if (!viable) continue;
-
-    // Residual query over light variables.
-    std::vector<int> light_vars;
-    for (int v = 0; v < k; ++v) {
-      if ((combo & (1u << v)) == 0) light_vars.push_back(v);
-    }
-    plan.shares.assign(k, 1);
-    if (!light_vars.empty()) {
-      std::vector<int> light_index(k, -1);
-      for (size_t i = 0; i < light_vars.size(); ++i) {
-        light_index[light_vars[i]] = static_cast<int>(i);
-      }
-      std::vector<std::string> names;
-      for (int v : light_vars) names.push_back(q.var_name(v));
-      std::vector<Atom> residual_atoms;
-      std::vector<int64_t> residual_sizes;
-      for (int j = 0; j < q.num_atoms(); ++j) {
-        Atom atom;
-        atom.name = q.atom(j).name;
-        for (const auto& [v, c] : atom_var_cols[j]) {
-          if (light_index[v] >= 0) atom.vars.push_back(light_index[v]);
-        }
-        if (!atom.vars.empty()) {
-          residual_atoms.push_back(std::move(atom));
-          residual_sizes.push_back(plan.sizes[j]);
-        }
-      }
-      if (!residual_atoms.empty()) {
-        // A light variable only in filter atoms cannot occur: every light
-        // variable's atoms all contain it as a light variable.
-        const ConjunctiveQuery residual =
-            ConjunctiveQuery::Make(names, residual_atoms);
-        const IntegerShares shares =
-            ComputeShares(residual, residual_sizes, p);
-        for (size_t i = 0; i < light_vars.size(); ++i) {
-          plan.shares[light_vars[i]] = shares.shares[i];
-        }
-      }
-    }
-    plan.grid_size = 1;
-    for (int v = 0; v < k; ++v) plan.grid_size *= plan.shares[v];
+    plan.shares = ResidualShares(q, combo, plan.sizes, p);
     // Rotate each combo's grid to a different region of the cluster.
     plan.offset = static_cast<int>((combo * 2654435761u) % p);
     plans.push_back(std::move(plan));
@@ -170,81 +127,26 @@ SkewHcResult SkewHcJoin(Cluster& cluster, const ConjunctiveQuery& q,
   routed.reserve(plans.size());
   for (const ComboPlan& plan : plans) {
     std::vector<DistRelation> combo_routed;
-    for (int j = 0; j < q.num_atoms(); ++j) {
+    for (int j = 0; j < m; ++j) {
+      // Each atom routes in place: a row outside the combo's class closes
+      // with no destination, and a class row goes to (offset + base + o)
+      // mod p for every offset o of its slab.
       const uint32_t want_sig = plan.combo & atom_var_mask[j];
-      // Class members only (local filter; free).
-      DistRelation clazz(atoms[j].arity(), p);
-      for (int s = 0; s < p; ++s) {
-        const Relation& frag = atoms[j].fragment(s);
-        for (int64_t i = 0; i < frag.size(); ++i) {
-          if (RowSignature(frag.row(i), atom_var_cols[j], heavy) ==
-              want_sig) {
-            clazz.fragment(s).AppendRowFrom(frag, i);
-          }
-        }
-      }
-
-      // Strides over the combo's grid.
-      std::vector<int64_t> strides(k, 0);
-      int64_t acc = 1;
-      for (int v = 0; v < k; ++v) {
-        strides[v] = acc;
-        acc *= plan.shares[v];
-      }
-      std::vector<int> fixed_light;   // Light vars present in this atom.
-      std::vector<int> fixed_cols;
-      for (const auto& [v, c] : atom_var_cols[j]) {
-        if ((plan.combo & (1u << v)) == 0) {
-          fixed_light.push_back(v);
-          fixed_cols.push_back(c);
-        }
-      }
-      std::vector<int> free_light;  // Light vars absent from this atom.
-      for (int v = 0; v < k; ++v) {
-        if ((plan.combo & (1u << v)) != 0) continue;
-        if (std::find(fixed_light.begin(), fixed_light.end(), v) ==
-            fixed_light.end()) {
-          free_light.push_back(v);
-        }
-      }
-
-      // The free dimensions' linear offsets, enumerated once; a row goes
-      // to (offset + base + o) mod p for each, base from its fixed light
-      // variables.
-      std::vector<int64_t> free_offsets = {0};
-      for (int v : free_light) {
-        const size_t count = free_offsets.size();
-        for (int coord = 1; coord < plan.shares[v]; ++coord) {
-          for (size_t i = 0; i < count; ++i) {
-            free_offsets.push_back(free_offsets[i] + coord * strides[v]);
-          }
-        }
-      }
-
+      const GridSlab slab(plan.shares, atom_var_cols[j]);
       combo_routed.push_back(Route(
-          cluster, clazz,
-          [&](int /*src*/, const Relation& frag, int64_t begin, int64_t end,
+          cluster, atoms[j],
+          [&](int src, const Relation& frag, int64_t begin, int64_t end,
               RouteSink& sink) {
             const int64_t rows = end - begin;
-            thread_local std::vector<Value> column;
-            thread_local std::vector<int32_t> bucket;
-            thread_local std::vector<int64_t> base;
-            column.resize(static_cast<size_t>(rows));
-            bucket.resize(static_cast<size_t>(rows));
-            base.assign(static_cast<size_t>(rows), plan.offset);
-            for (size_t f = 0; f < fixed_light.size(); ++f) {
-              const int v = fixed_light[f];
-              GatherKeyColumn(frag.data().data(), frag.arity(),
-                              fixed_cols[f], begin, end, column.data());
-              hashes[v].BucketMany(column.data(), rows, plan.shares[v],
-                                   bucket.data());
-              for (int64_t i = 0; i < rows; ++i) {
-                base[i] += bucket[i] * strides[v];
-              }
-            }
+            thread_local std::vector<int32_t> base;
+            base.assign(static_cast<size_t>(rows), 0);
+            slab.AddBases(frag, begin, end, hashes, base.data());
+            const uint32_t* sig = sigs[j][src].data() + begin;
             for (int64_t i = 0; i < rows; ++i) {
-              for (const int64_t o : free_offsets) {
-                sink.Add(static_cast<int>((base[i] + o) % p));
+              if (sig[i] == want_sig) {
+                for (const int o : slab.offsets()) {
+                  sink.Add((plan.offset + base[i] + o) % p);
+                }
               }
               sink.EndRow();
             }
@@ -265,10 +167,10 @@ SkewHcResult SkewHcJoin(Cluster& cluster, const ConjunctiveQuery& q,
   ScopedPhaseTimer local_phase(cluster.metrics(), Phase::kLocalCompute);
   cluster.pool().ParallelFor(p, [&](int64_t s) {
     MPCQP_TRACE_SCOPE_ARG("local eval", "compute", s);
-    std::vector<Relation> local_atoms(q.num_atoms());
+    std::vector<Relation> local_atoms(m);
     for (size_t ci = 0; ci < plans.size(); ++ci) {
       bool all_nonempty = true;
-      for (int j = 0; j < q.num_atoms(); ++j) {
+      for (int j = 0; j < m; ++j) {
         local_atoms[j] = routed[ci][j].fragment(s);
         if (local_atoms[j].empty()) all_nonempty = false;
       }

@@ -1,6 +1,7 @@
 #include "planner/planner.h"
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <cmath>
 #include <numeric>
@@ -171,44 +172,12 @@ CandidatePlan EstimateSkewHc(const ConjunctiveQuery& q,
   }
   double worst = 0.0;
   for (uint32_t combo = heavy_mask;; combo = (combo - 1) & heavy_mask) {
-    // Residual over light vars.
-    std::vector<int> light;
-    for (int v = 0; v < q.num_vars(); ++v) {
-      if ((combo & (1u << v)) == 0) light.push_back(v);
-    }
-    if (!light.empty()) {
-      std::vector<int> index(q.num_vars(), -1);
-      std::vector<std::string> names;
-      for (size_t i = 0; i < light.size(); ++i) {
-        index[light[i]] = static_cast<int>(i);
-        names.push_back(q.var_name(light[i]));
-      }
-      std::vector<Atom> residual_atoms;
-      std::vector<int64_t> residual_sizes;
-      for (int j = 0; j < q.num_atoms(); ++j) {
-        Atom atom;
-        atom.name = q.atom(j).name;
-        for (const auto& [v, c] : DistinctVarCols(q.atom(j))) {
-          if (index[v] >= 0) atom.vars.push_back(index[v]);
-        }
-        if (!atom.vars.empty()) {
-          residual_atoms.push_back(std::move(atom));
-          residual_sizes.push_back(stats.sizes[j]);
-        }
-      }
-      if (!residual_atoms.empty()) {
-        const ConjunctiveQuery residual =
-            ConjunctiveQuery::Make(names, residual_atoms);
-        const IntegerShares shares =
-            ComputeShares(residual, residual_sizes, p);
-        // Map shares back and account every atom (filters broadcast).
-        std::vector<int> full_shares(q.num_vars(), 1);
-        for (size_t i = 0; i < light.size(); ++i) {
-          full_shares[light[i]] = shares.shares[i];
-        }
-        worst = std::max(
-            worst, HyperCubeLoadForShares(q, stats.sizes, full_shares));
-      }
+    // A combo with every variable heavy has no residual grid to price;
+    // the others account every atom, filters broadcast.
+    if (std::popcount(combo) < q.num_vars()) {
+      worst = std::max(
+          worst, HyperCubeLoadForShares(
+                     q, stats.sizes, ResidualShares(q, combo, stats.sizes, p)));
     }
     if (combo == 0) break;
   }
