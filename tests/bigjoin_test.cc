@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <tuple>
 
 #include "mpc/cluster.h"
@@ -30,6 +31,11 @@ struct BigJoinCase {
   int64_t rows;
   uint64_t domain;
 };
+
+// Names the case by its fields, so test names stay stable across builds.
+void PrintTo(const BigJoinCase& c, std::ostream* os) {
+  *os << c.query << " rows=" << c.rows << " domain=" << c.domain;
+}
 
 class BigJoinTest
     : public ::testing::TestWithParam<std::tuple<BigJoinCase, int>> {};

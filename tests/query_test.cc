@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 #include <tuple>
 #include <vector>
 
@@ -73,6 +74,12 @@ struct LpCase {
   double tau_star;  // Fractional edge packing (slides 41, 51, 53, 61-62).
   double rho_star;  // Fractional edge cover.
 };
+
+// Names the case by its fields, so test names stay stable across builds.
+void PrintTo(const LpCase& c, std::ostream* os) {
+  *os << c.query.ToString() << " tau*=" << c.tau_star
+      << " rho*=" << c.rho_star;
+}
 
 class HypergraphLpTest : public ::testing::TestWithParam<LpCase> {};
 

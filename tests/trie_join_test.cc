@@ -2,6 +2,7 @@
 
 #include <cinttypes>
 #include <cstdio>
+#include <ostream>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -84,6 +85,11 @@ struct WcojCase {
   int64_t rows;
   uint64_t domain;
 };
+
+// Names the case by its fields, so test names stay stable across builds.
+void PrintTo(const WcojCase& c, std::ostream* os) {
+  *os << c.query << " rows=" << c.rows << " domain=" << c.domain;
+}
 
 class TrieJoinTest
     : public ::testing::TestWithParam<std::tuple<WcojCase, uint64_t>> {};
