@@ -34,8 +34,8 @@ class ScopedLoopDepth {
 // Parallel loops never enqueue more helpers than there are spare cores:
 // the caller already occupies one, and on an oversubscribed pool (threads
 // > cores) every extra helper is pure context-switch overhead. This caps
-// the execution fan-out only — iteration/chunk decomposition and results
-// are identical for every thread count. MPCQP_LOOP_HELPERS overrides the
+// the execution fan-out only — the iterations and results are identical
+// for every thread count. MPCQP_LOOP_HELPERS overrides the
 // detected count (the concurrency test binaries use it to force the
 // multi-participant steal path even on single-core machines).
 int64_t MaxLoopHelpers() {
@@ -54,6 +54,8 @@ int64_t MaxLoopHelpers() {
 
 ThreadPool::ThreadPool(int num_threads)
     : num_threads_(std::max(1, num_threads)) {
+  MPCQP_CHECK_LE(num_threads_, kMaxThreads)
+      << "ThreadPool wider than kMaxThreads";
   workers_.reserve(static_cast<size_t>(num_threads_ - 1));
   for (int i = 0; i + 1 < num_threads_; ++i) {
     workers_.emplace_back([this, i] { WorkerMain(i); });
@@ -84,24 +86,6 @@ void ThreadPool::Enqueue(std::function<void()> task) {
   cv_.notify_one();
 }
 
-std::future<void> ThreadPool::Submit(std::function<void()> task) {
-  auto packaged =
-      std::make_shared<std::packaged_task<void()>>(std::move(task));
-  std::future<void> result = packaged->get_future();
-  if (num_threads_ <= 1) {
-    (*packaged)();
-    return result;
-  }
-  // Charge the task to the submitter's query even though it runs on a
-  // shared worker (see the class comment on ExecContext propagation).
-  const ExecContext* context = CurrentExecContext();
-  Enqueue([packaged, context] {
-    ExecContextScope scope(context);
-    (*packaged)();
-  });
-  return result;
-}
-
 void ThreadPool::WorkerMain(int index) {
   tls_worker_index = index;
   while (true) {
@@ -129,15 +113,48 @@ void ThreadPool::ParallelFor(int64_t n,
     for (int64_t i = 0; i < n; ++i) body(i);
     return;
   }
+  const int participants = static_cast<int>(std::min(
+      {static_cast<int64_t>(num_threads_), n, MaxLoopHelpers() + 1}));
+  if (participants <= 1) {
+    // The core cap squeezed a multi-threaded pool down to one participant
+    // (threads > cores). Unlike the threads==1 serial path above, this
+    // pool promises the multi-threaded exception contract: every
+    // iteration runs, and the surviving exception is the lowest-index one
+    // — which in ascending order is simply the first.
+    std::exception_ptr error;
+    for (int64_t i = 0; i < n; ++i) {
+      try {
+        body(i);
+      } catch (...) {
+        if (!error) error = std::current_exception();
+      }
+    }
+    if (error) std::rethrow_exception(error);
+    return;
+  }
 
-  // Participants (the caller plus enqueued helper tasks) claim iterations
-  // from a shared counter; the loop is done when every claimed iteration
-  // has finished, not merely when the counter is exhausted.
+  // Each participant owns a contiguous block of iterations in its own
+  // deque: deque k holds [k * n / P, (k+1) * n / P). Owners pop from the
+  // FRONT (sequential order — prefetch-friendly) and thieves steal from
+  // the BACK, so an owner and a thief only collide on the last iteration
+  // of a deque. The deques are tiny (two indices), so a per-deque mutex
+  // costs one uncontended lock per iteration — noise at morsel
+  // granularity — and keeps the pool trivially TSan-clean.
+  struct Deque {
+    std::mutex mu;
+    int64_t head = 0;  // Next iteration the owner takes.
+    int64_t tail = 0;  // One past the last unclaimed iteration.
+  };
+  // Shared with the helper tasks, which may outlive this call: a helper
+  // that starts after the loop finished finds every deque empty and never
+  // dereferences `body`.
   struct LoopState {
-    std::atomic<int64_t> next{0};
     int64_t n = 0;
+    int participants = 0;
     const std::function<void(int64_t)>* body = nullptr;
     const ExecContext* context = nullptr;  // The issuing query's context.
+    std::vector<Deque> deques;
+    std::atomic<int> next_slot{0};
     std::mutex mu;
     std::condition_variable done_cv;
     int64_t done = 0;          // Guarded by mu.
@@ -146,16 +163,22 @@ void ThreadPool::ParallelFor(int64_t n,
   };
   auto state = std::make_shared<LoopState>();
   state->n = n;
+  state->participants = participants;
   state->body = &body;
   state->context = CurrentExecContext();
+  state->deques = std::vector<Deque>(participants);
+  for (int k = 0; k < participants; ++k) {
+    state->deques[k].head = k * n / participants;
+    state->deques[k].tail = (k + 1) * n / participants;
+  }
 
   const auto drain = [](const std::shared_ptr<LoopState>& s) {
     ExecContextScope context_scope(s->context);
     ScopedLoopDepth in_body;
+    const int slot = s->next_slot.fetch_add(1, std::memory_order_relaxed);
+    const int P = s->participants;
     int64_t finished = 0;
-    while (true) {
-      const int64_t i = s->next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= s->n) break;
+    const auto run = [&](int64_t i) {
       try {
         (*s->body)(i);
       } catch (...) {
@@ -166,6 +189,30 @@ void ThreadPool::ParallelFor(int64_t n,
         }
       }
       ++finished;
+    };
+    // Own deque first, front to back.
+    Deque& mine = s->deques[slot % P];
+    while (true) {
+      int64_t i;
+      {
+        std::lock_guard<std::mutex> lock(mine.mu);
+        if (mine.head >= mine.tail) break;
+        i = mine.head++;
+      }
+      run(i);
+    }
+    // Then steal from the back of the other deques until nothing is left.
+    for (int offset = 1; offset < P; ++offset) {
+      Deque& victim = s->deques[(slot + offset) % P];
+      while (true) {
+        int64_t i;
+        {
+          std::lock_guard<std::mutex> lock(victim.mu);
+          if (victim.head >= victim.tail) break;
+          i = --victim.tail;
+        }
+        run(i);
+      }
     }
     if (finished > 0) {
       std::lock_guard<std::mutex> lock(s->mu);
@@ -174,150 +221,13 @@ void ThreadPool::ParallelFor(int64_t n,
     }
   };
 
-  const int64_t helpers = std::min(
-      {static_cast<int64_t>(num_threads_) - 1, n - 1, MaxLoopHelpers()});
-  for (int64_t h = 0; h < helpers; ++h) {
+  for (int h = 0; h < participants - 1; ++h) {
     Enqueue([state, drain] { drain(state); });
   }
   drain(state);
 
   std::unique_lock<std::mutex> lock(state->mu);
   state->done_cv.wait(lock, [&state] { return state->done == state->n; });
-  if (state->error) std::rethrow_exception(state->error);
-}
-
-void ThreadPool::ParallelForGrained(
-    int64_t n, int64_t grain,
-    const std::function<void(int64_t, int64_t)>& body) {
-  MPCQP_CHECK_GE(grain, 1);
-  if (n <= 0) return;
-  MPCQP_TRACE_SCOPE_ARG("parallel_for_grained", "pool", n);
-  ScopedLoopDepth in_region;
-  const int64_t chunks = (n + grain - 1) / grain;
-  if (num_threads_ <= 1 || chunks == 1) {
-    for (int64_t c = 0; c < chunks; ++c) {
-      body(c * grain, std::min(n, (c + 1) * grain));
-    }
-    return;
-  }
-
-  // Each participant owns a contiguous block of chunks in its own deque:
-  // deque i holds [i * chunks / P, (i+1) * chunks / P). Owners pop from
-  // the FRONT (sequential chunk order — prefetch-friendly) and thieves
-  // steal from the BACK, so an owner and a thief only collide on the last
-  // chunk of a deque. The deques are tiny (two indices), so a per-deque
-  // mutex costs one uncontended lock per claimed chunk — noise at morsel
-  // granularity — and keeps the pool trivially TSan-clean.
-  struct Deque {
-    std::mutex mu;
-    int64_t head = 0;  // Next chunk the owner takes.
-    int64_t tail = 0;  // One past the last unclaimed chunk.
-  };
-  struct LoopState {
-    int64_t n = 0;
-    int64_t grain = 0;
-    int64_t chunks = 0;
-    int participants = 0;
-    const std::function<void(int64_t, int64_t)>* body = nullptr;
-    const ExecContext* context = nullptr;  // The issuing query's context.
-    std::vector<Deque> deques;
-    std::atomic<int> next_slot{0};
-    std::mutex mu;
-    std::condition_variable done_cv;
-    int64_t done_chunks = 0;    // Guarded by mu.
-    int64_t error_begin = -1;   // Guarded by mu.
-    std::exception_ptr error;   // Guarded by mu.
-  };
-  auto state = std::make_shared<LoopState>();
-  state->n = n;
-  state->grain = grain;
-  state->chunks = chunks;
-  state->participants = static_cast<int>(std::min(
-      {static_cast<int64_t>(num_threads_), chunks, MaxLoopHelpers() + 1}));
-  if (state->participants <= 1) {
-    // The core cap squeezed a multi-threaded pool down to one participant
-    // (threads > cores). Unlike the threads==1 serial path above, this
-    // pool promises the multi-threaded exception contract: every chunk
-    // runs, and the surviving exception is the lowest-begin one — which
-    // in ascending chunk order is simply the first.
-    std::exception_ptr error;
-    for (int64_t c = 0; c < chunks; ++c) {
-      try {
-        body(c * grain, std::min(n, (c + 1) * grain));
-      } catch (...) {
-        if (!error) error = std::current_exception();
-      }
-    }
-    if (error) std::rethrow_exception(error);
-    return;
-  }
-  state->body = &body;
-  state->context = CurrentExecContext();
-  state->deques = std::vector<Deque>(state->participants);
-  for (int i = 0; i < state->participants; ++i) {
-    state->deques[i].head = i * chunks / state->participants;
-    state->deques[i].tail = (i + 1) * chunks / state->participants;
-  }
-
-  const auto drain = [](const std::shared_ptr<LoopState>& s) {
-    ExecContextScope context_scope(s->context);
-    ScopedLoopDepth in_body;
-    const int slot = s->next_slot.fetch_add(1, std::memory_order_relaxed);
-    const int P = s->participants;
-    int64_t finished = 0;
-    const auto run_chunk = [&](int64_t c) {
-      const int64_t begin = c * s->grain;
-      const int64_t end = std::min(s->n, begin + s->grain);
-      try {
-        (*s->body)(begin, end);
-      } catch (...) {
-        std::lock_guard<std::mutex> lock(s->mu);
-        if (s->error_begin < 0 || begin < s->error_begin) {
-          s->error_begin = begin;
-          s->error = std::current_exception();
-        }
-      }
-      ++finished;
-    };
-    // Own deque first, front to back.
-    Deque& mine = s->deques[slot % P];
-    while (true) {
-      int64_t c;
-      {
-        std::lock_guard<std::mutex> lock(mine.mu);
-        if (mine.head >= mine.tail) break;
-        c = mine.head++;
-      }
-      run_chunk(c);
-    }
-    // Then steal from the back of the other deques until nothing is left.
-    for (int offset = 1; offset < P; ++offset) {
-      Deque& victim = s->deques[(slot + offset) % P];
-      while (true) {
-        int64_t c;
-        {
-          std::lock_guard<std::mutex> lock(victim.mu);
-          if (victim.head >= victim.tail) break;
-          c = --victim.tail;
-        }
-        run_chunk(c);
-      }
-    }
-    if (finished > 0) {
-      std::lock_guard<std::mutex> lock(s->mu);
-      s->done_chunks += finished;
-      if (s->done_chunks == s->chunks) s->done_cv.notify_all();
-    }
-  };
-
-  for (int h = 0; h < state->participants - 1; ++h) {
-    Enqueue([state, drain] { drain(state); });
-  }
-  drain(state);
-
-  std::unique_lock<std::mutex> lock(state->mu);
-  state->done_cv.wait(lock,
-                      [&state] { return state->done_chunks == state->chunks; });
   if (state->error) std::rethrow_exception(state->error);
 }
 

@@ -1,12 +1,10 @@
 #ifndef MPCQP_COMMON_THREAD_POOL_H_
 #define MPCQP_COMMON_THREAD_POOL_H_
 
-#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <future>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -17,6 +15,8 @@
 namespace mpcqp {
 
 // Fixed-size worker pool driving the simulator's parallel round execution.
+// Its one entry point is ParallelFor; the MPC costs (L, r) never depend on
+// it, so it is a pure execution engine.
 //
 // `num_threads` is the total degree of parallelism: the pool spawns
 // num_threads - 1 worker threads, and ParallelFor additionally runs loop
@@ -28,58 +28,50 @@ namespace mpcqp {
 // cap affects scheduling only — results are identical either way — and
 // the MPCQP_LOOP_HELPERS env var overrides the detected spare-core count.
 //
-// Guarantees:
-//  - Submit: tasks start in FIFO submission order (one shared queue); the
-//    returned future observes completion and rethrows any exception the
-//    task escaped with. With num_threads == 1 the task runs synchronously
-//    inside Submit.
-//  - ParallelFor: the calling thread participates in draining the
-//    iteration space, so a ParallelFor issued from inside a pool task can
-//    never deadlock even when every worker is busy — the nested call
-//    simply runs its whole iteration space inline. Every iteration runs
-//    exactly once; if bodies throw, the exception raised by the lowest
-//    iteration index is rethrown after all iterations have finished.
-//  - ParallelForGrained: the morsel-driven variant. The iteration space
-//    [0, n) is cut into chunks of `grain` iterations; each participant
-//    (caller + helpers) owns a contiguous block of chunks in a per-worker
-//    deque, drains it front to back (sequential memory order), and when
-//    empty steals half-open work from the BACK of a victim's deque — the
-//    classic work-stealing layout, so a straggler chunk never serializes
-//    the loop behind one task. Same nesting/participation/exception
-//    contract as ParallelFor (the winning exception is the one from the
-//    chunk with the lowest begin; every chunk still runs).
-//  - Destruction: every task already submitted completes before the
-//    workers join (shutdown-while-busy drains the queue, it does not
-//    cancel).
+// ParallelFor(n, body) runs body(i) for every i in [0, n) exactly once:
+//  - The calling thread participates, so a ParallelFor issued from inside
+//    a loop body can never deadlock even when every worker is busy — the
+//    nested call simply runs its whole iteration space inline.
+//  - Each participant (caller + helpers) owns a contiguous block of
+//    iterations in a per-participant deque, takes them front to back
+//    (sequential memory order), and when empty steals from the BACK of
+//    another participant's deque — the classic work-stealing layout, so a
+//    straggler iteration never serializes the loop behind one task, and
+//    adjacent iterations stay on one thread.
+//  - If bodies throw, the exception raised by the lowest iteration index
+//    is rethrown after every iteration has finished. (At num_threads == 1
+//    the loop is a plain serial loop and the first throw escapes at once.)
 //
 // Sharing one pool across many logical clusters (the serving runtime):
 // a ThreadPool has no per-client state, so any number of Clusters — and
-// therefore any number of concurrently executing queries — may issue
-// Submit / ParallelFor / ParallelForGrained calls from their own driver
-// threads at once. Helper tasks from different loops interleave FIFO in
-// the shared queue (morsel-level interleaving across queries); each
-// loop's completion is tracked by its own call-scoped state, so loops
-// never observe each other. Two things make the sharing sound:
+// therefore any number of concurrently executing queries — may call
+// ParallelFor from their own driver threads at once. Helper tasks from
+// different loops interleave FIFO in the shared queue (morsel-level
+// interleaving across queries); each loop's completion is tracked by its
+// own call-scoped state, so loops never observe each other, and a helper
+// that starts after its loop returned finds no work and never touches the
+// loop's body. Two things make the sharing sound:
 //  - current_worker_index() is POOL-scoped, not loop- or cluster-scoped:
-//    a worker executing a morsel for cluster A inside a task submitted by
+//    a worker executing a morsel for cluster A right after one for
 //    cluster B still reports its stable pool index, so per-cluster shard
 //    arrays sized by num_threads() always index correctly.
-//  - in_parallel_region() is CALLING-THREAD-scoped (a thread-local loop
-//    depth, not a pool-wide counter): it answers "is this thread inside a
-//    parallel loop body of any pool", so cluster A's driver can draw hash
-//    functions between loops while cluster B's loops are in flight, while
-//    a draw from inside a loop body is still caught at every thread
-//    count. The MPCQP_LOOP_HELPERS fan-out cap is process-wide and
-//    per-loop: each loop independently fans out to at most the spare-core
-//    count, regardless of which cluster issued it.
+//  - CallingThreadInParallelRegion() is CALLING-THREAD-scoped (a
+//    thread-local loop depth, not a pool-wide counter): it answers "is
+//    this thread inside a parallel loop body of any pool", so cluster A's
+//    driver can draw hash functions between loops while cluster B's loops
+//    are in flight, while a draw from inside a loop body is still caught
+//    at every thread count. The MPCQP_LOOP_HELPERS fan-out cap is
+//    process-wide and per-loop.
 //
-// ExecContext propagation: every Submit/ParallelFor/ParallelForGrained
-// call captures the calling thread's ExecContext (see
-// common/exec_context.h) and installs it around each helper task or
-// stolen morsel, so per-query attribution survives the hop onto shared
-// workers.
+// ExecContext propagation: every ParallelFor captures the calling thread's
+// ExecContext (see common/exec_context.h) and installs it on each helper,
+// so per-query attribution survives the hop onto shared workers.
 class ThreadPool {
  public:
+  // Upper bound on num_threads: a pool never spawns more than
+  // kMaxThreads - 1 workers (the CLI's --threads range is the same).
+  static constexpr int kMaxThreads = 1024;
+
   explicit ThreadPool(int num_threads);
   ~ThreadPool();
 
@@ -88,21 +80,9 @@ class ThreadPool {
 
   int num_threads() const { return num_threads_; }
 
-  // Enqueues `task` for execution on a worker (FIFO start order).
-  std::future<void> Submit(std::function<void()> task);
-
   // Runs body(i) for every i in [0, n); see the class comment for the
-  // participation, nesting, and exception contract.
+  // participation, scheduling, nesting, and exception contract.
   void ParallelFor(int64_t n, const std::function<void(int64_t)>& body);
-
-  // Runs body(begin, end) over disjoint ranges tiling [0, n), each at most
-  // `grain` long (grain >= 1; the final chunk may be shorter). Ranges are
-  // claimed through work-stealing per-worker deques; see the class
-  // comment. The decomposition depends only on (n, grain) — never on the
-  // thread count — so callers that aggregate per-chunk state in chunk
-  // order get thread-count-independent results.
-  void ParallelForGrained(int64_t n, int64_t grain,
-                          const std::function<void(int64_t, int64_t)>& body);
 
   // Index of the calling pool worker thread in [0, num_threads() - 1), or
   // -1 when the caller is not a pool worker (e.g. the main thread or a
@@ -119,9 +99,6 @@ class ThreadPool {
   // calling this between its own loops must not observe cluster B's loops
   // (a pool-wide counter would make NewHashFunction fail spuriously under
   // concurrent queries).
-  bool in_parallel_region() const { return CallingThreadInParallelRegion(); }
-
-  // Static spelling of the same thread-scoped predicate.
   static bool CallingThreadInParallelRegion();
 
  private:

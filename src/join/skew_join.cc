@@ -50,8 +50,14 @@ DistRelation SkewAwareJoin(Cluster& cluster, const DistRelation& left,
   // One count per side: the hitters come from it (or from the metered
   // protocol, which finds the same ones), and a hitter's partner degree is
   // read from the other side's counter.
-  const FlatCounter left_counts = CountColumn(left, left_key);
-  const FlatCounter right_counts = CountColumn(right, right_key);
+  FlatCounter left_counts;
+  FlatCounter right_counts;
+  {
+    ScopedPhaseTimer count_phase(cluster.metrics(), Phase::kLocalCompute);
+    MPCQP_TRACE_SCOPE("skew_join degrees", "compute");
+    left_counts = CountColumn(left, left_key);
+    right_counts = CountColumn(right, right_key);
+  }
   std::vector<HeavyHitter> left_heavy;
   std::vector<HeavyHitter> right_heavy;
   if (options.metered_statistics) {

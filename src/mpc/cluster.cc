@@ -54,7 +54,7 @@ HashFunction Cluster::NewHashFunction() {
   // functions from inside a parallel region would both race and make the
   // sequence depend on scheduling, breaking run-to-run determinism. Fail
   // fast instead of corrupting silently.
-  MPCQP_CHECK(!pool_->in_parallel_region())
+  MPCQP_CHECK(!ThreadPool::CallingThreadInParallelRegion())
       << "NewHashFunction called inside a parallel region; draw hash "
          "functions before fanning out (they are cheap to copy into tasks)";
   // Stride the seed space; HashFunction whitens the seed again.

@@ -110,17 +110,13 @@ Relation DistRelation::Collect(ThreadPool* pool) const {
     total += n;
   }
   Value* base = out.ResizeRowsForOverwrite(total);
-  pool->ParallelForGrained(
-      static_cast<int64_t>(tiles.size()), 1, [&](int64_t tb, int64_t te) {
-        for (int64_t t = tb; t < te; ++t) {
-          const Tile& tile = tiles[t];
-          const Relation& f = fragments_[tile.src];
-          std::memcpy(base + tile.at * arity_,
-                      f.row(0) + tile.begin * arity_,
-                      static_cast<size_t>(tile.end - tile.begin) * arity_ *
-                          sizeof(Value));
-        }
-      });
+  pool->ParallelFor(static_cast<int64_t>(tiles.size()), [&](int64_t t) {
+    const Tile& tile = tiles[t];
+    const Relation& f = fragments_[tile.src];
+    std::memcpy(base + tile.at * arity_, f.row(0) + tile.begin * arity_,
+                static_cast<size_t>(tile.end - tile.begin) * arity_ *
+                    sizeof(Value));
+  });
   return out;
 }
 

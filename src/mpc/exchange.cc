@@ -226,23 +226,21 @@ DistRelation RouteGridImpl(Cluster& cluster, const DistRelation& rel,
   std::vector<int64_t> counts(static_cast<size_t>(num_morsels) * p, 0);
   {
     ScopedPhaseTimer phase(cluster.metrics(), Phase::kRoute);
-    pool.ParallelForGrained(num_morsels, 1, [&](int64_t mb, int64_t me) {
-      for (int64_t m = mb; m < me; ++m) {
-        const Morsel& mo = morsels[m];
-        MPCQP_TRACE_SCOPE_ARG("route morsel", "exchange", m);
-        int32_t* const b = bases.get() + row_base[mo.src] + mo.begin;
-        const int64_t rows = mo.end - mo.begin;
-        base_of(rel.fragment(mo.src), mo.begin, mo.end, b);
-        int64_t* const cnt = counts.data() + m * p;
-        for (int64_t i = 0; i < rows; ++i) {
-          const int32_t base = b[i];
-          MPCQP_CHECK_GE(base, 0);
-          MPCQP_CHECK_LT(base + max_offset, p);
-          if constexpr (kSingle) {
-            ++cnt[base];
-          } else {
-            for (int k = 0; k < num_offsets; ++k) ++cnt[base + off[k]];
-          }
+    pool.ParallelFor(num_morsels, [&](int64_t m) {
+      const Morsel& mo = morsels[m];
+      MPCQP_TRACE_SCOPE_ARG("route morsel", "exchange", m);
+      int32_t* const b = bases.get() + row_base[mo.src] + mo.begin;
+      const int64_t rows = mo.end - mo.begin;
+      base_of(rel.fragment(mo.src), mo.begin, mo.end, b);
+      int64_t* const cnt = counts.data() + m * p;
+      for (int64_t i = 0; i < rows; ++i) {
+        const int32_t base = b[i];
+        MPCQP_CHECK_GE(base, 0);
+        MPCQP_CHECK_LT(base + max_offset, p);
+        if constexpr (kSingle) {
+          ++cnt[base];
+        } else {
+          for (int k = 0; k < num_offsets; ++k) ++cnt[base + off[k]];
         }
       }
     });
@@ -255,26 +253,24 @@ DistRelation RouteGridImpl(Cluster& cluster, const DistRelation& rel,
   // offsets row doubles as its private cursor — no per-task allocation.
   {
     ScopedPhaseTimer phase(cluster.metrics(), Phase::kCopy);
-    pool.ParallelForGrained(num_morsels, 1, [&](int64_t mb, int64_t me) {
-      for (int64_t m = mb; m < me; ++m) {
-        const Morsel& mo = morsels[m];
-        MPCQP_TRACE_SCOPE_ARG("copy morsel", "exchange", m);
-        const Value* in = rel.fragment(mo.src).row(0) + mo.begin * arity;
-        const int32_t* const b = bases.get() + row_base[mo.src] + mo.begin;
-        const int64_t rows = mo.end - mo.begin;
-        CopyMorsel(arity, p, targets.base.data(),
-                   targets.offsets.data() + m * p, [&](const auto& emit) {
-                     for (int64_t i = 0; i < rows; ++i, in += arity) {
-                       if constexpr (kSingle) {
-                         emit(in, b[i]);
-                       } else {
-                         for (int k = 0; k < num_offsets; ++k) {
-                           emit(in, b[i] + off[k]);
-                         }
+    pool.ParallelFor(num_morsels, [&](int64_t m) {
+      const Morsel& mo = morsels[m];
+      MPCQP_TRACE_SCOPE_ARG("copy morsel", "exchange", m);
+      const Value* in = rel.fragment(mo.src).row(0) + mo.begin * arity;
+      const int32_t* const b = bases.get() + row_base[mo.src] + mo.begin;
+      const int64_t rows = mo.end - mo.begin;
+      CopyMorsel(arity, p, targets.base.data(),
+                 targets.offsets.data() + m * p, [&](const auto& emit) {
+                   for (int64_t i = 0; i < rows; ++i, in += arity) {
+                     if constexpr (kSingle) {
+                       emit(in, b[i]);
+                     } else {
+                       for (int k = 0; k < num_offsets; ++k) {
+                         emit(in, b[i] + off[k]);
                        }
                      }
-                   });
-      }
+                   }
+                 });
     });
   }
   cluster.ObserveExchange(out);
@@ -401,18 +397,14 @@ DistRelation Broadcast(Cluster& cluster, const DistRelation& rel,
     // serialize the payload build.
     const std::vector<Morsel> morsels =
         TileSources(rel, cluster.morsel_rows());
-    cluster.pool().ParallelForGrained(
-        static_cast<int64_t>(morsels.size()), 1,
-        [&](int64_t mb, int64_t me) {
-          for (int64_t m = mb; m < me; ++m) {
-            const Morsel& mo = morsels[m];
-            const Relation& frag = rel.fragment(mo.src);
-            std::memcpy(
-                base + (offsets[mo.src] + mo.begin) * arity,
-                frag.row(0) + mo.begin * arity,
-                static_cast<size_t>(mo.end - mo.begin) * arity *
-                    sizeof(Value));
-          }
+    cluster.pool().ParallelFor(
+        static_cast<int64_t>(morsels.size()), [&](int64_t m) {
+          const Morsel& mo = morsels[m];
+          const Relation& frag = rel.fragment(mo.src);
+          std::memcpy(base + (offsets[mo.src] + mo.begin) * arity,
+                      frag.row(0) + mo.begin * arity,
+                      static_cast<size_t>(mo.end - mo.begin) * arity *
+                          sizeof(Value));
         });
   }
   cluster.metrics().RecordFragmentRows(total);
@@ -491,21 +483,19 @@ DistRelation Route(Cluster& cluster, const DistRelation& rel,
   std::vector<int64_t> counts(static_cast<size_t>(num_morsels) * p, 0);
   {
     ScopedPhaseTimer phase(cluster.metrics(), Phase::kRoute);
-    pool.ParallelForGrained(num_morsels, 1, [&](int64_t mb, int64_t me) {
-      for (int64_t m = mb; m < me; ++m) {
-        const Morsel& mo = morsels[m];
-        MPCQP_TRACE_SCOPE_ARG("route morsel", "exchange", m);
-        RouteSink& sink = sinks[m];
-        targets(mo.src, rel.fragment(mo.src), mo.begin, mo.end, sink);
-        MPCQP_CHECK_EQ(static_cast<int64_t>(sink.row_ends().size()),
-                       mo.end - mo.begin)
-            << "a Route callback must call EndRow once per row";
-        int64_t* const cnt = counts.data() + m * p;
-        for (const int32_t dst : sink.dests()) {
-          MPCQP_CHECK_GE(dst, 0);
-          MPCQP_CHECK_LT(dst, p);
-          ++cnt[dst];
-        }
+    pool.ParallelFor(num_morsels, [&](int64_t m) {
+      const Morsel& mo = morsels[m];
+      MPCQP_TRACE_SCOPE_ARG("route morsel", "exchange", m);
+      RouteSink& sink = sinks[m];
+      targets(mo.src, rel.fragment(mo.src), mo.begin, mo.end, sink);
+      MPCQP_CHECK_EQ(static_cast<int64_t>(sink.row_ends().size()),
+                     mo.end - mo.begin)
+          << "a Route callback must call EndRow once per row";
+      int64_t* const cnt = counts.data() + m * p;
+      for (const int32_t dst : sink.dests()) {
+        MPCQP_CHECK_GE(dst, 0);
+        MPCQP_CHECK_LT(dst, p);
+        ++cnt[dst];
       }
     });
   }
@@ -516,23 +506,21 @@ DistRelation Route(Cluster& cluster, const DistRelation& rel,
   // Phase 2: every row once per entry of its destination list.
   {
     ScopedPhaseTimer phase(cluster.metrics(), Phase::kCopy);
-    pool.ParallelForGrained(num_morsels, 1, [&](int64_t mb, int64_t me) {
-      for (int64_t m = mb; m < me; ++m) {
-        const Morsel& mo = morsels[m];
-        MPCQP_TRACE_SCOPE_ARG("copy morsel", "exchange", m);
-        const Value* in = rel.fragment(mo.src).row(0) + mo.begin * arity;
-        const int32_t* const dests = sinks[m].dests().data();
-        const int64_t* const ends = sinks[m].row_ends().data();
-        const int64_t rows = mo.end - mo.begin;
-        CopyMorsel(arity, p, copy_targets.base.data(),
-                   copy_targets.offsets.data() + m * p,
-                   [&](const auto& emit) {
-                     int64_t j = 0;
-                     for (int64_t i = 0; i < rows; ++i, in += arity) {
-                       for (; j < ends[i]; ++j) emit(in, dests[j]);
-                     }
-                   });
-      }
+    pool.ParallelFor(num_morsels, [&](int64_t m) {
+      const Morsel& mo = morsels[m];
+      MPCQP_TRACE_SCOPE_ARG("copy morsel", "exchange", m);
+      const Value* in = rel.fragment(mo.src).row(0) + mo.begin * arity;
+      const int32_t* const dests = sinks[m].dests().data();
+      const int64_t* const ends = sinks[m].row_ends().data();
+      const int64_t rows = mo.end - mo.begin;
+      CopyMorsel(arity, p, copy_targets.base.data(),
+                 copy_targets.offsets.data() + m * p,
+                 [&](const auto& emit) {
+                   int64_t j = 0;
+                   for (int64_t i = 0; i < rows; ++i, in += arity) {
+                     for (; j < ends[i]; ++j) emit(in, dests[j]);
+                   }
+                 });
     });
   }
   cluster.ObserveExchange(out);

@@ -36,11 +36,16 @@ SkewHcResult SkewHcJoin(Cluster& cluster, const ConjunctiveQuery& q,
   // Heavy sets per variable: degree > threshold in any atom containing it.
   std::vector<FlatCounter> heavy(k);
   uint32_t heavy_capable = 0;
-  for (int j = 0; j < m; ++j) {
-    for (const auto& [v, c] : DistinctVarCols(q.atom(j))) {
-      for (const HeavyHitter& h : FindHeavyHitters(atoms[j], c, threshold)) {
-        heavy[v].Add(h.value);
-        heavy_capable |= (1u << v);
+  {
+    ScopedPhaseTimer count_phase(cluster.metrics(), Phase::kLocalCompute);
+    MPCQP_TRACE_SCOPE("skew_hc heavy hitters", "compute");
+    for (int j = 0; j < m; ++j) {
+      for (const auto& [v, c] : DistinctVarCols(q.atom(j))) {
+        for (const HeavyHitter& h :
+             FindHeavyHitters(atoms[j], c, threshold)) {
+          heavy[v].Add(h.value);
+          heavy_capable |= (1u << v);
+        }
       }
     }
   }

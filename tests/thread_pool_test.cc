@@ -1,13 +1,13 @@
-// ThreadPool contract tests: FIFO start order, full iteration coverage,
-// exception propagation (lowest index wins), deadlock-free nesting, and
-// queue-draining shutdown. These are the properties the deterministic
-// round executor builds on.
+// ThreadPool contract tests: full iteration coverage, exception
+// propagation (lowest index wins), deadlock-free nesting, work stealing,
+// thread-scoped region marking, and helpers that start after their loop
+// returned. These are the properties the deterministic round executor
+// builds on.
 
 #include "common/thread_pool.h"
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
@@ -17,7 +17,6 @@
 #include <set>
 #include <stdexcept>
 #include <thread>
-#include <utility>
 #include <vector>
 
 #include "common/exec_context.h"
@@ -38,29 +37,12 @@ TEST(ThreadPoolTest, SingleThreadRunsInline) {
   ThreadPool pool(1);
   EXPECT_EQ(pool.num_threads(), 1);
   const std::thread::id caller = std::this_thread::get_id();
-  std::thread::id seen;
-  pool.Submit([&] { seen = std::this_thread::get_id(); }).get();
-  EXPECT_EQ(seen, caller);
-  int64_t sum = 0;
-  pool.ParallelFor(100, [&](int64_t i) { sum += i; });  // Inline: no lock.
+  int64_t sum = 0;  // Inline: no lock, no atomics needed.
+  pool.ParallelFor(100, [&](int64_t i) {
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+    sum += i;
+  });
   EXPECT_EQ(sum, 4950);
-}
-
-TEST(ThreadPoolTest, SubmittedTasksStartInFifoOrder) {
-  // One worker (num_threads=2 -> 1 thread): start order == run order.
-  ThreadPool pool(2);
-  std::mutex mu;
-  std::vector<int> order;
-  std::vector<std::future<void>> futures;
-  for (int i = 0; i < 64; ++i) {
-    futures.push_back(pool.Submit([&, i] {
-      std::lock_guard<std::mutex> lock(mu);
-      order.push_back(i);
-    }));
-  }
-  for (auto& f : futures) f.get();
-  ASSERT_EQ(order.size(), 64u);
-  for (int i = 0; i < 64; ++i) EXPECT_EQ(order[i], i);
 }
 
 TEST(ThreadPoolTest, ParallelForCoversEveryIndexExactlyOnce) {
@@ -94,12 +76,6 @@ TEST(ThreadPoolTest, ParallelForRethrowsLowestIndexException) {
   }
 }
 
-TEST(ThreadPoolTest, SubmitFutureRethrows) {
-  ThreadPool pool(2);
-  auto future = pool.Submit([] { throw std::logic_error("task failed"); });
-  EXPECT_THROW(future.get(), std::logic_error);
-}
-
 TEST(ThreadPoolTest, NestedParallelForDoesNotDeadlock) {
   // Every outer iteration issues an inner ParallelFor while all workers
   // are busy with outer iterations; the caller-participates design must
@@ -112,34 +88,6 @@ TEST(ThreadPoolTest, NestedParallelForDoesNotDeadlock) {
     });
   });
   EXPECT_EQ(total.load(), 16 * 16 * 4);
-}
-
-TEST(ThreadPoolTest, NestedSubmitInsideParallelForCompletes) {
-  ThreadPool pool(2);
-  std::atomic<int> done{0};
-  std::mutex mu;
-  std::vector<std::future<void>> futures;
-  pool.ParallelFor(8, [&](int64_t) {
-    std::lock_guard<std::mutex> lock(mu);
-    futures.push_back(pool.Submit([&] { done.fetch_add(1); }));
-  });
-  for (auto& f : futures) f.get();
-  EXPECT_EQ(done.load(), 8);
-}
-
-TEST(ThreadPoolTest, ShutdownWhileBusyDrainsQueue) {
-  std::atomic<int> completed{0};
-  {
-    ThreadPool pool(3);
-    for (int i = 0; i < 32; ++i) {
-      pool.Submit([&] {
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-        completed.fetch_add(1);
-      });
-    }
-    // Destructor runs here with most tasks still queued.
-  }
-  EXPECT_EQ(completed.load(), 32);
 }
 
 TEST(ThreadPoolTest, WorkerIndexIsStableAndInRange) {
@@ -163,141 +111,68 @@ TEST(ThreadPoolTest, ZeroAndNegativeIterationCountsAreNoOps) {
   ThreadPool pool(4);
   int calls = 0;
   pool.ParallelFor(0, [&](int64_t) { ++calls; });
+  pool.ParallelFor(-5, [&](int64_t) { ++calls; });
   EXPECT_EQ(calls, 0);
 }
 
-// --- ParallelForGrained (work-stealing deques) ---
-
-TEST(ThreadPoolTest, GrainedTilesExactlyByGrain) {
-  // The chunk decomposition is part of the determinism contract: chunk c
-  // must be [c*grain, min(n, (c+1)*grain)) regardless of thread count.
-  ThreadPool pool(4);
-  constexpr int64_t kN = 257;
-  const int64_t grains[] = {1, 3, 7, 100, 1000};
-  for (const int64_t grain : grains) {
-    std::mutex mu;
-    std::vector<std::pair<int64_t, int64_t>> ranges;
-    pool.ParallelForGrained(kN, grain, [&](int64_t begin, int64_t end) {
-      std::lock_guard<std::mutex> lock(mu);
-      ranges.push_back({begin, end});
-    });
-    std::sort(ranges.begin(), ranges.end());
-    const int64_t chunks = (kN + grain - 1) / grain;
-    ASSERT_EQ(static_cast<int64_t>(ranges.size()), chunks)
-        << "grain " << grain;
-    for (int64_t c = 0; c < chunks; ++c) {
-      EXPECT_EQ(ranges[c].first, c * grain) << "grain " << grain;
-      EXPECT_EQ(ranges[c].second, std::min(kN, (c + 1) * grain))
-          << "grain " << grain;
-    }
-  }
-}
-
-TEST(ThreadPoolTest, GrainedCoversEveryIndexExactlyOnce) {
-  ThreadPool pool(8);
-  constexpr int64_t kN = 10000;
-  std::vector<std::atomic<int>> hits(kN);
-  pool.ParallelForGrained(kN, 37, [&](int64_t begin, int64_t end) {
-    for (int64_t i = begin; i < end; ++i) hits[i].fetch_add(1);
-  });
-  for (int64_t i = 0; i < kN; ++i) {
-    ASSERT_EQ(hits[i].load(), 1) << "index " << i;
-  }
-}
-
-TEST(ThreadPoolTest, GrainedEdgeCases) {
-  ThreadPool pool(4);
-  // grain > n: one inline chunk covering everything.
-  std::atomic<int> calls{0};
-  int64_t begin = -1, end = -1;
-  pool.ParallelForGrained(5, 100, [&](int64_t b, int64_t e) {
-    calls.fetch_add(1);
-    begin = b;
-    end = e;
-  });
-  EXPECT_EQ(calls.load(), 1);
-  EXPECT_EQ(begin, 0);
-  EXPECT_EQ(end, 5);
-  // n = 0: no-op.
-  pool.ParallelForGrained(0, 8, [&](int64_t, int64_t) { calls.fetch_add(1); });
-  EXPECT_EQ(calls.load(), 1);
-}
-
-TEST(ThreadPoolTest, GrainedSingleThreadRunsInline) {
-  ThreadPool pool(1);
-  const std::thread::id caller = std::this_thread::get_id();
-  int64_t sum = 0;  // No atomics needed: everything runs on the caller.
-  pool.ParallelForGrained(100, 7, [&](int64_t begin, int64_t end) {
-    EXPECT_EQ(std::this_thread::get_id(), caller);
-    for (int64_t i = begin; i < end; ++i) sum += i;
-  });
-  EXPECT_EQ(sum, 4950);
-}
-
-TEST(ThreadPoolTest, NestedGrainedDoesNotDeadlock) {
-  // Grained loops nested inside grained loops while all workers are busy:
-  // the caller-participates/steal design must drain them like ParallelFor.
-  ThreadPool pool(4);
-  std::atomic<int64_t> total{0};
-  pool.ParallelForGrained(16, 2, [&](int64_t ob, int64_t oe) {
-    for (int64_t o = ob; o < oe; ++o) {
-      pool.ParallelForGrained(64, 5, [&](int64_t b, int64_t e) {
-        total.fetch_add(e - b);
-      });
-    }
-  });
-  EXPECT_EQ(total.load(), 16 * 64);
-}
-
-TEST(ThreadPoolTest, GrainedRethrowsLowestBeginException) {
-  ThreadPool pool(4);
-  // Run several times: stealing varies, the winning exception must not.
-  for (int round = 0; round < 20; ++round) {
-    std::atomic<int64_t> covered{0};
-    try {
-      pool.ParallelForGrained(200, 10, [&](int64_t b, int64_t e) {
-        covered.fetch_add(e - b);
-        if (b == 40 || b == 120 || b == 190) {
-          throw std::runtime_error("boom " + std::to_string(b));
-        }
-      });
-      FAIL() << "expected an exception";
-    } catch (const std::runtime_error& ex) {
-      EXPECT_STREQ(ex.what(), "boom 40");
-    }
-    // Every chunk still ran (no early abort mid-loop).
-    EXPECT_EQ(covered.load(), 200);
-  }
-}
-
-TEST(ThreadPoolTest, GrainedStealHeavySkewedLoad) {
-  // Chunk 0 is a deliberate straggler: the rest of its owner's block must
-  // migrate to thieves instead of queueing behind it. Run under tsan this
-  // also locks down the deque handoff (owner front-pop vs. thief
+TEST(ThreadPoolTest, StealHeavySkewedLoad) {
+  // Iteration 0 is a deliberate straggler: the rest of its owner's block
+  // must migrate to thieves instead of queueing behind it. Run under tsan
+  // this also locks down the deque handoff (owner front-pop vs. thief
   // back-steal) as race-free.
   ThreadPool pool(8);
   constexpr int64_t kN = 256;
   std::vector<std::atomic<int>> hits(kN);
-  const auto start = std::chrono::steady_clock::now();
-  pool.ParallelForGrained(kN, 1, [&](int64_t b, int64_t e) {
-    if (b == 0) std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    for (int64_t i = b; i < e; ++i) hits[i].fetch_add(1);
+  pool.ParallelFor(kN, [&](int64_t i) {
+    if (i == 0) std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    hits[i].fetch_add(1);
   });
-  (void)start;
   for (int64_t i = 0; i < kN; ++i) {
     ASSERT_EQ(hits[i].load(), 1) << "index " << i;
   }
 }
 
-TEST(ThreadPoolTest, InParallelRegionDuringGrained) {
+TEST(ThreadPoolTest, InParallelRegionDuringParallelFor) {
   ThreadPool pool(4);
-  EXPECT_FALSE(pool.in_parallel_region());
+  EXPECT_FALSE(ThreadPool::CallingThreadInParallelRegion());
   std::atomic<bool> always_in_region{true};
-  pool.ParallelForGrained(64, 4, [&](int64_t, int64_t) {
-    if (!pool.in_parallel_region()) always_in_region = false;
+  pool.ParallelFor(64, [&](int64_t) {
+    if (!ThreadPool::CallingThreadInParallelRegion()) {
+      always_in_region = false;
+    }
   });
   EXPECT_TRUE(always_in_region.load());
-  EXPECT_FALSE(pool.in_parallel_region());
+  EXPECT_FALSE(ThreadPool::CallingThreadInParallelRegion());
+}
+
+TEST(ThreadPoolTest, LoopsThatReturnBeforeTheirHelpersRun) {
+  // A two-iteration loop usually finishes on its caller before its one
+  // helper task is dequeued; the helper then runs against a loop whose
+  // body (a stack temporary capturing a stack local) is gone. A second
+  // driver keeps the workers busy so helpers start late. ASan's
+  // stack-use-after-return detection and TSan flag a helper that touches
+  // a finished loop's body or state.
+  ThreadPool pool(8);
+  std::atomic<bool> stop{false};
+  std::atomic<bool> busy_ok{true};
+  std::thread busy([&] {
+    do {
+      std::atomic<int64_t> sum{0};
+      pool.ParallelFor(64, [&sum](int64_t i) { sum.fetch_add(i); });
+      if (sum.load() != 64 * 63 / 2) busy_ok = false;
+    } while (!stop.load());
+  });
+  constexpr int kLoops = 10000;
+  int64_t covered = 0;
+  for (int loop = 0; loop < kLoops; ++loop) {
+    int hits[2] = {0, 0};
+    pool.ParallelFor(2, [&hits](int64_t i) { ++hits[i]; });
+    covered += (hits[0] == 1) + (hits[1] == 1);
+  }
+  stop = true;
+  busy.join();
+  EXPECT_EQ(covered, 2 * kLoops);
+  EXPECT_TRUE(busy_ok.load());
 }
 
 // --- Multi-cluster sharing (the serving-runtime contract) ---
@@ -316,21 +191,21 @@ TEST(ThreadPoolTest, InParallelRegionIsThreadScopedNotPoolScoped) {
     observer_in_region = ThreadPool::CallingThreadInParallelRegion();
     observed = true;
   });
-  pool.ParallelForGrained(64, 1, [&](int64_t begin, int64_t) {
+  pool.ParallelFor(64, [&](int64_t i) {
     EXPECT_TRUE(ThreadPool::CallingThreadInParallelRegion());
-    if (begin == 0) {
+    if (i == 0) {
       loop_running = true;
       while (!observed.load()) std::this_thread::yield();
     }
   });
   observer.join();
   EXPECT_FALSE(observer_in_region.load());
-  EXPECT_FALSE(pool.in_parallel_region());
+  EXPECT_FALSE(ThreadPool::CallingThreadInParallelRegion());
 }
 
 TEST(ThreadPoolTest, WorkerIndexStaysPoolScopedAcrossClusters) {
   // Two driver threads ("clusters") hammer the same pool with interleaved
-  // grained loops. Every physical thread must report ONE stable index for
+  // loops. Every physical thread must report ONE stable index for
   // its lifetime, in [-1, kThreads - 1), no matter whose morsel it is
   // executing — per-cluster shard arrays sized by num_threads() index with
   // worker+1 and would corrupt memory otherwise.
@@ -340,7 +215,7 @@ TEST(ThreadPoolTest, WorkerIndexStaysPoolScopedAcrossClusters) {
   std::map<std::thread::id, std::set<int>> indices;
   auto driver = [&] {
     for (int round = 0; round < 20; ++round) {
-      pool.ParallelForGrained(64, 2, [&](int64_t, int64_t) {
+      pool.ParallelFor(64, [&](int64_t) {
         const int index = ThreadPool::current_worker_index();
         ASSERT_GE(index, -1);
         ASSERT_LT(index, kThreads - 1);
@@ -378,20 +253,12 @@ TEST(ExecContextTest, DefaultIsNullAndScopesNest) {
   EXPECT_EQ(CurrentExecContext(), nullptr);
 }
 
-TEST(ExecContextTest, PropagatesIntoSubmitAndParallelLoops) {
+TEST(ExecContextTest, PropagatesIntoParallelLoops) {
   ThreadPool pool(4);
   ExecContext context;
   ExecContextScope scope(&context);
-
-  const ExecContext* seen_in_task = nullptr;
-  pool.Submit([&] { seen_in_task = CurrentExecContext(); }).get();
-  EXPECT_EQ(seen_in_task, &context);
-
   std::atomic<bool> all_match{true};
   pool.ParallelFor(512, [&](int64_t) {
-    if (CurrentExecContext() != &context) all_match = false;
-  });
-  pool.ParallelForGrained(512, 8, [&](int64_t, int64_t) {
     if (CurrentExecContext() != &context) all_match = false;
   });
   EXPECT_TRUE(all_match.load());
@@ -416,13 +283,13 @@ TEST(ExecContextTest, ConcurrentLoopsKeepTheirOwnContexts) {
   for (int d = 0; d < kDrivers; ++d) {
     drivers.emplace_back([&, d] {
       ExecContextScope scope(&contexts[d]);
-      pool.ParallelForGrained(kIters, 16, [&, d](int64_t begin, int64_t end) {
+      pool.ParallelFor(kIters, [&, d](int64_t) {
         const ExecContext* current = CurrentExecContext();
         if (current != &contexts[d]) {
           bleed = true;
           return;
         }
-        current->cow_detaches->fetch_add(end - begin);
+        current->cow_detaches->fetch_add(1);
       });
     });
   }
@@ -451,9 +318,7 @@ TEST(ExecutorRegistryTest, FirstCallerSizesTheSharedPool) {
   EXPECT_EQ(ExecutorRegistry::SharedIfCreated(), nullptr);
   // Existing handles outlive the reset (shared_ptr, not a raw singleton).
   std::atomic<int64_t> sum{0};
-  pool->ParallelForGrained(100, 7, [&](int64_t begin, int64_t end) {
-    for (int64_t i = begin; i < end; ++i) sum.fetch_add(i);
-  });
+  pool->ParallelFor(100, [&](int64_t i) { sum.fetch_add(i); });
   EXPECT_EQ(sum.load(), 4950);
 
   std::shared_ptr<ThreadPool> fresh = ExecutorRegistry::Shared(2);

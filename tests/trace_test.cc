@@ -20,10 +20,12 @@
 #include <vector>
 
 #include "common/trace.h"
+#include "join/skew_join.h"
 #include "mpc/cluster.h"
 #include "mpc/dist_relation.h"
 #include "mpc/metrics.h"
 #include "multiway/hypercube.h"
+#include "multiway/skew_hc.h"
 #include "query/query.h"
 #include "query/trie_join.h"
 #include "relation/relation.h"
@@ -286,6 +288,45 @@ TEST_F(TraceTest, TrieJoinSpansDoNotPerturbItsOutput) {
   const std::string json = Tracer::Get().ToChromeJson();
   EXPECT_NE(json.find("\"trie build\""), std::string::npos);
   EXPECT_NE(json.find("\"trie search\""), std::string::npos);
+}
+
+// The heavy-hitter counts of SkewHC and the skew-aware join each record a
+// span; tracing them leaves outputs and CostReports identical.
+TEST_F(TraceTest, HeavyHitterSpansDoNotPerturbSkewJoins) {
+  const ConjunctiveQuery q = ConjunctiveQuery::Triangle();
+  Rng rng(17);
+  std::vector<DistRelation> atoms;
+  for (int j = 0; j < 3; ++j) {
+    atoms.push_back(DistRelation::Scatter(
+        GenerateZipf(rng, 2000, 2, 200, /*zipf_col=*/0, 1.3), 8));
+  }
+  struct Run {
+    Relation skew_hc;
+    Relation skew_join;
+    std::string cost;
+  };
+  auto run = [&](bool tracing) {
+    if (tracing) Tracer::Get().Enable();
+    Cluster cluster(8, 42);
+    Rng join_rng(5);
+    Run r{SkewHcJoin(cluster, q, atoms).output.Collect(),
+          SkewAwareJoin(cluster, atoms[0], atoms[1], 1, 0, join_rng)
+              .Collect(),
+          ""};
+    if (tracing) Tracer::Get().Disable();
+    r.cost = cluster.cost_report().ToString();
+    return r;
+  };
+  const Run off = run(false);
+  const Run on = run(true);
+  EXPECT_FALSE(off.skew_hc.empty());
+  EXPECT_FALSE(off.skew_join.empty());
+  EXPECT_TRUE(off.skew_hc == on.skew_hc);
+  EXPECT_TRUE(off.skew_join == on.skew_join);
+  EXPECT_EQ(off.cost, on.cost);
+  const std::string json = Tracer::Get().ToChromeJson();
+  EXPECT_NE(json.find("\"skew_hc heavy hitters\""), std::string::npos);
+  EXPECT_NE(json.find("\"skew_join degrees\""), std::string::npos);
 }
 
 TEST_F(TraceTest, MetricsRoundsAlignWithCostReportRounds) {

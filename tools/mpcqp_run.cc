@@ -46,6 +46,7 @@
 
 #include "common/flags.h"
 #include "common/simd.h"
+#include "common/thread_pool.h"
 #include "common/trace.h"
 #include "mpc/dist_relation.h"
 #include "mpc/metrics.h"
@@ -101,7 +102,7 @@ FlagSet BuildFlags(Options* options) {
                "conjunctive query, e.g. \"Q(x,z) :- R(x,y), S(y,z)\"");
   flags.Int("servers", &serve.num_servers, 1, 1 << 20,
             "simulated MPC cluster size p", "-p");
-  flags.Int("threads", &serve.num_threads, 1, 1 << 20,
+  flags.Int("threads", &serve.num_threads, 1, ThreadPool::kMaxThreads,
             "OS threads executing a round (never changes results)");
   flags.Int64("morsel-rows", &serve.morsel_rows, 1, INT64_MAX,
               "rows per exchange morsel (never changes results)");
