@@ -17,6 +17,7 @@
 #include <cstdio>
 #include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/flat_counter.h"
@@ -171,6 +172,94 @@ TEST(RoutedGoldenTest, HyperCubeFourCycle) {
         HyperCubeJoin(cluster, q, dist, options);
       },
       kHyperCubeFourCycle);
+}
+
+// ---------- HyperCube per-server output ----------
+
+// Runs HyperCube on a fresh p-server cluster, at both configurations the
+// routed goldens use, and checks its output, folded server by server like
+// a routed exchange, against one golden. Returns the shares of the last
+// run.
+std::vector<int> ExpectHyperCubeOutputGolden(
+    const char* name, int p, const ConjunctiveQuery& q,
+    const std::vector<Relation>& atoms, const HyperCubeOptions& options,
+    const ExchangeGolden& golden) {
+  std::vector<int> shares;
+  for (const auto& [threads, morsel_rows] :
+       {std::pair<int, int64_t>{1, ClusterOptions{}.morsel_rows},
+        std::pair<int, int64_t>{2, 97}}) {
+    ClusterOptions cluster_options;
+    cluster_options.num_threads = threads;
+    cluster_options.morsel_rows = morsel_rows;
+    Cluster cluster(p, kSeed, cluster_options);
+    std::vector<DistRelation> dist;
+    for (const Relation& a : atoms) {
+      dist.push_back(DistRelation::Scatter(a, p));
+    }
+    HyperCubeResult result = HyperCubeJoin(cluster, q, dist, options);
+    const ExchangeGolden actual = FoldRouted(result.output);
+    EXPECT_EQ(actual.rows, golden.rows) << name;
+    EXPECT_EQ(actual.checksum, golden.checksum)
+        << name << " at threads=" << threads << " morsel_rows=" << morsel_rows;
+    if (actual.rows != golden.rows || actual.checksum != golden.checksum) {
+      std::fprintf(stderr, "const ExchangeGolden k%s = {%" PRId64
+                           ", 0x%016" PRIx64 "ULL};\n",
+                   name, actual.rows, actual.checksum);
+    }
+    shares = std::move(result.shares);
+  }
+  return shares;
+}
+
+// triangle_cold's shape: 3 x 60K uniform rows over a 3K domain, p = 64.
+const ExchangeGolden kHyperCubeTriangleOutput = {7913, 0x3302e048eb8d5384ULL};
+
+TEST(HyperCubeOutputGoldenTest, Triangle) {
+  Rng rng(1);
+  std::vector<Relation> atoms;
+  for (int j = 0; j < 3; ++j) {
+    atoms.push_back(GenerateUniform(rng, 60'000, 2, 3'000));
+  }
+  const std::vector<int> shares = ExpectHyperCubeOutputGolden(
+      "HyperCubeTriangleOutput", 64, ConjunctiveQuery::Triangle(), atoms, {},
+      kHyperCubeTriangleOutput);
+  EXPECT_EQ(shares, (std::vector<int>{4, 4, 4}));
+}
+
+// A 4-cycle on a forced 4x2x4x2 grid: every atom has two free dimensions.
+const ExchangeGolden kHyperCubeFourCycleOutput = {4095, 0x4a2adc1eff34cc8bULL};
+
+TEST(HyperCubeOutputGoldenTest, FourCycle) {
+  Rng rng(2);
+  std::vector<Relation> atoms;
+  for (int j = 0; j < 4; ++j) {
+    atoms.push_back(GenerateUniform(rng, 8'000, 2, 1'000));
+  }
+  const ConjunctiveQuery q = ConjunctiveQuery::Make(
+      {"x", "y", "z", "w"},
+      {{"A", {0, 1}}, {"B", {1, 2}}, {"C", {2, 3}}, {"D", {3, 0}}});
+  HyperCubeOptions options;
+  options.forced_shares = {4, 2, 4, 2};
+  ExpectHyperCubeOutputGolden("HyperCubeFourCycleOutput", 64, q, atoms,
+                              options, kHyperCubeFourCycleOutput);
+}
+
+// A triangle at p = 30: the shares' product is below p, so the last
+// servers receive nothing and output nothing.
+const ExchangeGolden kHyperCubeUnusedServersOutput = {2415, 0x71d1a58123d3ede3ULL};
+
+TEST(HyperCubeOutputGoldenTest, TriangleWithUnusedServers) {
+  Rng rng(3);
+  std::vector<Relation> atoms;
+  for (int j = 0; j < 3; ++j) {
+    atoms.push_back(GenerateUniform(rng, 20'000, 2, 1'500));
+  }
+  const std::vector<int> shares = ExpectHyperCubeOutputGolden(
+      "HyperCubeUnusedServersOutput", 30, ConjunctiveQuery::Triangle(), atoms,
+      {}, kHyperCubeUnusedServersOutput);
+  int product = 1;
+  for (int s : shares) product *= s;
+  EXPECT_LT(product, 30);
 }
 
 // ---------- Skew-aware join ----------
