@@ -6,7 +6,9 @@
 #include "common/trace.h"
 #include "mpc/exchange.h"
 #include "mpc/metrics.h"
+#include "query/ghd.h"
 #include "query/local_eval.h"
+#include "query/trie_join.h"
 #include "relation/columnar.h"
 
 namespace mpcqp {
@@ -24,6 +26,7 @@ GridSlab::GridSlab(const std::vector<int>& shares,
   offsets_ = {0};
   for (int v = 0; v < k; ++v) {
     if (is_fixed[v]) continue;
+    if (shares[v] > 1) free_.push_back({v, -1, shares[v], strides[v]});
     const size_t count = offsets_.size();
     for (int coord = 1; coord < shares[v]; ++coord) {
       for (size_t i = 0; i < count; ++i) {
@@ -31,6 +34,14 @@ GridSlab::GridSlab(const std::vector<int>& shares,
       }
     }
   }
+}
+
+int GridSlab::Representative(int server) const {
+  int representative = server;
+  for (const Dim& d : free_) {
+    representative -= server / d.stride % d.share * d.stride;
+  }
+  return representative;
 }
 
 void GridSlab::AddBases(const Relation& frag, int64_t begin, int64_t end,
@@ -48,6 +59,63 @@ void GridSlab::AddBases(const Relation& frag, int64_t begin, int64_t end,
     for (int64_t i = 0; i < rows; ++i) base[i] += bucket[i] * d.stride;
   }
 }
+
+namespace {
+
+// The local step of a cyclic query on a grid of `grid` servers: one pool
+// task per (atom, slab) builds the slab's trie from its representative's
+// fragment, then one task per server searches its atoms' shared tries.
+// Fragments no build reads are released before the builds start, and each
+// representative's once its trie is built, so the tries replace the
+// routed copies instead of adding to them.
+std::vector<Relation> JoinWithSlabTries(Cluster& cluster,
+                                        const ConjunctiveQuery& q,
+                                        const std::vector<GridSlab>& slabs,
+                                        int grid,
+                                        std::vector<DistRelation>& routed) {
+  const int p = cluster.num_servers();
+  const int m = q.num_atoms();
+  struct Build {
+    int atom;
+    int server;
+  };
+  std::vector<Build> builds;
+  // trie_of[j * grid + s]: the build whose trie server s reads for atom j.
+  std::vector<int> trie_of(static_cast<size_t>(m) * grid);
+  for (int j = 0; j < m; ++j) {
+    for (int s = 0; s < grid; ++s) {
+      const int representative = slabs[j].Representative(s);
+      if (representative == s) {
+        trie_of[j * grid + s] = static_cast<int>(builds.size());
+        builds.push_back({j, s});
+      } else {
+        trie_of[j * grid + s] = trie_of[j * grid + representative];
+        routed[j].fragment(s) = Relation(routed[j].arity());
+      }
+    }
+  }
+
+  std::vector<AtomTrie> tries(builds.size());
+  cluster.pool().ParallelFor(static_cast<int64_t>(builds.size()),
+                             [&](int64_t i) {
+    const auto [j, s] = builds[i];
+    tries[i] = BuildTrie(q, j, routed[j].fragment(s));
+    routed[j].fragment(s) = Relation(routed[j].arity());
+  });
+
+  std::vector<Relation> outputs(p, Relation(q.num_vars()));
+  cluster.pool().ParallelFor(grid, [&](int64_t s) {
+    MPCQP_TRACE_SCOPE_ARG("local eval", "compute", s);
+    std::vector<const AtomTrie*> server_tries(m);
+    for (int j = 0; j < m; ++j) {
+      server_tries[j] = &tries[trie_of[j * grid + s]];
+    }
+    outputs[s] = SearchTries(q, server_tries);
+  });
+  return outputs;
+}
+
+}  // namespace
 
 HyperCubeResult HyperCubeJoin(Cluster& cluster, const ConjunctiveQuery& q,
                               const std::vector<DistRelation>& atoms,
@@ -88,11 +156,14 @@ HyperCubeResult HyperCubeJoin(Cluster& cluster, const ConjunctiveQuery& q,
   cluster.BeginRound("hypercube: multicast");
   std::vector<DistRelation> routed;
   routed.reserve(q.num_atoms());
+  std::vector<GridSlab> slabs;
+  slabs.reserve(q.num_atoms());
   for (int j = 0; j < q.num_atoms(); ++j) {
     const Atom& atom = q.atom(j);
     // The atom's slab: the fixed variables' coordinates give one base
     // server per row, and the free dimensions' offsets its copies.
-    const GridSlab slab(shares, DistinctVarCols(atom));
+    const GridSlab& slab =
+        slabs.emplace_back(shares, DistinctVarCols(atom));
 
     // Rows violating a repeated variable can never join: dropping them
     // locally is free and saves communication. Rows keep full arity,
@@ -114,10 +185,18 @@ HyperCubeResult HyperCubeJoin(Cluster& cluster, const ConjunctiveQuery& q,
   }
   cluster.EndRound();
 
-  // Local evaluation on every (used) server: one pool task per server,
-  // each with its own atom scratch.
-  std::vector<Relation> outputs(p);
   ScopedPhaseTimer local_phase(cluster.metrics(), Phase::kLocalCompute);
+  if (!IsAcyclic(q)) {
+    int grid = 1;
+    for (int share : shares) grid *= share;
+    return HyperCubeResult{
+        DistRelation::FromFragments(
+            JoinWithSlabTries(cluster, q, slabs, grid, routed)),
+        std::move(shares)};
+  }
+  // Acyclic: a hash-join LocalJoin per server, each with its own atom
+  // scratch.
+  std::vector<Relation> outputs(p);
   cluster.pool().ParallelFor(p, [&](int64_t s) {
     MPCQP_TRACE_SCOPE_ARG("local eval", "compute", s);
     std::vector<Relation> local_atoms(q.num_atoms());

@@ -25,9 +25,18 @@ namespace mpcqp {
 // Skew-free load: IN / p^{1/τ*} for equal-size atoms (τ* = fractional edge
 // packing number); N/p^{2/3} for the triangle. Degrades under skew — use
 // SkewHcJoin then.
-// Each server evaluates its fragments with LocalJoin (query/local_eval.h):
-// a trie join for cyclic queries, pairwise hash joins for acyclic ones;
-// SQL bag semantics.
+// Each server evaluates its fragments with SQL bag semantics. For an
+// acyclic query that is LocalJoin (query/local_eval.h), pairwise hash joins
+// per server. For a cyclic query it is the trie join (query/trie_join.h),
+// with one trie per slab rather than per server: an atom's tuple reaches
+// every server of its slab (the servers that agree on the atom's own
+// variables), so all Π(free shares) of them hold the same fragment. Each
+// (atom, slab) trie is built once, from the slab's representative server,
+// and every server of the slab searches it read-only. That is
+// Σ_j Π(shares of atom j's variables) builds instead of one per (atom,
+// server); like Broadcast's shared payload it saves simulator work and
+// memory, not load, and the output is byte-identical to a per-server
+// trie join.
 struct HyperCubeOptions {
   // If non-empty, overrides the share computation (one entry per query
   // variable, product <= p). Used by benches reproducing specific rows of
@@ -58,6 +67,12 @@ class GridSlab {
   // The free dimensions' linear offsets, enumerated once; 0 first.
   const std::vector<int>& offsets() const { return offsets_; }
 
+  // The server of `server`'s slab whose free coordinates are all 0, i.e.
+  // `server` minus its free offset. Every server of a slab receives the
+  // same rows, in the same order. `server` must lie on the grid
+  // (below the product of the shares).
+  int Representative(int server) const;
+
   // base[i] += Σ_v hashes[v].Bucket(row[v], share_v) · stride_v for rows
   // [begin, end) of `frag`, one BucketMany pass per column. A share-1
   // variable's only coordinate is 0, so it adds nothing and is skipped.
@@ -73,6 +88,7 @@ class GridSlab {
     int32_t stride;
   };
   std::vector<Dim> spread_;  // The atom's variables with share > 1.
+  std::vector<Dim> free_;    // The other variables with share > 1.
   std::vector<int> offsets_;
 };
 

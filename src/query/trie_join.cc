@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <memory>
 #include <utility>
 
 #include "common/check.h"
@@ -13,97 +14,115 @@ namespace mpcqp {
 
 namespace {
 
-// Sorts `n` rows of `width` values, row-major in `rows`, lexicographically
-// by an LSD radix sort that visits only the bits that vary: one OR/AND
-// pass per column finds each column's span of varying bits, and each pass
-// sorts one digit of that span, last column first. Digits are about
-// log2(n) bits wide (8 to 16), so a histogram costs no more than a
-// scatter; a small domain takes one pass per column, not eight.
-void RadixSortRows(std::vector<Value>& rows, int64_t n, int width) {
-  if (n < 2) return;
+// The search's variable order: variables in more atoms first, ties by id.
+std::vector<int> VariableOrder(const ConjunctiveQuery& q) {
+  const int k = q.num_vars();
+  std::vector<int> atom_count(k, 0);
+  for (const Atom& atom : q.atoms()) {
+    for (int v : DistinctVars(atom)) ++atom_count[v];
+  }
+  std::vector<int> order(k);
+  for (int v = 0; v < k; ++v) order[v] = v;
+  std::stable_sort(order.begin(), order.end(), [&](int x, int y) {
+    return atom_count[x] > atom_count[y];
+  });
+  return order;
+}
+
+// Sorts the projection onto `cols` of the `n` rows of `in` (row-major,
+// `in_width` values a row) lexicographically and returns it as n rows of
+// cols.size() values. An LSD radix sort that visits only the bits that
+// vary: one OR/AND pass per column finds each column's span of varying
+// bits, and each pass sorts one digit of that span, last column first.
+// The first pass reads `in` itself, so the projection costs no copy of its
+// own. Digits are about log2(n) bits wide (8 to 16), so a histogram costs
+// no more than a scatter; a small domain takes one pass per column, not
+// eight. The buffers are written before they are read, so none is
+// zero-filled.
+std::unique_ptr<Value[]> SortKeys(const Value* in, int in_width,
+                                  const std::vector<int>& cols, int64_t n) {
+  const int width = static_cast<int>(cols.size());
   std::vector<Value> any(width, 0);
   std::vector<Value> all(width, ~Value{0});
   for (int64_t r = 0; r < n; ++r) {
-    const Value* row = rows.data() + r * width;
+    const Value* row = in + r * in_width;
     for (int c = 0; c < width; ++c) {
-      any[c] |= row[c];
-      all[c] &= row[c];
+      any[c] |= row[cols[c]];
+      all[c] &= row[cols[c]];
     }
   }
+  struct Pass {
+    int col;
+    int shift;
+    Value mask;
+  };
+  std::vector<Pass> passes;
   const int digit = std::clamp(
       static_cast<int>(std::bit_width(static_cast<uint64_t>(n))), 8, 16);
-  std::vector<int64_t> next;
-  std::vector<Value> scratch(rows.size());
   for (int c = width - 1; c >= 0; --c) {
     const Value varying = any[c] ^ all[c];
     if (varying == 0) continue;
     const int low = std::countr_zero(varying);
     const int high = 64 - std::countl_zero(varying);
     for (int shift = low; shift < high; shift += digit) {
-      const Value mask = (Value{1} << std::min(digit, high - shift)) - 1;
-      const Value* src = rows.data();
-      next.assign(mask + 1, 0);
-      for (int64_t r = 0; r < n; ++r) {
-        ++next[(src[r * width + c] >> shift) & mask];
-      }
-      int64_t sum = 0;
-      for (int64_t& count : next) {
-        const int64_t start = sum;
-        sum += count;
-        count = start;
-      }
-      Value* dst = scratch.data();
-      for (int64_t r = 0; r < n; ++r) {
-        const Value* row = src + r * width;
-        Value* out = dst + next[(row[c] >> shift) & mask]++ * width;
-        for (int k = 0; k < width; ++k) out[k] = row[k];
-      }
-      rows.swap(scratch);
+      passes.push_back(
+          {c, shift, (Value{1} << std::min(digit, high - shift)) - 1});
     }
   }
+
+  const size_t size = static_cast<size_t>(n) * width;
+  auto out = std::make_unique_for_overwrite<Value[]>(size);
+  if (passes.empty()) {
+    for (int64_t r = 0; r < n; ++r) {
+      for (int c = 0; c < width; ++c) {
+        out[r * width + c] = in[r * in_width + cols[c]];
+      }
+    }
+    return out;
+  }
+  std::unique_ptr<Value[]> spare;
+  if (passes.size() > 1) spare = std::make_unique_for_overwrite<Value[]>(size);
+  std::vector<int> identity(width);
+  for (int c = 0; c < width; ++c) identity[c] = c;
+  const Value* src = in;
+  int src_width = in_width;
+  const int* src_cols = cols.data();
+  std::vector<int64_t> next;
+  for (const Pass& pass : passes) {
+    const int col = src_cols[pass.col];
+    next.assign(pass.mask + 1, 0);
+    for (int64_t r = 0; r < n; ++r) {
+      ++next[(src[r * src_width + col] >> pass.shift) & pass.mask];
+    }
+    int64_t sum = 0;
+    for (int64_t& count : next) {
+      const int64_t start = sum;
+      sum += count;
+      count = start;
+    }
+    Value* dst = out.get();
+    for (int64_t r = 0; r < n; ++r) {
+      const Value* row = src + r * src_width;
+      Value* to = dst + next[(row[col] >> pass.shift) & pass.mask]++ * width;
+      for (int k = 0; k < width; ++k) to[k] = row[src_cols[k]];
+    }
+    src = dst;
+    src_width = width;
+    src_cols = identity.data();
+    out.swap(spare);  // `spare` now holds this pass's rows.
+  }
+  return spare;
 }
 
-// One atom's flat trie. Level l holds the atom's l-th variable (in the
-// global order): `vals[l]` lists, node by node, the sorted distinct values
-// under each level-(l-1) node, and node i's children are
-// vals[l+1][off[l][i], off[l][i+1]). Leaves carry the multiplicity of
-// their full key.
-struct FlatTrie {
-  std::vector<std::vector<Value>> vals;
-  std::vector<std::vector<int64_t>> off;
-  std::vector<int64_t> mult;
-};
-
-// Builds the trie of `n` lexicographically sorted rows of `width` values
-// in one scan: a row opens new nodes from the first column where it
-// differs from its predecessor; an identical row bumps the leaf count.
-FlatTrie BuildTrie(const std::vector<Value>& rows, int64_t n, int width) {
-  FlatTrie trie;
-  trie.vals.resize(width);
-  trie.off.resize(width - 1);
-  for (int64_t r = 0; r < n; ++r) {
-    const Value* row = rows.data() + r * width;
-    int d = 0;
-    if (r > 0) {
-      const Value* prev = row - width;
-      while (d < width && row[d] == prev[d]) ++d;
-    }
-    if (d == width) {
-      ++trie.mult.back();
-      continue;
-    }
-    for (int l = d; l < width; ++l) {
-      if (l + 1 < width) {
-        trie.off[l].push_back(static_cast<int64_t>(trie.vals[l + 1].size()));
-      }
-      trie.vals[l].push_back(row[l]);
-    }
-    trie.mult.push_back(1);
-  }
-  for (int l = 0; l + 1 < width; ++l) {
-    trie.off[l].push_back(static_cast<int64_t>(trie.vals[l + 1].size()));
-  }
-  return trie;
+// The first column where sorted row r differs from row r - 1: 0 for the
+// first row, `width` for a repeat of its predecessor.
+int FirstDifference(const Value* rows, int64_t r, int width) {
+  if (r == 0) return 0;
+  const Value* row = rows + r * width;
+  const Value* prev = row - width;
+  int d = 0;
+  while (d < width && row[d] == prev[d]) ++d;
+  return d;
 }
 
 // First index in [lo, hi) whose value is >= target, galloping from lo.
@@ -130,8 +149,7 @@ int64_t Seek(const Value* vals, int64_t lo, int64_t hi, Value target) {
 // of the other range up there instead of searching the root.
 class TrieSearch {
  public:
-  TrieSearch(const std::vector<FlatTrie>& tries,
-             const std::vector<std::vector<int>>& levels,
+  TrieSearch(const std::vector<const AtomTrie*>& tries,
              const std::vector<int>& order, int num_vars)
       : order_(order), binding_(num_vars, 0) {
     const int k = static_cast<int>(order.size());
@@ -142,25 +160,26 @@ class TrieSearch {
     int num_pos = 0;
     for (size_t j = 0; j < tries.size(); ++j) {
       base[j] = num_pos;
-      num_pos += static_cast<int>(levels[j].size());
+      num_pos += static_cast<int>(tries[j]->level_vars.size());
     }
     pos_.assign(num_pos, 0);
     hi_.assign(num_pos, 0);
     std::vector<std::vector<Slot>> by_depth(k);
     for (size_t j = 0; j < tries.size(); ++j) {
-      const FlatTrie& trie = tries[j];
-      for (size_t l = 0; l < levels[j].size(); ++l) {
+      const AtomTrie& trie = *tries[j];
+      const std::vector<int>& levels = trie.level_vars;
+      for (size_t l = 0; l < levels.size(); ++l) {
         Slot slot;
         slot.vals = trie.vals[l].data();
         slot.parent_off = l == 0 ? nullptr : trie.off[l - 1].data();
         slot.root_size = static_cast<int64_t>(trie.vals[0].size());
         slot.parent_pos = l == 0 ? -1 : base[j] + static_cast<int>(l) - 1;
         slot.pos = base[j] + static_cast<int>(l);
-        by_depth[depth_of[levels[j][l]]].push_back(slot);
+        by_depth[depth_of[levels[l]]].push_back(slot);
       }
       leaves_.push_back(
           {trie.mult.data(),
-           base[j] + static_cast<int>(levels[j].size()) - 1});
+           base[j] + static_cast<int>(levels.size()) - 1});
     }
     // At most one root per trie, so the reserve keeps the slot pointers
     // valid.
@@ -364,58 +383,86 @@ class TrieSearch {
 
 }  // namespace
 
+AtomTrie BuildTrie(const ConjunctiveQuery& q, int j, const Relation& rel) {
+  MPCQP_TRACE_SCOPE("trie build", "compute");
+  const Atom& atom = q.atom(j);
+  MPCQP_CHECK_EQ(rel.arity(), atom.arity());
+  const std::vector<int> order = VariableOrder(q);
+  std::vector<int> order_pos(q.num_vars());
+  for (int d = 0; d < q.num_vars(); ++d) order_pos[order[d]] = d;
+
+  AtomTrie trie;
+  const std::vector<int> vars = DistinctVars(atom);
+  trie.level_vars = vars;
+  std::sort(trie.level_vars.begin(), trie.level_vars.end(),
+            [&](int x, int y) { return order_pos[x] < order_pos[y]; });
+  const int width = static_cast<int>(vars.size());
+  trie.vals.resize(width);
+  trie.off.resize(width - 1);
+  const Relation normalized = NormalizeAtom(atom, rel);
+  const int64_t n = normalized.size();
+  if (n == 0) return trie;
+  const std::unique_ptr<Value[]> rows =
+      SortKeys(normalized.data().data(), normalized.arity(),
+               ColumnsOf(trie.level_vars, vars), n);
+
+  // A row opens one node on every level from its first difference with
+  // its predecessor on; a repeated row opens none. Count the nodes, size
+  // each level exactly, then fill it.
+  std::vector<int64_t> opened(width + 1, 0);  // Rows by first difference.
+  for (int64_t r = 0; r < n; ++r) {
+    ++opened[FirstDifference(rows.get(), r, width)];
+  }
+  int64_t nodes = 0;
+  for (int l = 0; l < width; ++l) {
+    nodes += opened[l];
+    trie.vals[l].resize(nodes);
+    if (l + 1 < width) trie.off[l].resize(nodes + 1);
+  }
+  trie.mult.resize(nodes);
+  std::vector<int64_t> at(width, 0);  // Nodes written per level.
+  for (int64_t r = 0; r < n; ++r) {
+    const Value* row = rows.get() + r * width;
+    const int d = FirstDifference(rows.get(), r, width);
+    if (d == width) {
+      ++trie.mult[at[width - 1] - 1];
+      continue;
+    }
+    for (int l = d; l < width; ++l) {
+      if (l + 1 < width) trie.off[l][at[l]] = at[l + 1];
+      trie.vals[l][at[l]++] = row[l];
+    }
+    trie.mult[at[width - 1] - 1] = 1;
+  }
+  for (int l = 0; l + 1 < width; ++l) trie.off[l][at[l]] = at[l + 1];
+  return trie;
+}
+
+Relation SearchTries(const ConjunctiveQuery& q,
+                     const std::vector<const AtomTrie*>& tries) {
+  MPCQP_CHECK_EQ(static_cast<int>(tries.size()), q.num_atoms());
+  const int k = q.num_vars();
+  for (int j = 0; j < q.num_atoms(); ++j) {
+    MPCQP_CHECK_EQ(tries[j]->level_vars.size(),
+                   DistinctVars(q.atom(j)).size());
+    if (tries[j]->empty()) return Relation(k);  // An empty atom kills the join.
+  }
+  MPCQP_TRACE_SCOPE("trie search", "compute");
+  std::vector<Value> out = TrieSearch(tries, VariableOrder(q), k).Run();
+  return Relation(k, std::move(out));
+}
+
 Relation TrieJoin(const ConjunctiveQuery& q,
                   const std::vector<Relation>& atoms) {
   MPCQP_CHECK_EQ(static_cast<int>(atoms.size()), q.num_atoms());
-  const int k = q.num_vars();
-
-  // Variables in more atoms first, ties by id.
-  std::vector<int> atom_count(k, 0);
-  for (const Atom& atom : q.atoms()) {
-    for (int v : DistinctVars(atom)) ++atom_count[v];
+  std::vector<AtomTrie> tries(q.num_atoms());
+  std::vector<const AtomTrie*> built;
+  for (int j = 0; j < q.num_atoms(); ++j) {
+    tries[j] = BuildTrie(q, j, atoms[j]);
+    if (tries[j].empty()) return Relation(q.num_vars());
+    built.push_back(&tries[j]);
   }
-  std::vector<int> order(k);
-  for (int v = 0; v < k; ++v) order[v] = v;
-  std::stable_sort(order.begin(), order.end(), [&](int x, int y) {
-    return atom_count[x] > atom_count[y];
-  });
-  std::vector<int> order_pos(k);
-  for (int d = 0; d < k; ++d) order_pos[order[d]] = d;
-
-  std::vector<FlatTrie> tries;
-  std::vector<std::vector<int>> levels;
-  {
-    MPCQP_TRACE_SCOPE("trie build", "compute");
-    for (int j = 0; j < q.num_atoms(); ++j) {
-      const Atom& atom = q.atom(j);
-      MPCQP_CHECK_EQ(atoms[j].arity(), atom.arity());
-      const std::vector<int> vars = DistinctVars(atom);
-      std::vector<int> level_vars = vars;
-      std::sort(level_vars.begin(), level_vars.end(),
-                [&](int x, int y) { return order_pos[x] < order_pos[y]; });
-      const std::vector<int> cols = ColumnsOf(level_vars, vars);
-      const Relation normalized = NormalizeAtom(atom, atoms[j]);
-      const int64_t n = normalized.size();
-      if (n == 0) return Relation(k);  // An empty atom kills the join.
-
-      const int width = static_cast<int>(cols.size());
-      std::vector<Value> rows(static_cast<size_t>(n) * width);
-      const int in_width = normalized.arity();
-      const Value* in = normalized.data().data();
-      for (int64_t r = 0; r < n; ++r) {
-        for (int c = 0; c < width; ++c) {
-          rows[r * width + c] = in[r * in_width + cols[c]];
-        }
-      }
-      RadixSortRows(rows, n, width);
-      tries.push_back(BuildTrie(rows, n, width));
-      levels.push_back(std::move(level_vars));
-    }
-  }
-
-  MPCQP_TRACE_SCOPE("trie search", "compute");
-  std::vector<Value> out = TrieSearch(tries, levels, order, k).Run();
-  return Relation(k, std::move(out));
+  return SearchTries(q, built);
 }
 
 }  // namespace mpcqp

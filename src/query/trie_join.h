@@ -1,6 +1,7 @@
 #ifndef MPCQP_QUERY_TRIE_JOIN_H_
 #define MPCQP_QUERY_TRIE_JOIN_H_
 
+#include <cstdint>
 #include <vector>
 
 #include "query/query.h"
@@ -17,30 +18,65 @@ namespace mpcqp {
 // intermediates of size IN²/D whose final output is tiny. HyperCube's
 // servers receive exactly such fragments for cyclic queries.
 //
+// The kernel has two parts, a build per atom and a search over the built
+// tries:
 // - Variable order: variables in more atoms first, ties by variable id.
-// - Each atom (after NormalizeAtom) becomes one trie whose levels are its
-//   distinct variables in that order. Its key rows are sorted by an LSD
-//   radix sort over only the bits that vary, then scanned once into
-//   per-level value and offset arrays. Equal keys collapse into one leaf
+//   It depends only on `q`, so a trie built for q.atom(j) fits every
+//   search of `q`.
+// - BuildTrie: the atom (after NormalizeAtom) becomes one trie whose
+//   levels are its distinct variables in that order. Its key rows are
+//   sorted straight from the relation by an LSD radix sort over only the
+//   bits that vary, then scanned twice: once to count each level's nodes,
+//   once to fill levels sized exactly. Equal keys collapse into one leaf
 //   carrying their multiplicity.
-// - Variables bind one at a time: direct iteration when one atom holds the
-//   variable, a merge for two (galloping when one range is far larger),
-//   leapfrog for three or more. A full binding is emitted
+// - SearchTries: variables bind one at a time: direct iteration when one
+//   atom holds the variable, a merge for two (galloping when one range is
+//   far larger), leapfrog for three or more. A full binding is emitted
 //   Π(leaf multiplicities) times, so deduplicated inputs give set
 //   semantics.
 // - A trie root whose variable binds after the first depth is intersected
 //   again for every binding of the earlier variables. If one other atom
-//   shares that depth, the root is indexed once (a FlatCounter from value
-//   to position + 1), and whenever the root is the larger range the other
-//   range is walked in order with one lookup per value. A larger other
-//   range still merges or gallops.
-// - Traced runs show the kernel as a "trie build" and a "trie search"
-//   span (the search span includes building the root indexes).
+//   shares that depth, the search indexes that root once (a FlatCounter
+//   from value to position + 1), and whenever the root is the larger range
+//   the other range is walked in order with one lookup per value. A larger
+//   other range still merges or gallops.
+// - A built trie is read-only. Any number of searches, on any threads, may
+//   read it at once, so an atom fragment that several servers receive
+//   whole (a HyperCube slab) is built once and shared.
+// - Traced runs show one "trie build" span per built atom and one
+//   "trie search" span per search (the search span includes building the
+//   root indexes).
 //
 // Output columns are the query variables in id order. Rows come out in
 // trie order (lexicographic in the variable order), which depends only on
 // the atoms' contents: permuting input rows leaves the output
 // byte-identical.
+
+// One atom's flat trie. Level l holds the atom's l-th variable in the
+// variable order: `vals[l]` lists, node by node, the sorted distinct
+// values under each level-(l-1) node, and node i's children are
+// vals[l+1][off[l][i], off[l][i+1]). Leaves carry the multiplicity of
+// their full key. Every level is sized exactly.
+struct AtomTrie {
+  std::vector<int> level_vars;  // Query variable ids, one per level.
+  std::vector<std::vector<Value>> vals;
+  std::vector<std::vector<int64_t>> off;
+  std::vector<int64_t> mult;
+
+  // True when the atom had no rows: its join is empty.
+  bool empty() const { return mult.empty(); }
+};
+
+// The trie of `rel`, an instance of q.atom(j) (arities must match).
+AtomTrie BuildTrie(const ConjunctiveQuery& q, int j, const Relation& rel);
+
+// The join of `tries`, where tries[j] is BuildTrie(q, j, ·). Reads the
+// tries only.
+Relation SearchTries(const ConjunctiveQuery& q,
+                     const std::vector<const AtomTrie*>& tries);
+
+// Builds each atom's trie, then searches them; an empty atom stops the
+// builds early.
 Relation TrieJoin(const ConjunctiveQuery& q,
                   const std::vector<Relation>& atoms);
 

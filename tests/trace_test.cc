@@ -17,6 +17,7 @@
 #include <cctype>
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/trace.h"
@@ -270,8 +271,8 @@ TEST_F(TraceTest, TracingDoesNotPerturbTheCostReport) {
   EXPECT_GT(Tracer::Get().event_count(), 0);
 }
 
-// TrieJoin splits into a build span and a search span; tracing it leaves
-// its output byte-identical.
+// TrieJoin records a build span per atom and one search span; tracing it
+// leaves its output byte-identical.
 TEST_F(TraceTest, TrieJoinSpansDoNotPerturbItsOutput) {
   const ConjunctiveQuery q = ConjunctiveQuery::Triangle();
   Rng rng(13);
@@ -288,6 +289,74 @@ TEST_F(TraceTest, TrieJoinSpansDoNotPerturbItsOutput) {
   const std::string json = Tracer::Get().ToChromeJson();
   EXPECT_NE(json.find("\"trie build\""), std::string::npos);
   EXPECT_NE(json.find("\"trie search\""), std::string::npos);
+}
+
+// How many events named `name` a Chrome-trace JSON holds.
+int CountSpans(const std::string& json, const std::string& name) {
+  const std::string quoted = "\"" + name + "\"";
+  int count = 0;
+  for (size_t at = json.find(quoted); at != std::string::npos;
+       at = json.find(quoted, at + quoted.size())) {
+    ++count;
+  }
+  return count;
+}
+
+// Traces a cyclic HyperCube join at p = 64 with 4 threads and returns its
+// (trie build, trie search) span counts.
+std::pair<int, int> TrieSpans(const ConjunctiveQuery& q, int64_t rows,
+                              uint64_t domain,
+                              const HyperCubeOptions& options,
+                              std::vector<int>* shares) {
+  Rng rng(19);
+  std::vector<DistRelation> atoms;
+  for (int j = 0; j < q.num_atoms(); ++j) {
+    atoms.push_back(
+        DistRelation::Scatter(GenerateUniform(rng, rows, 2, domain), 64));
+  }
+  ClusterOptions cluster_options;
+  cluster_options.num_threads = 4;
+  Cluster cluster(64, 42, cluster_options);
+  Tracer::Get().Enable();
+  HyperCubeResult result = HyperCubeJoin(cluster, q, atoms, options);
+  Tracer::Get().Disable();
+  *shares = std::move(result.shares);
+  const std::string json = Tracer::Get().ToChromeJson();
+  return {CountSpans(json, "trie build"), CountSpans(json, "trie search")};
+}
+
+// HyperCube builds one trie per (atom, slab), not per (atom, server): on
+// the 4x4x4 triangle grid each atom has 16 slabs of 4 servers, so 48
+// builds serve 64 searches.
+TEST_F(TraceTest, HyperCubeBuildsOneTriePerSlab) {
+  std::vector<int> shares;
+  const auto [builds, searches] = TrieSpans(ConjunctiveQuery::Triangle(),
+                                            6000, 600, {}, &shares);
+  EXPECT_EQ(shares, (std::vector<int>{4, 4, 4}));
+  EXPECT_EQ(builds, 48);
+  EXPECT_EQ(searches, 64);
+}
+
+// The forced-share 4-cycle: atom j has p / Π(its free shares) slabs.
+TEST_F(TraceTest, HyperCubeFourCycleBuildsOneTriePerSlab) {
+  const ConjunctiveQuery q = ConjunctiveQuery::Make(
+      {"x", "y", "z", "w"},
+      {{"A", {0, 1}}, {"B", {1, 2}}, {"C", {2, 3}}, {"D", {3, 0}}});
+  HyperCubeOptions options;
+  options.forced_shares = {4, 2, 4, 2};
+  std::vector<int> shares;
+  const auto [builds, searches] = TrieSpans(q, 4000, 200, options, &shares);
+  int expected_builds = 0;
+  for (const Atom& atom : q.atoms()) {
+    int free_product = 1;
+    for (int v = 0; v < q.num_vars(); ++v) {
+      if (!atom.ContainsVar(v)) free_product *= shares[v];
+    }
+    expected_builds += 64 / free_product;
+  }
+  EXPECT_EQ(expected_builds, 32);
+  EXPECT_EQ(builds, expected_builds);
+  EXPECT_EQ(searches, 64);
 }
 
 // The heavy-hitter counts of SkewHC and the skew-aware join each record a

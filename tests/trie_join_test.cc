@@ -8,6 +8,7 @@
 #include <utility>
 
 #include "common/hash.h"
+#include "common/thread_pool.h"
 #include "query/local_eval.h"
 #include "query/trie_join.h"
 #include "relation/relation_ops.h"
@@ -80,6 +81,18 @@ void ExpectBagEqualAndOrderFree(const ConjunctiveQuery& q,
   EXPECT_TRUE(out == TrieJoin(q, Shuffled(atoms, 23))) << label;
 }
 
+// TrieJoin in its two parts: every atom's trie, then one search.
+Relation BuildThenSearch(const ConjunctiveQuery& q,
+                         const std::vector<Relation>& atoms) {
+  std::vector<AtomTrie> tries;
+  for (int j = 0; j < q.num_atoms(); ++j) {
+    tries.push_back(BuildTrie(q, j, atoms[j]));
+  }
+  std::vector<const AtomTrie*> read;
+  for (const AtomTrie& trie : tries) read.push_back(&trie);
+  return SearchTries(q, read);
+}
+
 struct WcojCase {
   const char* query;
   int64_t rows;
@@ -111,6 +124,16 @@ TEST_P(TrieJoinTest, MatchesBagSemanticsReference) {
   const std::vector<Relation> atoms =
       UniformAtoms(q, seed, spec.rows, spec.domain);
   EXPECT_TRUE(MultisetEqual(TrieJoin(q, atoms), EvalJoinLocal(q, atoms)));
+}
+
+// Building every atom's trie and then searching them is TrieJoin, byte
+// for byte.
+TEST_P(TrieJoinTest, BuildThenSearchMatchesTrieJoin) {
+  const auto [spec, seed] = GetParam();
+  const ConjunctiveQuery q = ParseOrDie(spec.query);
+  const std::vector<Relation> atoms =
+      UniformAtoms(q, seed, spec.rows, spec.domain);
+  EXPECT_TRUE(BuildThenSearch(q, atoms) == TrieJoin(q, atoms));
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -465,6 +488,65 @@ TEST(TrieJoinTest, OutputIsByteIdenticalUnderInputPermutation) {
     const Relation out = TrieJoin(q, atoms);
     EXPECT_FALSE(out.empty()) << text;
     EXPECT_TRUE(out == TrieJoin(q, Shuffled(atoms, 15))) << text;
+  }
+}
+
+// Build-then-search on the kernel's edge cases: an empty atom, a
+// repeated-variable atom, and duplicate rows whose leaves carry a
+// multiplicity above 1.
+TEST(TrieJoinTest, BuildThenSearchEdgeCases) {
+  const ConjunctiveQuery triangle = ConjunctiveQuery::Triangle();
+  Rng rng(31);
+  const Relation full = GenerateUniform(rng, 60, 2, 6);
+  const std::vector<Relation> empty_atom = {full, Relation(2), full};
+  EXPECT_TRUE(BuildTrie(triangle, 1, Relation(2)).empty());
+  EXPECT_TRUE(BuildThenSearch(triangle, empty_atom).empty());
+  EXPECT_TRUE(BuildThenSearch(triangle, empty_atom) ==
+              TrieJoin(triangle, empty_atom));
+
+  const ConjunctiveQuery repeated =
+      ParseOrDie("Q(x,y,z) :- R(x,x,y), S(y,z,z), T(z,x)");
+  const std::vector<Relation> repeated_atoms = {
+      GenerateUniform(rng, 400, 3, 4), GenerateUniform(rng, 400, 3, 4),
+      GenerateUniform(rng, 400, 2, 4)};
+  const Relation repeated_out = BuildThenSearch(repeated, repeated_atoms);
+  EXPECT_FALSE(repeated_out.empty());
+  EXPECT_TRUE(repeated_out == TrieJoin(repeated, repeated_atoms));
+
+  const ConjunctiveQuery q = ConjunctiveQuery::TwoWayJoin();
+  const Relation r = Relation::FromRows({{1, 5}, {1, 5}, {2, 6}});
+  const Relation s = Relation::FromRows({{5, 2}, {5, 2}, {5, 2}, {7, 1}});
+  const AtomTrie s_trie = BuildTrie(q, 1, s);
+  EXPECT_EQ(s_trie.mult, (std::vector<int64_t>{3, 1}));
+  const Relation out = BuildThenSearch(q, {r, s});
+  EXPECT_EQ(out.size(), 6);
+  EXPECT_TRUE(out == TrieJoin(q, {r, s}));
+}
+
+// One trie read by many concurrent searches: R's trie is built once and
+// every task of a ParallelFor searches it with its own S and T. Each
+// result equals a TrieJoin that builds R itself.
+TEST(TrieJoinTest, ConcurrentSearchesShareOneTrie) {
+  const ConjunctiveQuery q = ConjunctiveQuery::Triangle();
+  Rng rng(37);
+  const Relation r = GenerateUniform(rng, 3000, 2, 60);
+  const AtomTrie r_trie = BuildTrie(q, 0, r);
+  constexpr int kSearches = 16;
+  std::vector<std::vector<Relation>> atoms(kSearches);
+  for (std::vector<Relation>& server : atoms) {
+    server = {r, GenerateUniform(rng, 1500, 2, 60),
+              GenerateUniform(rng, 1500, 2, 60)};
+  }
+  std::vector<Relation> shared(kSearches);
+  ThreadPool pool(4);
+  pool.ParallelFor(kSearches, [&](int64_t i) {
+    const AtomTrie s_trie = BuildTrie(q, 1, atoms[i][1]);
+    const AtomTrie t_trie = BuildTrie(q, 2, atoms[i][2]);
+    shared[i] = SearchTries(q, {&r_trie, &s_trie, &t_trie});
+  });
+  for (int i = 0; i < kSearches; ++i) {
+    EXPECT_FALSE(shared[i].empty()) << i;
+    EXPECT_TRUE(shared[i] == TrieJoin(q, atoms[i])) << i;
   }
 }
 
