@@ -13,7 +13,10 @@
 // _speedup keys; CI runs this binary as a Release smoke test and fails
 // the build if the morsel router loses to the baseline at t=8 (with a
 // small tolerance for timer noise). The HyperCubeGrid row (RouteGrid on a
-// 4 x 4 x 4 slab, p = 64 only) is reported but not gated.
+// 4 x 4 x 4 slab, p = 64 only) is reported but not gated; RouteGrid
+// writes each slab once and shares it with the slab's other servers,
+// while the baseline still writes all 4 copies, so that row's ratio also
+// measures the copies saved.
 
 #include <algorithm>
 #include <cstdint>
@@ -338,9 +341,12 @@ std::vector<Primitive> MakePrimitives() {
 
   // A HyperCube slab on a 4 x 4 x 4 grid (the triangle at p = 64): column
   // 0 fixes coordinate x, column 1 fixes y, and every tuple is multicast
-  // over the 4 coordinates of the free z — 4 destinations per tuple
-  // through RouteGrid, against the per-row multicast baseline. Needs
-  // p >= 64; report-only (not gated).
+  // over the 4 coordinates of the free z — 4 metered destinations per
+  // tuple. RouteGrid copies each tuple once, to the slab's base, and hands
+  // the other 3 servers handles to the base's fragment; the per-row
+  // multicast baseline writes all 4 copies. Both deliver (and the rate
+  // counts) 4 tuples per input tuple. Needs p >= 64; report-only (not
+  // gated).
   const HashFunction hash_x(0x11ULL);
   const HashFunction hash_y(0x22ULL);
   prims.push_back(

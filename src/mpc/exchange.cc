@@ -26,19 +26,21 @@ namespace {
 //
 // Phase 1 (morsel-parallel, work-stealing): compute every tuple's
 // destination(s) and tally exact per-(morsel, dst) row counts. No tuple
-// bytes move.
+// bytes move. A grid route counts each row at its base only.
 //
 // Between phases (parallel over destinations): for each destination d,
 // walk the morsels in order turning counts into exact write offsets
 // (src-major, row-ascending — the serial append order), meter the
-// per-(src, d) message, and pre-size fragment d to its final size.
+// per-(src, d) message (and, for a grid base, the same message to each
+// slab mate), and pre-size fragment d to its final size.
 //
 // Phase 2 (morsel-parallel, work-stealing): copy each tuple straight to
 // its final position. Per-(morsel, dst) ranges are disjoint, so the
 // copies need no locks. At large p the scattered per-tuple writes would
 // touch p cache-line streams per task, so the copy stages rows per
 // destination in small cache-resident write-combining blocks and flushes
-// them with bulk memcpy.
+// them with bulk memcpy. A grid route's slab mates then take
+// copy-on-write handles to their base's fragment.
 // ---------------------------------------------------------------------------
 
 // One (source, row-range) tile. `begin`/`end` are row indices within
@@ -145,10 +147,13 @@ struct CopyTargets {
 // over destinations: for destination d, walk the morsels in (src, begin)
 // order so rows land src-major and row-ascending — the serial append
 // order — for any morsel size; meter each (src, d) message as its total
-// closes, then pre-size fragment d of `*out`.
+// closes, then pre-size fragment d of `*out`. The message is metered to
+// d + o for every o of `slab` (RouteGrid's offsets; Route passes {0}),
+// because d's slab mates receive the same rows.
 CopyTargets PresizeDestinations(Cluster& cluster,
                                 const std::vector<Morsel>& morsels,
                                 const std::vector<int64_t>& counts,
+                                const std::vector<int>& slab,
                                 DistRelation* out) {
   const int p = cluster.num_servers();
   const int arity = out->arity();
@@ -168,41 +173,39 @@ CopyTargets PresizeDestinations(Cluster& cluster,
       src_total += counts[m * p + dst];
       if (m + 1 == num_morsels || morsels[m + 1].src != morsels[m].src) {
         if (src_total > 0) {
-          cluster.RecordMessage(morsels[m].src, dst, src_total,
-                                src_total * arity);
+          for (const int off : slab) {
+            cluster.RecordMessage(morsels[m].src, dst + off, src_total,
+                                  src_total * arity);
+          }
         }
         src_total = 0;
       }
     }
     targets.base[dst] = out->fragment(dst).ResizeRowsForOverwrite(total);
+    // A peak: one record stands for the slab mates, which hold these rows.
     cluster.metrics().RecordFragmentRows(total);
   });
   return targets;
 }
 
-// Grid router: every row goes to base + off for each entry of `offsets`
-// (non-negative, at least one). `base_of(frag, begin, end, base)` fills
-// the base server of rows [begin, end) of `frag` into base[0 .. end -
-// begin); it is called concurrently from morsel tasks and its result for a
-// row may depend only on that row and its coordinates. kSingle is the
-// single-destination router (hash/range partition, gather): offsets {0},
-// with the per-row offset loop compiled out.
-template <bool kSingle, typename BaseFn>
-DistRelation RouteGridImpl(Cluster& cluster, const DistRelation& rel,
-                           const BaseFn& base_of,
-                           const std::vector<int>& offsets,
-                           const std::string& label) {
+}  // namespace
+
+DistRelation RouteGrid(Cluster& cluster, const DistRelation& rel,
+                       const GridBaseFn& base_of,
+                       const std::vector<int>& offsets,
+                       const std::string& label) {
   const int p = cluster.num_servers();
   MPCQP_CHECK_EQ(rel.num_servers(), p);
   MPCQP_CHECK_GT(rel.arity(), 0) << "cannot route nullary relations";
   MPCQP_CHECK(!offsets.empty()) << "a grid route needs at least one offset";
   for (int off : offsets) MPCQP_CHECK_GE(off, 0) << "negative grid offset";
-  if constexpr (kSingle) {
-    MPCQP_CHECK(offsets.size() == 1 && offsets[0] == 0);
-  }
-  const int64_t max_offset = *std::max_element(offsets.begin(), offsets.end());
-  const int num_offsets = static_cast<int>(offsets.size());
-  const int* const off = offsets.data();
+  std::vector<int> sorted = offsets;
+  std::sort(sorted.begin(), sorted.end());
+  MPCQP_CHECK_EQ(sorted.front(), 0) << "a grid route's offsets must include 0";
+  MPCQP_CHECK(std::adjacent_find(sorted.begin(), sorted.end()) ==
+              sorted.end())
+      << "duplicate grid offset";
+  const int64_t max_offset = sorted.back();
   RoundScope scope(cluster, label);
 
   const int arity = rel.arity();
@@ -221,8 +224,8 @@ DistRelation RouteGridImpl(Cluster& cluster, const DistRelation& rel,
   auto bases = std::make_unique_for_overwrite<int32_t[]>(
       static_cast<size_t>(std::max<int64_t>(total_rows, 1)));
 
-  // Phase 1: bases + per-(morsel, dst) counts, one work-stealing task per
-  // morsel.
+  // Phase 1: bases + per-(morsel, base) counts, one work-stealing task per
+  // morsel. A row is counted at its base only.
   std::vector<int64_t> counts(static_cast<size_t>(num_morsels) * p, 0);
   {
     ScopedPhaseTimer phase(cluster.metrics(), Phase::kRoute);
@@ -237,20 +240,38 @@ DistRelation RouteGridImpl(Cluster& cluster, const DistRelation& rel,
         const int32_t base = b[i];
         MPCQP_CHECK_GE(base, 0);
         MPCQP_CHECK_LT(base + max_offset, p);
-        if constexpr (kSingle) {
-          ++cnt[base];
-        } else {
-          for (int k = 0; k < num_offsets; ++k) ++cnt[base + off[k]];
-        }
+        ++cnt[base];
       }
     });
   }
 
   CopyTargets targets =
-      PresizeDestinations(cluster, morsels, counts, &out);
+      PresizeDestinations(cluster, morsels, counts, offsets, &out);
 
-  // Phase 2: bulk copy into disjoint pre-sized ranges. Each morsel's
-  // offsets row doubles as its private cursor — no per-task allocation.
+  // The slab contract: a server reached through a non-zero offset holds
+  // no rows of its own as a base and is reached from one base only, so
+  // its fragment is exactly its base's.
+  std::vector<std::pair<int, int>> mates;  // (mate, its base).
+  if (offsets.size() > 1) {
+    std::vector<char> reached(p, 0);
+    for (int base = 0; base < p; ++base) {
+      if (out.fragment(base).empty()) continue;
+      for (const int off : offsets) {
+        if (off == 0) continue;
+        const int mate = base + off;
+        MPCQP_CHECK(out.fragment(mate).empty())
+            << "grid destination " << mate << " is also a base";
+        MPCQP_CHECK(!reached[mate])
+            << "grid destination " << mate << " is reached from two bases";
+        reached[mate] = 1;
+        mates.push_back({mate, base});
+      }
+    }
+  }
+
+  // Phase 2: bulk copy into disjoint pre-sized ranges at the bases. Each
+  // morsel's offsets row doubles as its private cursor — no per-task
+  // allocation. Then every slab mate takes a handle to its base's payload.
   {
     ScopedPhaseTimer phase(cluster.metrics(), Phase::kCopy);
     pool.ParallelFor(num_morsels, [&](int64_t m) {
@@ -262,30 +283,17 @@ DistRelation RouteGridImpl(Cluster& cluster, const DistRelation& rel,
       CopyMorsel(arity, p, targets.base.data(),
                  targets.offsets.data() + m * p, [&](const auto& emit) {
                    for (int64_t i = 0; i < rows; ++i, in += arity) {
-                     if constexpr (kSingle) {
-                       emit(in, b[i]);
-                     } else {
-                       for (int k = 0; k < num_offsets; ++k) {
-                         emit(in, b[i] + off[k]);
-                       }
-                     }
+                     emit(in, b[i]);
                    }
                  });
     });
+    for (const auto& [mate, base] : mates) {
+      out.fragment(mate) = out.fragment(base);
+    }
   }
   cluster.ObserveExchange(out);
   return out;
 }
-
-// The single-destination router: a grid route with offsets {0}.
-template <typename BaseFn>
-DistRelation RouteSingle(Cluster& cluster, const DistRelation& rel,
-                         const BaseFn& dest_of, const std::string& label) {
-  static const std::vector<int> kNoOffset = {0};
-  return RouteGridImpl<true>(cluster, rel, dest_of, kNoOffset, label);
-}
-
-}  // namespace
 
 DistRelation HashPartition(Cluster& cluster, const DistRelation& rel,
                            const std::vector<int>& key_cols,
@@ -304,14 +312,14 @@ DistRelation HashPartition(Cluster& cluster, const DistRelation& rel,
     const int owner = static_cast<int>(
         (static_cast<unsigned __int128>(hash.HashSpan(nullptr, 0)) * p) >>
         64);
-    return RouteSingle(
+    return RouteGrid(
         cluster, rel,
         [owner](const Relation& /*frag*/, int64_t begin,
                 int64_t end, int32_t* dests) {
           std::fill(dests, dests + (end - begin),
                     static_cast<int32_t>(owner));
         },
-        label);
+        {0}, label);
   }
   // Single-column keys: one plan. Each morsel's key column is bucketed in
   // one batched, vectorizable BucketMany pass — read in place when the
@@ -321,7 +329,7 @@ DistRelation HashPartition(Cluster& cluster, const DistRelation& rel,
   // == HashMany element-wise, Bucket == BucketMany).
   if (key_cols.size() == 1) {
     const int col = key_cols.front();
-    return RouteSingle(
+    return RouteGrid(
         cluster, rel,
         [&hash, p, col](const Relation& frag, int64_t begin,
                         int64_t end, int32_t* dests) {
@@ -337,12 +345,12 @@ DistRelation HashPartition(Cluster& cluster, const DistRelation& rel,
                           keys.data());
           hash.BucketMany(keys.data(), rows, p, dests);
         },
-        label);
+        {0}, label);
   }
   const auto bucket = [p](uint64_t h) {
     return static_cast<int>((static_cast<unsigned __int128>(h) * p) >> 64);
   };
-  return RouteSingle(
+  return RouteGrid(
       cluster, rel,
       [&, bucket](const Relation& frag, int64_t begin,
                   int64_t end, int32_t* dests) {
@@ -357,7 +365,7 @@ DistRelation HashPartition(Cluster& cluster, const DistRelation& rel,
               hash.HashSpan(key.data(), static_cast<int>(key.size()))));
         }
       },
-      label);
+      {0}, label);
 }
 
 DistRelation Broadcast(Cluster& cluster, const DistRelation& rel,
@@ -438,7 +446,7 @@ DistRelation RangePartition(Cluster& cluster, const DistRelation& rel, int col,
   MPCQP_CHECK_EQ(static_cast<int>(splitters.size()) + 1,
                  cluster.num_servers());
   MPCQP_CHECK(std::is_sorted(splitters.begin(), splitters.end()));
-  return RouteSingle(
+  return RouteGrid(
       cluster, rel,
       [&](const Relation& frag, int64_t begin, int64_t end,
           int32_t* dests) {
@@ -450,17 +458,7 @@ DistRelation RangePartition(Cluster& cluster, const DistRelation& rel, int col,
           dests[i] = static_cast<int32_t>(it - splitters.begin());
         }
       },
-      label);
-}
-
-DistRelation RouteGrid(Cluster& cluster, const DistRelation& rel,
-                       const GridBaseFn& base_of,
-                       const std::vector<int>& offsets,
-                       const std::string& label) {
-  if (offsets.size() == 1 && offsets[0] == 0) {
-    return RouteSingle(cluster, rel, base_of, label);
-  }
-  return RouteGridImpl<false>(cluster, rel, base_of, offsets, label);
+      {0}, label);
 }
 
 DistRelation Route(Cluster& cluster, const DistRelation& rel,
@@ -501,7 +499,7 @@ DistRelation Route(Cluster& cluster, const DistRelation& rel,
   }
 
   CopyTargets copy_targets =
-      PresizeDestinations(cluster, morsels, counts, &out);
+      PresizeDestinations(cluster, morsels, counts, {0}, &out);
 
   // Phase 2: every row once per entry of its destination list.
   {
@@ -531,13 +529,13 @@ Relation GatherToServer(Cluster& cluster, const DistRelation& rel, int dst,
                         const std::string& label) {
   MPCQP_CHECK_GE(dst, 0);
   MPCQP_CHECK_LT(dst, cluster.num_servers());
-  DistRelation gathered = RouteSingle(
+  DistRelation gathered = RouteGrid(
       cluster, rel,
       [dst](const Relation&, int64_t begin, int64_t end,
             int32_t* dests) {
         std::fill(dests, dests + (end - begin), static_cast<int32_t>(dst));
       },
-      label);
+      {0}, label);
   return std::move(gathered.fragment(dst));
 }
 

@@ -48,11 +48,14 @@ namespace mpcqp {
 //
 // Every destination is CHECKed to lie in [0, p), per row.
 //
-// Broadcast is zero-copy: it materializes the src-major concatenation
-// once and returns p copy-on-write handles to that single payload (a
-// receiver that mutates its copy detaches transparently). The metered
-// cost is unchanged — every server is still charged for receiving every
-// tuple; sharing is a simulator-memory optimization, not a cost one.
+// Zero copy: servers that receive the same rows in the same order share
+// one payload. Broadcast writes the src-major concatenation once and
+// hands every server a copy-on-write handle to it; RouteGrid writes each
+// slab once, at its base, and hands the slab mates handles to the base's
+// fragment. A receiver that mutates its copy detaches transparently. The
+// metered cost is unchanged — every server is still charged for every
+// tuple it receives; sharing is a simulator-memory optimization, not a
+// cost one.
 
 // Re-partitions by hash of the key columns: tuple t goes to server
 // h(t[key_cols]) mod p.
@@ -70,13 +73,20 @@ DistRelation RangePartition(Cluster& cluster, const DistRelation& rel, int col,
                             const std::vector<Value>& splitters,
                             const std::string& label);
 
-// Grid multicast: `base_of(frag, begin, end, base)` fills base[i] with
+// Slab multicast: `base_of(frag, begin, end, base)` fills base[i] with
 // one base server for row begin + i, and that row goes to base[i] + off
-// for every entry of `offsets`, in list order. Offsets must be
-// non-negative; every row CHECKs base >= 0 and base + max(offsets) < p.
-// Offsets {0} is the single-destination router HashPartition,
-// RangePartition and GatherToServer run on; HyperCube's slabs are a base
-// from the fixed variables' hashes plus the free dimensions' offsets.
+// for every entry of `offsets` (its slab). The offsets must be distinct
+// and non-negative and include 0; every row CHECKs base >= 0 and
+// base + max(offsets) < p. A slab is routed whole: a server reached
+// through a non-zero offset (a slab mate) must not also be a base that
+// receives rows, and must be reached from one base only — so it receives
+// exactly its base's rows. Each of these is a CHECK. The rows are copied
+// to the base alone and every slab mate gets a handle to the base's
+// fragment (see "Zero copy" above); every (source, mate) message is
+// metered like the (source, base) one. Offsets {0} is the
+// single-destination route HashPartition, RangePartition and
+// GatherToServer run on; HyperCube's slabs are a base from the fixed
+// variables' hashes plus the free dimensions' offsets.
 using GridBaseFn = std::function<void(const Relation& frag, int64_t begin,
                                       int64_t end, int32_t* base)>;
 DistRelation RouteGrid(Cluster& cluster, const DistRelation& rel,

@@ -65,9 +65,11 @@ namespace {
 // The local step of a cyclic query on a grid of `grid` servers: one pool
 // task per (atom, slab) builds the slab's trie from its representative's
 // fragment, then one task per server searches its atoms' shared tries.
-// Fragments no build reads are released before the builds start, and each
-// representative's once its trie is built, so the tries replace the
-// routed copies instead of adding to them.
+// The representative is the slab's RouteGrid base, and every other server
+// of the slab holds a handle to its payload. Those handles are dropped
+// before the builds start, and each representative's once its trie is
+// built, so the tries replace the routed payloads instead of adding to
+// them.
 std::vector<Relation> JoinWithSlabTries(Cluster& cluster,
                                         const ConjunctiveQuery& q,
                                         const std::vector<GridSlab>& slabs,
@@ -161,7 +163,8 @@ HyperCubeResult HyperCubeJoin(Cluster& cluster, const ConjunctiveQuery& q,
   for (int j = 0; j < q.num_atoms(); ++j) {
     const Atom& atom = q.atom(j);
     // The atom's slab: the fixed variables' coordinates give one base
-    // server per row, and the free dimensions' offsets its copies.
+    // server per row, and the free dimensions' offsets its slab mates,
+    // which share the base's routed payload.
     const GridSlab& slab =
         slabs.emplace_back(shares, DistinctVarCols(atom));
 

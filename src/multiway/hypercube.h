@@ -25,18 +25,21 @@ namespace mpcqp {
 // Skew-free load: IN / p^{1/τ*} for equal-size atoms (τ* = fractional edge
 // packing number); N/p^{2/3} for the triangle. Degrades under skew — use
 // SkewHcJoin then.
+// The multicast is RouteGrid's slab route: an atom's tuple reaches every
+// server of its slab (the servers that agree on the atom's own
+// variables), so all Π(free shares) of them hold the same fragment. It is
+// written once, at the slab's base, and the other servers of the slab
+// hold copy-on-write handles to it; each of them is still metered for
+// every tuple, so (L, r, C) are those of a per-server copy.
 // Each server evaluates its fragments with SQL bag semantics. For an
 // acyclic query that is LocalJoin (query/local_eval.h), pairwise hash joins
 // per server. For a cyclic query it is the trie join (query/trie_join.h),
-// with one trie per slab rather than per server: an atom's tuple reaches
-// every server of its slab (the servers that agree on the atom's own
-// variables), so all Π(free shares) of them hold the same fragment. Each
-// (atom, slab) trie is built once, from the slab's representative server,
-// and every server of the slab searches it read-only. That is
+// with one trie per slab rather than per server. Each (atom, slab) trie is
+// built once, from the slab's representative server (its base), and every
+// server of the slab searches it read-only. That is
 // Σ_j Π(shares of atom j's variables) builds instead of one per (atom,
-// server); like Broadcast's shared payload it saves simulator work and
-// memory, not load, and the output is byte-identical to a per-server
-// trie join.
+// server); like the shared payloads it saves simulator work and memory,
+// not load, and the output is byte-identical to a per-server trie join.
 struct HyperCubeOptions {
   // If non-empty, overrides the share computation (one entry per query
   // variable, product <= p). Used by benches reproducing specific rows of
@@ -54,7 +57,8 @@ struct HyperCubeResult {
 // One atom's slab of a share grid with mixed-radix strides (variable 0
 // varies fastest): the atom's variables fix their coordinates from the
 // row's hashes, and every other variable ranges over all of its own. A
-// row goes to base + o for each o of offsets(), its base from AddBases.
+// row goes to base + o for each o of offsets(), its base from AddBases;
+// distinct bases have disjoint slabs, as RouteGrid requires.
 // HyperCube builds one per atom; SkewHC one per (residual, atom), with
 // its heavy variables at share 1.
 class GridSlab {

@@ -14,13 +14,24 @@ namespace mpcqp {
 
 namespace {
 
-// The search's variable order: variables in more atoms first, ties by id.
-std::vector<int> VariableOrder(const ConjunctiveQuery& q) {
-  const int k = q.num_vars();
-  std::vector<int> atom_count(k, 0);
+// How many atoms of `q` hold each variable.
+std::vector<int> AtomCounts(const ConjunctiveQuery& q) {
+  std::vector<int> atom_count(q.num_vars(), 0);
   for (const Atom& atom : q.atoms()) {
     for (int v : DistinctVars(atom)) ++atom_count[v];
   }
+  return atom_count;
+}
+
+// Whether a trie root at `depth` of the variable order, whose variable
+// `atoms` atoms hold, carries a root index: it is re-probed (depth >= 1)
+// and intersected with one other range (leapfrog keeps its seeks).
+bool IndexesRoot(int depth, int atoms) { return depth >= 1 && atoms == 2; }
+
+// The search's variable order: variables in more atoms first, ties by id.
+std::vector<int> VariableOrder(const ConjunctiveQuery& q) {
+  const int k = q.num_vars();
+  const std::vector<int> atom_count = AtomCounts(q);
   std::vector<int> order(k);
   for (int v = 0; v < k; ++v) order[v] = v;
   std::stable_sort(order.begin(), order.end(), [&](int x, int y) {
@@ -144,7 +155,7 @@ int64_t Seek(const Value* vals, int64_t lo, int64_t hi, Value target) {
 //
 // A root whose variable binds below depth 0 is intersected again for every
 // binding of the earlier variables (S's root y in the triangle). When it
-// shares its depth with one other slot, the constructor indexes it once,
+// shares its depth with one other slot, its trie carries a root index,
 // value -> position + 1 in a FlatCounter, and the search looks each value
 // of the other range up there instead of searching the root.
 class TrieSearch {
@@ -171,6 +182,7 @@ class TrieSearch {
       for (size_t l = 0; l < levels.size(); ++l) {
         Slot slot;
         slot.vals = trie.vals[l].data();
+        if (l == 0 && trie.root_index) slot.index = &*trie.root_index;
         slot.parent_off = l == 0 ? nullptr : trie.off[l - 1].data();
         slot.root_size = static_cast<int64_t>(trie.vals[0].size());
         slot.parent_pos = l == 0 ? -1 : base[j] + static_cast<int>(l) - 1;
@@ -181,18 +193,12 @@ class TrieSearch {
           {trie.mult.data(),
            base[j] + static_cast<int>(levels.size()) - 1});
     }
-    // At most one root per trie, so the reserve keeps the slot pointers
-    // valid.
-    indexes_.reserve(tries.size());
-    for (int d = 1; d < k; ++d) {
-      if (by_depth[d].size() != 2) continue;  // Leapfrog keeps its seeks.
-      for (Slot& slot : by_depth[d]) {
+    for (int d = 0; d < k; ++d) {
+      for (const Slot& slot : by_depth[d]) {
         if (slot.parent_off != nullptr) continue;
-        FlatCounter& index = indexes_.emplace_back(slot.root_size);
-        for (int64_t i = 0; i < slot.root_size; ++i) {
-          index.Add(slot.vals[i], i + 1);
-        }
-        slot.index = &index;
+        MPCQP_CHECK_EQ(slot.index != nullptr,
+                       IndexesRoot(d, static_cast<int>(by_depth[d].size())))
+            << "a trie built for another query";
       }
     }
     depth_begin_.push_back(0);
@@ -377,7 +383,6 @@ class TrieSearch {
   std::vector<Slot> slots_;  // Grouped by depth.
   std::vector<int> depth_begin_;
   std::vector<Leaf> leaves_;
-  std::vector<FlatCounter> indexes_;  // Re-probed roots, see the class note.
   std::vector<Value> out_;
 };
 
@@ -435,6 +440,14 @@ AtomTrie BuildTrie(const ConjunctiveQuery& q, int j, const Relation& rel) {
     trie.mult[at[width - 1] - 1] = 1;
   }
   for (int l = 0; l + 1 < width; ++l) trie.off[l][at[l]] = at[l + 1];
+
+  const int root = trie.level_vars[0];
+  if (IndexesRoot(order_pos[root], AtomCounts(q)[root])) {
+    const std::vector<Value>& roots = trie.vals[0];
+    const int64_t size = static_cast<int64_t>(roots.size());
+    FlatCounter& index = trie.root_index.emplace(size);
+    for (int64_t i = 0; i < size; ++i) index.Add(roots[i], i + 1);
+  }
   return trie;
 }
 

@@ -2,8 +2,10 @@
 #define MPCQP_QUERY_TRIE_JOIN_H_
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
+#include "common/flat_counter.h"
 #include "query/query.h"
 #include "relation/relation.h"
 
@@ -35,17 +37,17 @@ namespace mpcqp {
 //   Π(leaf multiplicities) times, so deduplicated inputs give set
 //   semantics.
 // - A trie root whose variable binds after the first depth is intersected
-//   again for every binding of the earlier variables. If one other atom
-//   shares that depth, the search indexes that root once (a FlatCounter
+//   again for every binding of the earlier variables. If exactly one other
+//   atom holds that variable, BuildTrie indexes the root (a FlatCounter
 //   from value to position + 1), and whenever the root is the larger range
-//   the other range is walked in order with one lookup per value. A larger
-//   other range still merges or gallops.
+//   the search walks the other range in order with one lookup per value.
+//   A larger other range still merges or gallops. The rule reads only `q`,
+//   so every search of a shared trie reads the one index.
 // - A built trie is read-only. Any number of searches, on any threads, may
 //   read it at once, so an atom fragment that several servers receive
 //   whole (a HyperCube slab) is built once and shared.
-// - Traced runs show one "trie build" span per built atom and one
-//   "trie search" span per search (the search span includes building the
-//   root indexes).
+// - Traced runs show one "trie build" span per built atom (including its
+//   root index) and one "trie search" span per search.
 //
 // Output columns are the query variables in id order. Rows come out in
 // trie order (lexicographic in the variable order), which depends only on
@@ -62,6 +64,8 @@ struct AtomTrie {
   std::vector<std::vector<Value>> vals;
   std::vector<std::vector<int64_t>> off;
   std::vector<int64_t> mult;
+  // vals[0]'s value -> position + 1, for a root the search re-probes.
+  std::optional<FlatCounter> root_index;
 
   // True when the atom had no rows: its join is empty.
   bool empty() const { return mult.empty(); }

@@ -137,6 +137,72 @@ TEST(ExchangeDeathTest, NegativeGridOffsetAborts) {
                "negative grid offset");
 }
 
+// A slab lists each offset once.
+TEST(ExchangeDeathTest, DuplicateGridOffsetAborts) {
+  Cluster cluster(4, 1);
+  const DistRelation dist =
+      DistRelation::Scatter(Relation::FromRows({{1}}), 4);
+  EXPECT_DEATH(RouteGrid(
+                   cluster, dist,
+                   [](const Relation&, int64_t begin, int64_t end,
+                      int32_t* base) {
+                     std::fill(base, base + (end - begin), 0);
+                   },
+                   {0, 0}, "bad"),
+               "duplicate grid offset");
+}
+
+// Bases 0, 1 and 2 with offsets {0, 1}: base 0's slab mate 1 is itself a
+// base that receives rows, so the slabs overlap.
+TEST(ExchangeDeathTest, OverlappingGridSlabsAbort) {
+  Cluster cluster(4, 1);
+  const DistRelation dist =
+      DistRelation::Scatter(Relation::FromRows({{0}, {1}, {2}}), 4);
+  EXPECT_DEATH(RouteGrid(
+                   cluster, dist,
+                   [](const Relation& frag, int64_t begin, int64_t end,
+                      int32_t* base) {
+                     for (int64_t i = begin; i < end; ++i) {
+                       base[i - begin] = static_cast<int32_t>(frag.row(i)[0]);
+                     }
+                   },
+                   {0, 1}, "bad"),
+               "is also a base");
+}
+
+// Bases 0 and 1 with offsets {0, 2, 3}: server 3 is base 0's mate at
+// offset 3 and base 1's at offset 2.
+TEST(ExchangeDeathTest, GridMateOfTwoBasesAborts) {
+  Cluster cluster(5, 1);
+  const DistRelation dist =
+      DistRelation::Scatter(Relation::FromRows({{0}, {1}}), 5);
+  EXPECT_DEATH(RouteGrid(
+                   cluster, dist,
+                   [](const Relation& frag, int64_t begin, int64_t end,
+                      int32_t* base) {
+                     for (int64_t i = begin; i < end; ++i) {
+                       base[i - begin] = static_cast<int32_t>(frag.row(i)[0]);
+                     }
+                   },
+                   {0, 2, 3}, "bad"),
+               "reached from two bases");
+}
+
+// The base holds a slab's payload, so offset 0 is part of every slab.
+TEST(ExchangeDeathTest, GridWithoutZeroOffsetAborts) {
+  Cluster cluster(4, 1);
+  const DistRelation dist =
+      DistRelation::Scatter(Relation::FromRows({{1}}), 4);
+  EXPECT_DEATH(RouteGrid(
+                   cluster, dist,
+                   [](const Relation&, int64_t begin, int64_t end,
+                      int32_t* base) {
+                     std::fill(base, base + (end - begin), 0);
+                   },
+                   {1, 2}, "bad"),
+               "must include 0");
+}
+
 // A Route callback must close exactly one row per row of its morsel.
 TEST(ExchangeDeathTest, SinkRowCountMismatchAborts) {
   Cluster cluster(2, 1);

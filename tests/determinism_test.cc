@@ -160,6 +160,9 @@ DistRelation ExerciseAllRouters(Cluster& cluster, const DistRelation& in) {
   const DistRelation ranged =
       RangePartition(cluster, wide, 0, splitters, "morsel: range");
   const int half = std::max(1, p / 2);  // Bases; offsets reach the rest.
+  // At p = 1 the one server is the whole grid: a slab of one.
+  const std::vector<int> offsets =
+      p == half ? std::vector<int>{0} : std::vector<int>{0, p - half};
   const DistRelation grid = RouteGrid(
       cluster, ranged,
       [half](const Relation& frag, int64_t begin, int64_t end,
@@ -168,7 +171,7 @@ DistRelation ExerciseAllRouters(Cluster& cluster, const DistRelation& in) {
           base[i - begin] = static_cast<int32_t>(frag.row(i)[0] % half);
         }
       },
-      {0, p - half}, "morsel: grid");
+      offsets, "morsel: grid");
   const DistRelation multi = Route(
       cluster, grid,
       [p](int src, const Relation& frag, int64_t begin, int64_t end,

@@ -348,36 +348,72 @@ Cluster MakeCluster(int p, const RouterConfig& config) {
   return Cluster(p, 5, options);
 }
 
+// A 2 x 2 x 2 grid over 8 servers: the base fixes coordinate 0 from
+// column 1, and the row is multicast over coordinates 1 and 2 (strides 2
+// and 4).
+const std::vector<int> kGridOffsets = {0, 2, 4, 6};
+
+int32_t GridBaseOfRow(const Value* row) {
+  return static_cast<int32_t>(row[1] % 2);
+}
+
+DistRelation RouteTestGrid(Cluster& cluster, const DistRelation& in) {
+  return RouteGrid(
+      cluster, in,
+      [](const Relation& frag, int64_t begin, int64_t end, int32_t* base) {
+        for (int64_t i = begin; i < end; ++i) {
+          base[i - begin] = GridBaseOfRow(frag.row(i));
+        }
+      },
+      kGridOffsets, "grid");
+}
+
+std::pair<std::vector<Relation>, RoundCost> SerialTestGrid(
+    const DistRelation& in) {
+  return SerialRoute(in, [](int, int64_t, const Value* row) {
+    std::vector<int> dests;
+    for (const int off : kGridOffsets) {
+      dests.push_back(GridBaseOfRow(row) + off);
+    }
+    return dests;
+  });
+}
+
+std::string Where(const RouterConfig& config) {
+  return "threads=" + std::to_string(config.threads) +
+         " morsel_rows=" + std::to_string(config.morsel_rows);
+}
+
 TEST(RouteGridTest, MatchesSerialReference) {
   constexpr int kP = 8;
   const DistRelation in = UnevenInput(kP);
-  // A 2 x 2 x 2 grid: the base fixes coordinate 0 from column 1, and the
-  // row is multicast over coordinates 1 and 2 (strides 2 and 4).
-  const std::vector<int> offsets = {0, 2, 4, 6};
-  const auto base_of_row = [](const Value* row) {
-    return static_cast<int32_t>(row[1] % 2);
-  };
-  const auto expected = SerialRoute(in, [&](int, int64_t, const Value* row) {
-    std::vector<int> dests;
-    for (const int off : offsets) dests.push_back(base_of_row(row) + off);
-    return dests;
-  });
+  const auto expected = SerialTestGrid(in);
   for (const RouterConfig& config : RouterConfigs()) {
     Cluster cluster = MakeCluster(kP, config);
-    const DistRelation routed = RouteGrid(
-        cluster, in,
-        [&](const Relation& frag, int64_t begin, int64_t end,
-            int32_t* base) {
-          for (int64_t i = begin; i < end; ++i) {
-            base[i - begin] = base_of_row(frag.row(i));
-          }
-        },
-        offsets, "grid");
+    const DistRelation routed = RouteTestGrid(cluster, in);
     ExpectMatchesSerial(routed, cluster.cost_report().rounds().at(0),
-                        expected,
-                        "threads=" + std::to_string(config.threads) +
-                            " morsel_rows=" +
-                            std::to_string(config.morsel_rows));
+                        expected, Where(config));
+  }
+}
+
+// The grid routes each slab once: every server past the two bases holds a
+// handle to its base's fragment, and the bytes and the metered round
+// still equal the serial per-copy route.
+TEST(RouteGridTest, SlabMatesSharePayload) {
+  constexpr int kP = 8;
+  const DistRelation in = UnevenInput(kP);
+  const auto expected = SerialTestGrid(in);
+  for (const RouterConfig& config : RouterConfigs()) {
+    Cluster cluster = MakeCluster(kP, config);
+    const DistRelation routed = RouteTestGrid(cluster, in);
+    for (int s = 2; s < kP; ++s) {
+      EXPECT_TRUE(routed.fragment(s).SharesPayloadWith(routed.fragment(s % 2)))
+          << Where(config) << ": server " << s;
+    }
+    EXPECT_FALSE(routed.fragment(0).SharesPayloadWith(routed.fragment(1)))
+        << Where(config);
+    ExpectMatchesSerial(routed, cluster.cost_report().rounds().at(0),
+                        expected, Where(config));
   }
 }
 

@@ -550,6 +550,38 @@ TEST(TrieJoinTest, ConcurrentSearchesShareOneTrie) {
   }
 }
 
+// In the triangle's order x, y, z only S's root (y, bound at depth 1 and
+// held by R and S) is re-probed, so only S's trie carries a root index;
+// concurrent searches that share S's trie all read that one index.
+TEST(TrieJoinTest, ConcurrentSearchesShareOneRootIndex) {
+  const ConjunctiveQuery q = ConjunctiveQuery::Triangle();
+  Rng rng(41);
+  const Relation s = GenerateUniform(rng, 3000, 2, 60);
+  const AtomTrie s_trie = BuildTrie(q, 1, s);
+  ASSERT_TRUE(s_trie.root_index.has_value());
+  EXPECT_EQ(s_trie.root_index->num_keys(),
+            static_cast<int64_t>(s_trie.vals[0].size()));
+  constexpr int kSearches = 16;
+  std::vector<std::vector<Relation>> atoms(kSearches);
+  for (std::vector<Relation>& server : atoms) {
+    server = {GenerateUniform(rng, 1500, 2, 60), s,
+              GenerateUniform(rng, 1500, 2, 60)};
+  }
+  std::vector<Relation> shared(kSearches);
+  ThreadPool pool(4);
+  pool.ParallelFor(kSearches, [&](int64_t i) {
+    const AtomTrie r_trie = BuildTrie(q, 0, atoms[i][0]);
+    const AtomTrie t_trie = BuildTrie(q, 2, atoms[i][2]);
+    EXPECT_FALSE(r_trie.root_index.has_value());
+    EXPECT_FALSE(t_trie.root_index.has_value());
+    shared[i] = SearchTries(q, {&r_trie, &s_trie, &t_trie});
+  });
+  for (int i = 0; i < kSearches; ++i) {
+    EXPECT_FALSE(shared[i].empty()) << i;
+    EXPECT_TRUE(shared[i] == TrieJoin(q, atoms[i])) << i;
+  }
+}
+
 // --- Output goldens over HyperCube-routed fragments. Each instance routes
 // its atoms to a grid the way a HyperCube round does, runs TrieJoin on every
 // server and folds each server's output (row count, then its bytes) into
